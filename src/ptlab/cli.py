@@ -1,5 +1,6 @@
-"""Command-line front end. Exit codes: 0 success, 1 invariant failure,
-2 usage error, 3 I/O error. PTLAB_SEED is the fallback seed."""
+"""Command-line front end. Exit codes: 0 success, 1 invariant failure
+(including a certificate that fails verification), 2 usage error, 3 I/O
+error (including a malformed sidecar). PTLAB_SEED is the fallback seed."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .extremal import estimate_f, search_min_p3_density
 from .gadgets import ap3_free_set, build_c5_gadget, build_poset_gadget, rs_graph
 from .graphs import Digraph, Graph, PartLabeling, gnp, random_cograph
 from .graph_io import ParseError, read_digraph, read_graph, write_digraph, write_graph
-from .packing import WitnessPacking
+from .packing import PackingError, WitnessPacking
 from .pipelines import (
     EASY_HEADER,
     HARDNESS_HEADER,
@@ -39,12 +40,19 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     kw = {"default": argparse.SUPPRESS} if suppress else {}
     parser.add_argument("--seed", type=int,
                         **(kw or {"default": int(os.environ.get("PTLAB_SEED", "0"))}),
                         help="master seed (default: $PTLAB_SEED or 0)")
-    parser.add_argument("--threads", type=int, **(kw or {"default": 1}),
+    parser.add_argument("--threads", type=_positive_int, **(kw or {"default": 1}),
                         help="worker processes for trial loops (results unchanged)")
     parser.add_argument("--out", **(kw or {"default": None}),
                         help="output path ('-' or omitted: stdout)")
@@ -192,9 +200,12 @@ def _load_parts(path: str, n: int, names: tuple[str, ...]) -> PartLabeling:
 
 def _load_packing(path: str) -> WitnessPacking | None:
     data = json.loads(Path(path).read_text())
-    if data.get("packing"):
+    if not data.get("packing"):
+        return None
+    try:
         return WitnessPacking.from_json(data["packing"])
-    return None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed packing ({type(exc).__name__}: {exc})") from None
 
 
 def cmd_gen(args) -> int:
@@ -435,6 +446,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"ptlab: {exc}", file=sys.stderr)
         return EXIT_IO
+    except PackingError as exc:
+        print(f"ptlab: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (ValueError, ZeroDivisionError) as exc:
         print(f"ptlab: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
-from .graphs import Graph, complement, induced_subgraph, iter_bits, pair_count
+from .graphs import Graph, complement, components, induced_subgraph, iter_bits, pair_count
 from .recognizers import RecognitionResult
 from .rng import Stream
 
@@ -97,15 +97,7 @@ def find_cut(g: Graph) -> Cut | None:
         raise ValueError(f"cuts need n >= 2, got {g.n}")
     full = (1 << g.n) - 1
     for rows, kind in ((g.rows, "sparse"), (complement(g).rows, "dense")):
-        comp = 1
-        frontier = 1
-        while frontier:
-            grow = 0
-            for v in iter_bits(frontier):
-                grow |= rows[v]
-            grow &= ~comp
-            comp |= grow
-            frontier = grow
+        comp = components(rows, full)[0]
         if comp != full:
             density = Fraction(0) if kind == "sparse" else Fraction(1)
             return Cut(tuple(iter_bits(comp)), tuple(iter_bits(full ^ comp)),

@@ -325,9 +325,9 @@ def build_c5_gadget(f: Graph, labeling: PartLabeling,
     mask = {
         "V1": (1 << (2 * n)) - 1,
         "V4": ((1 << (2 * n)) - 1) << (2 * n),
-        "V2": _shift_mask(labeling.part_mask("V2"), offset),
-        "V3": _shift_mask(labeling.part_mask("V3"), offset),
-        "V5": _shift_mask(labeling.part_mask("V5"), offset),
+        "V2": labeling.part_mask("V2") << offset,
+        "V3": labeling.part_mask("V3") << offset,
+        "V5": labeling.part_mask("V5") << offset,
     }
     rows = [0] * big_n
     # complete pairs
@@ -343,13 +343,13 @@ def build_c5_gadget(f: Graph, labeling: PartLabeling,
         um = 1 << u
         gu = offset + u
         if um & m2:
-            rows[gu] |= _shift_mask(ru & m3, offset)
-            rows[gu] |= _shift_mask(m5 & ~ru, offset)
+            rows[gu] |= (ru & m3) << offset
+            rows[gu] |= (m5 & ~ru) << offset
         elif um & m3:
-            rows[gu] |= _shift_mask(ru & (m2 | m5), offset)
+            rows[gu] |= (ru & (m2 | m5)) << offset
         else:
-            rows[gu] |= _shift_mask(ru & m3, offset)
-            rows[gu] |= _shift_mask(m2 & ~ru, offset)
+            rows[gu] |= (ru & m3) << offset
+            rows[gu] |= (m2 & ~ru) << offset
     g = Graph(big_n, rows)
     parts = PartLabeling(big_n, [
         ("V1", range(2 * n)),
@@ -365,10 +365,6 @@ def build_c5_gadget(f: Graph, labeling: PartLabeling,
         farness=farness_lower_bound(cert, big_n),
         provenance={"construction": "c5-gadget", "inner_n": n,
                     "planted": len(packing)})
-
-
-def _shift_mask(mask: int, offset: int) -> int:
-    return mask << offset
 
 
 def _audit_c5_gadget(g: Graph, parts: PartLabeling, f: Graph, offset: int) -> None:

@@ -25,6 +25,7 @@ __all__ = [
     "count_triangles",
     "count_induced_p3",
     "count_induced_c5",
+    "components",
     "sample_vertices",
     "gnp",
     "random_cograph",
@@ -184,17 +185,9 @@ class Digraph:
                 yield (u, v)
 
     def induced(self, vertices: Iterable[int]) -> "Digraph":
-        vs = sorted(set(vertices))
-        _check_subset(vs, self.n)
-        pos = {v: i for i, v in enumerate(vs)}
-        rows = [0] * len(vs)
-        mask = 0
-        for v in vs:
-            mask |= 1 << v
-        for i, v in enumerate(vs):
-            for w in iter_bits(self.rows[v] & mask):
-                rows[i] |= 1 << pos[w]
-        return Digraph(len(vs), rows)
+        """Sub-digraph induced on `vertices`, reindexed like induced_subgraph."""
+        rows = _reindexed_rows(self.rows, vertices)
+        return Digraph(len(rows), rows)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Digraph) and self.n == other.n and self.rows == other.rows
@@ -289,19 +282,46 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, rows)
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced on `vertices`, reindexed in ascending vertex order."""
+def _reindexed_rows(rows: Sequence[int], vertices: Iterable[int]) -> list[int]:
+    """Rows restricted to `vertices` and renumbered in ascending vertex order."""
     vs = sorted(set(vertices))
-    _check_subset(vs, g.n)
+    _check_subset(vs, len(rows))
     pos = {v: i for i, v in enumerate(vs)}
     mask = 0
     for v in vs:
         mask |= 1 << v
-    rows = [0] * len(vs)
+    out = [0] * len(vs)
     for i, v in enumerate(vs):
-        for w in iter_bits(g.rows[v] & mask):
-            rows[i] |= 1 << pos[w]
-    return Graph(len(vs), rows)
+        for w in iter_bits(rows[v] & mask):
+            out[i] |= 1 << pos[w]
+    return out
+
+
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
+    """Subgraph induced on `vertices`, reindexed in ascending vertex order."""
+    rows = _reindexed_rows(g.rows, vertices)
+    return Graph(len(rows), rows)
+
+
+def components(rows: Sequence[int], mask: int) -> list[int]:
+    """Connected components of the subgraph induced on `mask`, as masks.
+
+    Components come out in order of their lowest vertex, so the first one
+    holds the lowest vertex of `mask`.
+    """
+    comps = []
+    todo = mask
+    while todo:
+        comp = frontier = todo & -todo
+        while frontier:
+            grow = 0
+            for v in iter_bits(frontier):
+                grow |= rows[v]
+            frontier = grow & mask & ~comp
+            comp |= frontier
+        comps.append(comp)
+        todo &= ~comp
+    return comps
 
 
 def count_triangles(g: Graph) -> int:
@@ -344,7 +364,17 @@ def count_induced_c5(g: Graph, exact_bound: int = C5_EXACT_BOUND) -> int:
         raise ValueError(
             f"exact induced-C5 count refused for n={g.n} > {exact_bound}; "
             "use the sampling estimator")
-    total = 0
+    return sum(fan[4].bit_count() for fan in _induced_c5_fans(g))
+
+
+def _induced_c5_fans(g: Graph) -> Iterator[tuple[int, int, int, int, int]]:
+    """Canonical induced-5-cycle enumeration, grouped by the last vertex.
+
+    Yields (v0, v1, v2, v4, v3s) for every path v1-v0-v4 with v0 the
+    cycle's minimum vertex and v1 < v4, and every v2 extending it, whose
+    closing set v3s (vertices adjacent to v2 and v4 that complete an induced
+    5-cycle) is nonempty. Each induced 5-cycle is one bit of one v3s.
+    """
     rows = g.rows
     for v0 in range(g.n):
         above = -1 << (v0 + 1)
@@ -358,8 +388,8 @@ def count_induced_c5(g: Graph, exact_bound: int = C5_EXACT_BOUND) -> int:
                 for v2 in iter_bits(v2s):
                     v3s = (rows[v2] & rows[v4] & ~rows[v0] & ~rows[v1]
                            & above & ~(1 << v2))
-                    total += v3s.bit_count()
-    return total
+                    if v3s:
+                        yield v0, v1, v2, v4, v3s
 
 
 def sample_vertices(n: int, d: int, rng: Stream) -> tuple[int, ...]:

@@ -15,7 +15,9 @@ from .graphs import (
     Graph,
     Digraph,
     PartLabeling,
+    _induced_c5_fans,
     complement,
+    components,
     cycle_graph,
     complete_graph,
     empty_graph,
@@ -81,39 +83,11 @@ def is_triangle_free(g: Graph) -> RecognitionResult:
     return MEMBER
 
 
-def _components(rows, mask: int) -> list[int]:
-    """Connected components of the subgraph induced on `mask`, as masks."""
-    comps = []
-    todo = mask
-    while todo:
-        seed = todo & -todo
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            for v in iter_bits(frontier):
-                grow |= rows[v]
-            grow &= mask & ~comp
-            comp |= grow
-            frontier = grow
-        comps.append(comp)
-        todo &= ~comp
-    return comps
-
-
-def _first_induced_p4(g: Graph, mask: int) -> tuple[int, ...]:
-    """Lowest quadruple (index order) inducing a path with three edges."""
-    vs = list(iter_bits(mask))
-    for quad in combinations(vs, 4):
-        if is_path_4(induced_subgraph(g, quad)):
-            return quad
-    raise AssertionError("non-decomposable subgraph without an induced 4-path")
-
-
 def is_cograph(g: Graph) -> RecognitionResult:
     """Decide by Seinsche decomposition: recurse into components of g, else
     of its complement; a subgraph where both are connected is a failure, and
-    it must contain an induced 4-vertex path (returned as the witness)."""
+    it must contain an induced 4-vertex path. The witness is the first one
+    the middle-edge scan of `_find_induced_p4` meets inside that subgraph."""
     if g.n <= 1:
         return MEMBER
     crows = complement(g).rows
@@ -122,13 +96,16 @@ def is_cograph(g: Graph) -> RecognitionResult:
         mask = stack.pop()
         if mask.bit_count() <= 1:
             continue
-        comps = _components(g.rows, mask)
+        comps = components(g.rows, mask)
         if len(comps) == 1:
-            comps = _components(crows, mask)
+            comps = components(crows, mask)
         if len(comps) > 1:
             stack.extend(c for c in comps if c.bit_count() > 1)
-        else:
-            return RecognitionResult(False, _first_induced_p4(g, mask), "induced-path-4")
+            continue
+        witness = _find_induced_p4(g, mask)
+        if witness is None:
+            raise AssertionError("non-decomposable subgraph without an induced 4-path")
+        return RecognitionResult(False, witness, "induced-path-4")
     return MEMBER
 
 
@@ -171,34 +148,14 @@ def _induced_iso(g: Graph, vs: tuple[int, ...], h: Graph, h_deg: list[int]) -> b
     return place(0)
 
 
-def _find_induced_c5(g: Graph) -> tuple[int, ...] | None:
-    """First induced 5-cycle under the canonical enumeration, or None."""
+def _find_induced_p4(g: Graph, mask: int) -> tuple[int, ...] | None:
+    """First induced 4-vertex path inside `mask`, scanning middle edges
+    {u, v} in lexicographic order, or None."""
     rows = g.rows
-    for v0 in range(g.n):
-        above = -1 << (v0 + 1)
-        nbrs = rows[v0] & above
-        for v1 in iter_bits(nbrs):
-            for v4 in iter_bits(nbrs >> (v1 + 1)):
-                v4 += v1 + 1
-                if (rows[v1] >> v4) & 1:
-                    continue
-                v2s = rows[v1] & ~rows[v0] & ~rows[v4] & above & ~(1 << v4)
-                for v2 in iter_bits(v2s):
-                    v3s = (rows[v2] & rows[v4] & ~rows[v0] & ~rows[v1]
-                           & above & ~(1 << v2))
-                    if v3s:
-                        v3 = next(iter_bits(v3s))
-                        return tuple(sorted((v0, v1, v2, v3, v4)))
-    return None
-
-
-def _find_induced_p4(g: Graph) -> tuple[int, ...] | None:
-    rows = g.rows
-    for u in range(g.n):
-        for v in iter_bits(rows[u] >> (u + 1)):
-            v += u + 1
-            a_side = rows[u] & ~rows[v] & ~(1 << v)
-            d_side = rows[v] & ~rows[u] & ~(1 << u)
+    for u in iter_bits(mask):
+        for v in iter_bits(rows[u] & mask & (-1 << (u + 1))):
+            a_side = rows[u] & ~rows[v] & mask & ~(1 << v)
+            d_side = rows[v] & ~rows[u] & mask & ~(1 << u)
             for a in iter_bits(a_side):
                 free = d_side & ~rows[a]
                 if free:
@@ -217,11 +174,15 @@ def is_induced_h_free(g: Graph, h: Graph) -> RecognitionResult:
         raise ValueError(f"induced-H search limited to |V(H)| <= {INDUCED_H_MAX}, got {h.n}")
     if h.n > g.n:
         return MEMBER
-    if h.n == 5 and all(h.degree(v) == 2 for v in range(5)):
-        hit = _find_induced_c5(g)
-        return MEMBER if hit is None else RecognitionResult(False, hit, "induced-cycle-5")
-    if h.n == 4 and is_path_4(h):
-        hit = _find_induced_p4(g)
+    if is_cycle_5(h):
+        fan = next(_induced_c5_fans(g), None)
+        if fan is None:
+            return MEMBER
+        v0, v1, v2, v4, v3s = fan
+        v3 = next(iter_bits(v3s))
+        return RecognitionResult(False, tuple(sorted((v0, v1, v2, v3, v4))), "induced-cycle-5")
+    if is_path_4(h):
+        hit = _find_induced_p4(g, (1 << g.n) - 1)
         return MEMBER if hit is None else RecognitionResult(False, hit, "induced-path-4")
     h_deg = [h.degree(v) for v in range(h.n)]
     for vs in combinations(range(g.n), h.n):
@@ -459,6 +420,10 @@ def check_order_transitivity(g: Graph, labeling: PartLabeling) -> RecognitionRes
 
 # --- property registry -------------------------------------------------------
 
+_CYCLE_5 = cycle_graph(5)
+_PATH_4 = path_graph(4)
+
+
 def named_graph(token: str) -> Graph:
     """Small named graphs for CLI/property tokens: 'cycle:5', 'path:4',
     'complete:3', 'empty:2' (counts are vertex counts)."""
@@ -494,11 +459,9 @@ def property_recognizer(name: str) -> Callable[[Graph], RecognitionResult]:
     if name == "perfect":
         return is_perfect
     if name == "induced-c5-free":
-        h = cycle_graph(5)
-        return lambda g: is_induced_h_free(g, h)
+        return lambda g: is_induced_h_free(g, _CYCLE_5)
     if name == "induced-p3-free":
-        h = path_graph(4)
-        return lambda g: is_induced_h_free(g, h)
+        return lambda g: is_induced_h_free(g, _PATH_4)
     if name.startswith("induced-h-free:"):
         h = named_graph(name.split(":", 1)[1])
         return lambda g: is_induced_h_free(g, h)

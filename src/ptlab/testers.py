@@ -246,7 +246,9 @@ def min_budget_for_detection(g: Graph, kind: str, rng: Stream,
                              threads: int = 1) -> MinBudgetResult:
     """Doubling-then-binary search for the least budget (d for the universal
     tester, t for density testers) whose measured rejection rate meets
-    `target` with its Wilson lower bound.
+    `target` with its Wilson lower bound. The doubling stops at the cap
+    (for the universal tester, the smaller of the cap and n), which is
+    probed itself.
 
     Each budget value is measured on its own substream, so probes are
     reproducible and independent of the search path. When a triangle
@@ -272,15 +274,13 @@ def min_budget_for_detection(g: Graph, kind: str, rng: Stream,
     def ok(budget: int) -> bool:
         return measure(budget).wilson_lo >= target
 
-    budget = 1
-    while budget <= cap_eff and not ok(budget):
-        budget *= 2
-    if budget > cap_eff:
-        if cap_eff not in probes and cap_eff >= 1:
-            ok(cap_eff)
+    failed, budget = 0, 1
+    while budget < cap_eff and not ok(budget):
+        failed, budget = budget, min(2 * budget, cap_eff)
+    if budget > cap_eff or not ok(budget):
         found = None
     else:
-        lo = budget // 2 + 1
+        lo = failed + 1
         hi = budget
         while lo < hi:
             mid = (lo + hi) // 2

@@ -20,6 +20,7 @@ from .graphs import (
     Graph,
     PartLabeling,
     complement,
+    components,
     count_induced_c5,
     count_induced_p3,
     count_triangles,
@@ -28,7 +29,6 @@ from .graphs import (
     induced_subgraph,
     is_cycle_5,
     is_path_4,
-    iter_bits,
     naive_induced_count,
     pair_from_index,
     random_cograph,
@@ -254,16 +254,7 @@ def _is_odd_hole_or_antihole(g: Graph, w: tuple[int, ...]) -> bool:
         k = h.n
         if k >= 5 and k % 2 == 1 and h.m == k and all(h.degree(v) == 2 for v in range(k)):
             # connected 2-regular odd graph of size n is one odd cycle
-            comp = 1
-            frontier = 1
-            while frontier:
-                grow = 0
-                for v in iter_bits(frontier):
-                    grow |= h.rows[v]
-                grow &= ~comp
-                comp |= grow
-                frontier = grow
-            if comp == (1 << k) - 1:
+            if len(components(h.rows, (1 << k) - 1)) == 1:
                 return True
     return False
 
@@ -275,20 +266,18 @@ def suite_decomposition(seed: int = 0, nu_draws: int = 1000,
     rng = Stream(seed, (3,))
     out: list[CheckResult] = []
 
-    def cut_iff_p4_free_somewhere() -> str | None:
+    def no_cut_implies_p4() -> str | None:
+        # Seinsche: a graph with no exact cut contains an induced 4-path. The
+        # converse fails (a 4-path plus an isolated vertex has a cut), so only
+        # this direction is checked.
         for g in _all_graphs(6):
             has_cut = find_cut(g) is not None
-            non_decomposable = naive_induced_count(g, is_path_4, 4) > 0
-            # Seinsche: exact-cut-free graphs are exactly those containing an
-            # induced 4-path... both directions over the cograph recursion:
-            if not has_cut and not non_decomposable:
+            has_p4 = naive_induced_count(g, is_path_4, 4) > 0
+            if not has_cut and not has_p4:
                 return f"cut-free without induced 4-path: rows={g.rows}"
-            if has_cut and g.n >= 2 and not non_decomposable:
-                # fine: cographs always have cuts
-                pass
         return None
     _check(out, "decomposition", "no exact cut implies an induced 4-path (all 6-vertex graphs)",
-           cut_iff_p4_free_somewhere)
+           no_cut_implies_p4)
 
     def refinement_parts() -> str | None:
         for i in range(100):
@@ -419,10 +408,7 @@ def suite_packing(seed: int = 0, chain_draws: int = 200,
             g = gnp(7, 0.4, rng.child(4, i))
             tau = len(tau_fn(g, "exact"))
             d = distance_to_property(g, is_triangle_free)
-            if isinstance(d, AboveCap):
-                if tau <= d.cap and tau > d.cap:
-                    return f"draw {i}"
-            elif d < tau:
+            if not isinstance(d, AboveCap) and d < tau:
                 return f"draw {i}: distance {d} < tau {tau}"
         return None
     _check(out, "packing", "edit distance to triangle-freeness is at least tau", distance_dominates_tau)

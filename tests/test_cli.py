@@ -128,6 +128,47 @@ def test_exit_codes(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_usage_error(threads):
+    with pytest.raises(SystemExit) as err:
+        run(["--threads", threads, "verify-suite", "gadgets"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        run(["verify-suite", "gadgets", "--threads", threads])
+    assert err.value.code == 2
+
+
+def _rs_with_sidecar(tmp_path):
+    rs = tmp_path / "rs.el"
+    assert run(["gen", "rs", "--k", 3, "--out", rs]) == 0
+    side = tmp_path / "rs.el.json"
+    return rs, side, json.loads(side.read_text())
+
+
+@pytest.mark.parametrize("breakage", ["no host_n", "short tuple"])
+def test_malformed_sidecar_packing_is_io_error(tmp_path, capsys, breakage):
+    rs, side, data = _rs_with_sidecar(tmp_path)
+    if breakage == "no host_n":
+        del data["packing"]["host_n"]
+    else:
+        data["packing"]["tuples"][0] = [0, 1]
+    side.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["gen", "c5-gadget", "--from", rs, "--out", tmp_path / "g.el"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ptlab:") and "malformed packing" in err
+
+
+def test_sidecar_non_triangle_is_invariant_failure(tmp_path, capsys):
+    rs, side, data = _rs_with_sidecar(tmp_path)
+    # three vertices of one part are independent, so never a triangle
+    data["packing"]["tuples"][0] = data["parts"]["X"][:3]
+    side.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["gen", "c5-gadget", "--from", rs, "--out", tmp_path / "g.el"]) == 1
+    assert "not a triangle" in capsys.readouterr().err
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("PTLAB_SEED", "21")
     a = tmp_path / "a.el"

@@ -6,6 +6,7 @@ from ptlab.graphs import (
     PartLabeling,
     complement,
     complete_graph,
+    components,
     count_induced_c5,
     count_induced_p3,
     count_triangles,
@@ -16,6 +17,7 @@ from ptlab.graphs import (
     induced_subgraph,
     is_cycle_5,
     is_path_4,
+    iter_bits,
     naive_induced_count,
     pair_count,
     pair_from_index,
@@ -176,3 +178,19 @@ def test_part_labeling():
         PartLabeling(4, [("A", [0, 1]), ("B", [1, 2, 3])])  # overlap
     with pytest.raises(ValueError):
         PartLabeling(4, [("A", [0, 1]), ("B", [3])])  # not covering
+
+
+def test_components_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = Stream(61)
+    for i in range(300):
+        n = 1 + i % 14
+        g = gnp(n, (0.1, 0.25, 0.5)[i % 3], rng.child(i, 0))
+        mask = int(rng.child(i, 1).gen.integers(0, 1 << n))
+        vs = list(iter_bits(mask))
+        h = nx.Graph()
+        h.add_nodes_from(vs)
+        h.add_edges_from((u, v) for u, v in g.edges() if u in vs and v in vs)
+        got = [set(iter_bits(c)) for c in components(g.rows, mask)]
+        want = sorted(nx.connected_components(h), key=min)
+        assert got == want, (g.rows, mask)

@@ -186,6 +186,15 @@ def test_cograph_witness_reverifies():
         res = is_cograph(g)
         if not res.member:
             assert is_path_4(induced_subgraph(g, res.witness))
+    non_cographs = 0
+    for g in all_graphs(6):
+        res = is_cograph(g)
+        if not res.member:
+            non_cographs += 1
+            assert res.label == "induced-path-4"
+            assert is_path_4(induced_subgraph(g, res.witness)), (g.rows, res.witness)
+    # 2^15 labeled graphs minus the 5504 labeled cographs on 6 vertices
+    assert non_cographs == 32768 - 5504
 
 
 # --- comparability --------------------------------------------------------------

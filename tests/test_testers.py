@@ -5,6 +5,7 @@ import pytest
 
 from ptlab.gadgets import ap3_free_set, rs_graph
 from ptlab.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     gnp,
@@ -129,6 +130,16 @@ def test_min_budget_capped():
     res = min_budget_for_detection(g, "triple-density", Stream(17), trials=50, cap=8)
     assert res.capped and res.budget is None
     assert all(rate == 0.0 for _, rate, _, _ in res.curve)
+
+
+def test_min_budget_meets_target_at_cap():
+    # the target is first met at d = n = cap, which is not a power of two
+    g = Graph.from_edges(12, [(0, 1), (1, 2), (0, 2)])
+    res = min_budget_for_detection(g, "universal", Stream(5), trials=200,
+                                   property_name="triangle-free", cap=12)
+    assert res.budget == 12 and not res.capped
+    lows = {b: lo for b, _, lo, _ in res.curve}
+    assert lows[12] >= res.target > lows[11]
 
 
 def test_min_budget_universal():

@@ -1,3 +1,4 @@
+from ptlab.packing import WitnessPacking, triangle_packing
 from ptlab.recognizers import RecognitionResult, is_comparability
 from ptlab.verify import SUITE_NAMES, run_suite
 
@@ -34,6 +35,17 @@ def test_fault_injection_breaks_containment_chain():
     assert any("chain" in r.name or "forcing" in r.name for r in failed)
     # the failure carries a falsifying instance
     assert any(r.detail for r in failed)
+
+
+def test_fault_injection_breaks_distance_dominates_tau():
+    def over_reporting_packing(g, mode="exact", rng=None):
+        p = triangle_packing(g, mode, rng)
+        return WitnessPacking(p.kind, p.tuples + ((0, 1, 2),), g.n)
+
+    results = run_suite("packing", chain_draws=5, tau_fn=over_reporting_packing)
+    failed = {r.name: r.detail for r in results if not r.passed}
+    detail = failed.get("edit distance to triangle-freeness is at least tau")
+    assert detail and "< tau" in detail
 
 
 def test_unknown_suite_rejected():
