@@ -188,14 +188,19 @@ def _sidecar_path(args) -> str:
 
 
 def _load_parts(path: str, n: int, names: tuple[str, ...]) -> PartLabeling:
-    data = json.loads(Path(path).read_text())
-    parts = data.get("parts")
-    if not parts:
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not JSON ({exc})") from None
+    parts = data.get("parts") if isinstance(data, dict) else None
+    if not isinstance(parts, dict) or not parts:
         raise ParseError(f"{path}: no 'parts' object")
     if len(parts) != len(names):
-        raise ValueError(f"{path}: need {len(names)} parts, found {len(parts)}")
-    named = [(new, vs) for new, (_, vs) in zip(names, parts.items())]
-    return PartLabeling(n, named, allow_empty=True)
+        raise ParseError(f"{path}: need {len(names)} parts, found {len(parts)}")
+    try:
+        return PartLabeling(n, list(zip(names, parts.values())), allow_empty=True)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed parts ({type(exc).__name__}: {exc})") from None
 
 
 def _load_packing(path: str) -> WitnessPacking | None:

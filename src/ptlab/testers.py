@@ -9,7 +9,6 @@ identical for a fixed seed no matter how trials are scheduled.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -208,6 +207,9 @@ def estimate_detection(g: Graph, config: TesterConfig, trials: int,
         bounds = [trials * i // threads for i in range(threads + 1)]
         jobs = [(g, config, rng.seed, rng.path, bounds[i], bounds[i + 1])
                 for i in range(threads)]
+        # imported here: the process pool's modules cost every other caller
+        # about 1.3 MB of resident memory and some import time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rejections = sum(pool.map(_rejection_chunk, jobs))
     lo, hi = wilson95(rejections, trials)

@@ -159,6 +159,30 @@ def test_malformed_sidecar_packing_is_io_error(tmp_path, capsys, breakage):
     assert err.startswith("ptlab:") and "malformed packing" in err
 
 
+@pytest.mark.parametrize("breakage, message", [
+    ("parts a list", "no 'parts' object"),
+    ("sidecar a list", "no 'parts' object"),
+    ("two parts", "need 3 parts"),
+    ("part not a list", "malformed parts"),
+    ("not JSON", "not JSON"),
+])
+def test_malformed_sidecar_parts_is_io_error(tmp_path, capsys, breakage, message):
+    rs, side, data = _rs_with_sidecar(tmp_path)
+    if breakage == "parts a list":
+        data["parts"] = [1, 2, 3]
+    elif breakage == "sidecar a list":
+        data = [data]
+    elif breakage == "two parts":
+        del data["parts"]["Z"]
+    elif breakage == "part not a list":
+        data["parts"]["X"] = 5
+    side.write_text("{" if breakage == "not JSON" else json.dumps(data))
+    capsys.readouterr()
+    assert run(["gen", "c5-gadget", "--from", rs, "--out", tmp_path / "g.el"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ptlab:") and message in err
+
+
 def test_sidecar_non_triangle_is_invariant_failure(tmp_path, capsys):
     rs, side, data = _rs_with_sidecar(tmp_path)
     # three vertices of one part are independent, so never a triangle

@@ -68,21 +68,55 @@ def test_find_beta_cut_examples():
     assert (res is not None) == bool(naive_beta_cuts(cycle_graph(5), Fraction(2, 5)))
 
 
+def naive_best_cut(g, beta):
+    """The minimum-edit cut of naive_beta_cuts, least side1 tuple on ties."""
+    found = naive_beta_cuts(g, beta)
+    if not found:
+        return None
+    side1, kind, edits = min(found, key=lambda c: (c[2], c[0]))
+    prod = len(side1) * (g.n - len(side1))
+    cross = edits if kind == "sparse" else prod - edits
+    side2 = tuple(v for v in range(g.n) if v not in side1)
+    return Cut(side1, side2, kind, Fraction(cross, prod), edits)
+
+
+def disjoint_cliques(sizes):
+    edges, start = [], 0
+    for s in sizes:
+        edges += [(start + a, start + b) for a in range(s) for b in range(a + 1, s)]
+        start += s
+    return Graph.from_edges(start, edges)
+
+
+def tie_heavy_graphs(n):
+    yield Graph(n, [0] * n)
+    yield complete_graph(n)
+    for center in (0, n - 1):
+        yield Graph.from_edges(n, [(center, v) for v in range(n) if v != center])
+    for a in range(1, n):
+        yield disjoint_cliques([a, n - a])
+    if n >= 3:
+        yield disjoint_cliques([n // 3, n // 3, n - 2 * (n // 3)])
+
+
 def test_find_beta_cut_against_naive():
     rng = Stream(19)
-    for i in range(60):
-        g = gnp(6, 0.5, rng.child(i))
-        for beta in (Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)):
-            naive = naive_beta_cuts(g, beta)
-            got = find_beta_cut(g, beta)
-            assert (got is not None) == bool(naive)
-            if got is not None:
-                # minimum edits with lexicographically least side1 on ties
-                best_edits = min(e for _, _, e in naive)
-                assert got.edits == best_edits
-                best_side = min(s for s, _, e in naive if e == best_edits)
-                assert got.side1 == best_side
-                assert 0 in got.side1
+    graphs = []
+    for n in range(2, 12):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            graphs += [gnp(n, p, rng.child(n, int(p * 10), i)) for i in range(2)]
+        graphs += list(tie_heavy_graphs(n))
+    for g in graphs:
+        for beta in (Fraction(1, 20), Fraction(1, 5), Fraction(1, 3), Fraction(2, 5)):
+            # minimum edits with lexicographically least side1 on ties
+            assert find_beta_cut(g, beta) == naive_best_cut(g, beta), (g.rows, beta)
+
+
+def test_find_beta_cut_at_exact_bound():
+    two_k11 = disjoint_cliques([11, 11]).with_toggled([(10, 11)])
+    assert two_k11.n == 22
+    cut = find_beta_cut(two_k11, Fraction(1, 20))
+    assert cut == Cut(tuple(range(11)), tuple(range(11, 22)), "sparse", Fraction(1, 121), 1)
 
 
 def test_find_beta_cut_guards():

@@ -48,6 +48,16 @@ def test_fault_injection_breaks_distance_dominates_tau():
     assert detail and "< tau" in detail
 
 
+def test_fault_injection_breaks_far_graphs_have_p3(monkeypatch):
+    import ptlab.verify as verify
+    monkeypatch.setattr(verify, "count_induced_p3", lambda g: 0)
+    results = run_suite("decomposition", nu_draws=2, far_draws=25)
+    failed = {r.name: r.detail for r in results if not r.passed}
+    detail = failed.get("far-from-cograph graphs have induced 4-paths "
+                        "and a refinement part of at least eps*n vertices")
+    assert detail and "zero induced 4-paths" in detail
+
+
 def test_unknown_suite_rejected():
     import pytest
     with pytest.raises(ValueError):
