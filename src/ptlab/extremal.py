@@ -82,6 +82,8 @@ def _hill_climb(n: int, qualifies: Callable[[Graph], bool], effort: int,
     plateaus; ties in the final reduction go to the lexicographically least
     adjacency encoding, so the result is restart-order independent.
     """
+    if effort < 1:
+        raise ValueError("effort must be >= 1")
     total_pairs = pair_count(n)
     best: tuple[int, tuple, Graph] | None = None
     for restart in range(effort):

@@ -10,6 +10,7 @@ three edges (four vertices), indexing paths by edge count.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -57,7 +58,14 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 class Graph:
-    """Simple undirected graph; immutable after construction."""
+    """Simple undirected graph; immutable after construction.
+
+    `Graph(n, rows)` validates its rows: each in range, no self-loops,
+    symmetric. So do `from_edges`, unpickling and everything built on them
+    (readers, generators, gadget builders). Graphs derived from a valid
+    graph by `induced_subgraph`, `complement` and `with_toggled` are valid
+    by construction and skip that O(m) check.
+    """
 
     __slots__ = ("n", "rows", "_m")
 
@@ -112,13 +120,17 @@ class Graph:
 
     def with_toggled(self, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """New graph with each listed pair's edge/non-edge status flipped."""
+        n = self.n
         rows = list(self.rows)
         for u, v in pairs:
+            u, v = operator.index(u), operator.index(v)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"cannot toggle pair ({u},{v}): out of range for n={n}")
             if u == v:
                 raise ValueError(f"cannot toggle self-pair ({u},{v})")
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u
-        return Graph(self.n, rows)
+        return _trusted_graph(n, rows)
 
     def key(self) -> tuple[int, ...]:
         """Hashable adjacency encoding (used for memoization and tie-breaks)."""
@@ -136,6 +148,16 @@ class Graph:
     # pickling support (rows are validated again on rebuild; cheap at desk scale)
     def __reduce__(self):
         return (Graph, (self.n, self.rows))
+
+
+def _trusted_graph(n: int, rows: Sequence[int]) -> Graph:
+    """Graph from rows that are valid by construction (Python ints, in
+    range, loop-free, symmetric), skipping `Graph.__init__`'s check."""
+    g = object.__new__(Graph)
+    g.n = n
+    g.rows = rows = tuple(rows)
+    g._m = sum(r.bit_count() for r in rows) // 2
+    return g
 
 
 class Digraph:
@@ -279,7 +301,7 @@ def _check_subset(vs: Sequence[int], n: int) -> None:
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     rows = [(full ^ g.rows[v]) & ~(1 << v) for v in range(g.n)]
-    return Graph(g.n, rows)
+    return _trusted_graph(g.n, rows)
 
 
 def _reindexed_rows(rows: Sequence[int], vertices: Iterable[int]) -> list[int]:
@@ -300,7 +322,7 @@ def _reindexed_rows(rows: Sequence[int], vertices: Iterable[int]) -> list[int]:
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph induced on `vertices`, reindexed in ascending vertex order."""
     rows = _reindexed_rows(g.rows, vertices)
-    return Graph(len(rows), rows)
+    return _trusted_graph(len(rows), rows)
 
 
 def components(rows: Sequence[int], mask: int) -> list[int]:

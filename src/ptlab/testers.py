@@ -4,6 +4,15 @@ All testers are one-sided: an input satisfying the property is always
 accepted; a rejection carries the sampled witness. The harness measures
 rejection rates over independent per-trial substreams, so reports are
 identical for a fixed seed no matter how trials are scheduled.
+
+Within a trial, the universal tester draws one vertex sample. The density
+testers draw their t tuples in blocks of at most `_BLOCK` tuples, one
+`integers` call per block; a tuple with a repeated vertex is dropped and
+made up for in the next block, so the t tuples tested are independent
+and uniform over tuples of distinct vertices. Bounded draws take the
+generator's words in order whatever the block shape, so a trial tests the
+same tuples, in the same order, as one draw per tuple would. Each tuple is
+tested on the adjacency rows directly, with no induced subgraph built.
 """
 
 from __future__ import annotations
@@ -11,9 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator
 
-from .graphs import Graph, induced_subgraph, is_path_4, sample_vertices
+from .graphs import Graph, induced_subgraph, sample_vertices
 from .recognizers import property_recognizer
 from .rng import Stream
 
@@ -35,6 +44,8 @@ __all__ = [
 
 DEFAULT_BUDGET_CAP = 1 << 14
 _DESK_BUDGET = 10 ** 9
+# most tuples one draw makes for a density tester
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -133,11 +144,17 @@ def universal_tester(g: Graph, d: int, recognizer, rng: Stream) -> Verdict:
     return Verdict(False, sample)
 
 
-def _distinct_tuple(gen, n: int, k: int) -> tuple[int, ...]:
-    while True:
-        vals = gen.integers(0, n, size=k)
-        if len({int(v) for v in vals}) == k:
-            return tuple(int(v) for v in vals)
+def _distinct_tuples(gen, n: int, k: int, t: int) -> Iterator[list[int]]:
+    """t independent uniform k-tuples of distinct vertices of 0..n-1.
+
+    Each draw is a block of as many tuples as are still needed, at most
+    _BLOCK; tuples with a repeated vertex are dropped.
+    """
+    while t:
+        for tup in gen.integers(0, n, size=(min(t, _BLOCK), k)).tolist():
+            if len(set(tup)) == k:
+                t -= 1
+                yield tup
 
 
 def triangle_tester(g: Graph, t: int, rng: Stream) -> Verdict:
@@ -146,10 +163,8 @@ def triangle_tester(g: Graph, t: int, rng: Stream) -> Verdict:
         raise ValueError("need t >= 1")
     if g.n < 3:
         raise ValueError(f"triple tester needs n >= 3, got {g.n}")
-    gen = rng.gen
     rows = g.rows
-    for _ in range(t):
-        u, v, w = _distinct_tuple(gen, g.n, 3)
+    for u, v, w in _distinct_tuples(rng.gen, g.n, 3, t):
         if (rows[u] >> v) & 1 and (rows[v] >> w) & 1 and (rows[u] >> w) & 1:
             return Verdict(False, tuple(sorted((u, v, w))))
     return Verdict(True)
@@ -157,15 +172,16 @@ def triangle_tester(g: Graph, t: int, rng: Stream) -> Verdict:
 
 def induced_p3_tester(g: Graph, t: int, rng: Stream) -> Verdict:
     """t independent uniform 4-subsets; reject iff one induces a path with
-    three edges."""
+    three edges, i.e. its degrees inside the subset are 1, 1, 2, 2."""
     if t < 1:
         raise ValueError("need t >= 1")
     if g.n < 4:
         raise ValueError(f"quadruple tester needs n >= 4, got {g.n}")
-    gen = rng.gen
-    for _ in range(t):
-        quad = _distinct_tuple(gen, g.n, 4)
-        if is_path_4(induced_subgraph(g, quad)):
+    rows = g.rows
+    for quad in _distinct_tuples(rng.gen, g.n, 4, t):
+        a, b, c, d = quad
+        mask = (1 << a) | (1 << b) | (1 << c) | (1 << d)
+        if sorted((rows[v] & mask).bit_count() for v in quad) == [1, 1, 2, 2]:
             return Verdict(False, tuple(sorted(quad)))
     return Verdict(True)
 

@@ -116,6 +116,14 @@ def test_search_extremal_cli(tmp_path):
     assert read_graph(gout).n == 5
 
 
+@pytest.mark.parametrize("family", [["--beta", "1/5"], ["--epsilon", "1/32"]])
+def test_search_extremal_effort_below_one_is_usage_error(tmp_path, capsys, family):
+    assert run(["search-extremal", "--n", 8, *family, "--effort", -2,
+                "--out", tmp_path / "ext.json"]) == 2
+    assert "effort must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "ext.json").exists()
+
+
 def test_exit_codes(tmp_path):
     assert run(["recognize", "--property", "cograph", "--in",
                 tmp_path / "missing.el"]) == 3

@@ -67,6 +67,14 @@ def test_guards():
         estimate_f(11, 0.01, 5, Stream(4))
 
 
+@pytest.mark.parametrize("effort", [0, -2])
+def test_effort_below_one_is_refused(effort):
+    with pytest.raises(ValueError, match="effort must be >= 1"):
+        search_min_p3_density(8, Fraction(1, 5), effort, Stream(4))
+    with pytest.raises(ValueError, match="effort must be >= 1"):
+        estimate_f(8, Fraction(1, 32), effort, Stream(4))
+
+
 def test_reproducibility():
     a = search_min_p3_density(6, Fraction(1, 5), 10, Stream(9, (7,)))
     b = search_min_p3_density(6, Fraction(1, 5), 10, Stream(9, (7,)))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ptlab.graphs import (
@@ -107,6 +108,22 @@ def test_construction_validation():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         Digraph(2, [2, 2])  # self-arc at 1
+
+
+@pytest.mark.parametrize("pair", [(0, 4), (4, 0), (-1, 2)])
+def test_toggle_out_of_range_is_refused(pair):
+    with pytest.raises(ValueError, match=rf"\({pair[0]},{pair[1]}\)"):
+        path_graph(4).with_toggled([pair])
+    with pytest.raises(ValueError, match="self-pair"):
+        path_graph(4).with_toggled([(2, 2)])
+
+
+def test_toggle_takes_numpy_integers():
+    g = path_graph(70).with_toggled([(np.int64(0), np.int64(69))])
+    assert g.has_edge(0, 69) and all(type(r) is int for r in g.rows)
+    assert Graph(g.n, g.rows) == g
+    with pytest.raises(TypeError):
+        path_graph(4).with_toggled([(0, 2.0)])
 
 
 def test_sampling_examples_and_determinism():

@@ -259,6 +259,26 @@ def test_perfect_matches_definition_small():
         assert is_perfect(g).member == perfect_by_definition(g), g.rows
 
 
+def test_perfect_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    if not hasattr(nx, "is_perfect_graph"):
+        pytest.skip(f"networkx {nx.__version__} has no is_perfect_graph")
+    cases = [cycle_graph(5), cycle_graph(7), complement(cycle_graph(7))]
+    rng = Stream(67)
+    for n in range(5, 10):
+        for j, p in enumerate((0.3, 0.5, 0.7)):
+            cases.extend(gnp(n, p, rng.child(n, j, i)) for i in range(8))
+    verdicts = []
+    for g in cases:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        verdicts.append(is_perfect(g).member)
+        assert verdicts[-1] == nx.is_perfect_graph(h), g.rows
+    assert verdicts[:3] == [False, False, False]
+    assert 20 < sum(verdicts) < len(cases) - 20  # both answers are well exercised
+
+
 def test_containment_chain():
     rng = Stream(67)
     for i in range(300):

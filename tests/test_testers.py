@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,17 @@ from ptlab.graphs import (
     complete_graph,
     cycle_graph,
     gnp,
+    induced_subgraph,
+    is_path_4,
     path_graph,
     random_cograph,
 )
 from ptlab.recognizers import is_cograph
 from ptlab.rng import Stream
 from ptlab.testers import (
+    _BLOCK,
     TesterConfig,
+    _distinct_tuples,
     estimate_detection,
     induced_p3_tester,
     min_budget_for_detection,
@@ -48,6 +53,105 @@ def test_forced_rejections():
     # every quadruple of the 5-cycle induces a 4-path
     for i in range(100):
         assert not induced_p3_tester(cycle_graph(5), 1, rng.child(4, i)).accepted
+
+
+def test_density_witnesses_reverify():
+    rng = Stream(109)
+    for j, p in enumerate((0.15, 0.5, 0.85)):
+        g = gnp(30, p, rng.child(j))
+        triangles = paths = 0
+        for i in range(300):
+            v = triangle_tester(g, 3, rng.child(j, 1, i))
+            if not v.accepted:
+                triangles += 1
+                a, b, c = v.witness
+                assert a < b < c and g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
+            v = induced_p3_tester(g, 3, rng.child(j, 2, i))
+            if not v.accepted:
+                paths += 1
+                assert list(v.witness) == sorted(set(v.witness))
+                assert is_path_4(induced_subgraph(g, v.witness)), (g.rows, v.witness)
+        assert 0 < triangles < 300 and 0 < paths < 300, (p, triangles, paths)
+
+
+@pytest.mark.parametrize("n, k, t", [(4, 4, 600), (5, 3, 6000), (30, 4, 3 * _BLOCK + 7)])
+def test_drawn_tuples_distinct_in_range_uniform(n, k, t):
+    gen = Stream(113, (n, k)).gen
+    blocks = []
+
+    class Spy:
+        def integers(self, lo, hi, size):
+            blocks.append(size)
+            return gen.integers(lo, hi, size=size)
+
+    tuples = list(_distinct_tuples(Spy(), n, k, t))
+    assert len(tuples) == t
+    # one draw per block of at most _BLOCK tuples, the first one full
+    assert blocks[0] == (min(t, _BLOCK), k)
+    assert all(0 < b <= _BLOCK and width == k for b, width in blocks)
+    assert len(blocks) >= math.ceil(t / _BLOCK)
+    assert all(len(set(tup)) == k and all(0 <= v < n for v in tup) for tup in tuples)
+    counts = Counter(map(tuple, tuples))
+    ordered = math.perm(n, k)
+    if t >= 20 * ordered:  # every ordered tuple within 5 SE of its share
+        assert len(counts) == ordered
+        mean = t / ordered
+        se = math.sqrt(mean * (1 - 1 / ordered))
+        assert all(abs(c - mean) <= 5 * se for c in counts.values()), counts
+
+
+def _one_draw_per_tuple(g, k, t, rng):
+    """Reference density tester: one draw per tuple, a repeat redrawn at
+    once, each tuple checked on its induced subgraph."""
+    gen = rng.gen
+    for _ in range(t):
+        while True:
+            tup = tuple(int(v) for v in gen.integers(0, g.n, size=k))
+            if len(set(tup)) == k:
+                break
+        h = induced_subgraph(g, tup)
+        if (h.m == 3) if k == 3 else is_path_4(h):
+            return tuple(sorted(tup))
+    return None
+
+
+def test_density_verdicts_match_one_draw_per_tuple():
+    # bounded draws take the generator's words in order whatever the block
+    # shape, so blocked trials test the same tuples in the same order
+    rng = Stream(137)
+    hosts = [cycle_graph(5), complete_graph(4), gnp(7, 0.5, rng.child(0)),
+             gnp(40, 0.1, rng.child(1))]
+    for j, g in enumerate(hosts):
+        for t in (1, 7, _BLOCK + 30):
+            for i in range(15):
+                s = rng.child(2, j, t, i)
+                assert triangle_tester(g, t, s.child(0)).witness == \
+                    _one_draw_per_tuple(g, 3, t, s.child(0))
+                assert induced_p3_tester(g, t, s.child(1)).witness == \
+                    _one_draw_per_tuple(g, 4, t, s.child(1))
+
+
+def test_c5_and_k3_reject_every_trial():
+    c5 = estimate_detection(cycle_graph(5), TesterConfig("quadruple-density", t=1),
+                            500, Stream(127, (0,)))
+    k3 = estimate_detection(complete_graph(3), TesterConfig("triple-density", t=1),
+                            500, Stream(127, (1,)))
+    assert c5.rejections == c5.trials == 500
+    assert k3.rejections == k3.trials == 500
+
+
+def test_many_blocks_on_members_always_accept():
+    t = 5000  # about 20 blocks per trial
+    assert t > 10 * _BLOCK
+    bipartite = Graph.from_edges(20, [(u, v) for u in range(10) for v in range(10, 20)
+                                      if (u + v) % 3])
+    rep = estimate_detection(bipartite, TesterConfig("triple-density", t=t), 20,
+                             Stream(131, (0,)))
+    assert rep.rejections == 0
+    cg = random_cograph(20, Stream(131, (1,)))
+    rep = estimate_detection(cg, TesterConfig("quadruple-density", t=t), 20,
+                             Stream(131, (2,)))
+    assert rep.rejections == 0
 
 
 def test_tester_guards():
