@@ -284,8 +284,7 @@ class PartLabeling:
 
     def restrict(self, vertices: Iterable[int]) -> "PartLabeling":
         """Labeling induced on a vertex subset, reindexed like induced_subgraph."""
-        vs = sorted(set(vertices))
-        _check_subset(vs, self.n)
+        vs = _checked_subset(vertices, self.n)
         pos = {v: i for i, v in enumerate(vs)}
         keep = set(vs)
         named = [(name, [pos[v] for v in part if v in keep])
@@ -293,9 +292,13 @@ class PartLabeling:
         return PartLabeling(len(vs), named, allow_empty=True)
 
 
-def _check_subset(vs: Sequence[int], n: int) -> None:
+def _checked_subset(vertices: Iterable[int], n: int) -> list[int]:
+    """`vertices` as ascending distinct ints in 0..n-1. Numpy integers are
+    taken as ints (so `1 << v` cannot overflow); floats are refused."""
+    vs = sorted(set(map(operator.index, vertices)))
     if vs and (vs[0] < 0 or vs[-1] >= n):
         raise ValueError(f"vertex set {vs[:8]}... out of range for n={n}")
+    return vs
 
 
 def complement(g: Graph) -> Graph:
@@ -306,8 +309,7 @@ def complement(g: Graph) -> Graph:
 
 def _reindexed_rows(rows: Sequence[int], vertices: Iterable[int]) -> list[int]:
     """Rows restricted to `vertices` and renumbered in ascending vertex order."""
-    vs = sorted(set(vertices))
-    _check_subset(vs, len(rows))
+    vs = _checked_subset(vertices, len(rows))
     pos = {v: i for i, v in enumerate(vs)}
     mask = 0
     for v in vs:
@@ -415,15 +417,31 @@ def _induced_c5_fans(g: Graph) -> Iterator[tuple[int, int, int, int, int]]:
 
 
 def sample_vertices(n: int, d: int, rng: Stream) -> tuple[int, ...]:
-    """Uniform d-subset of 0..n-1, without replacement, sorted."""
+    """Uniform d-subset of 0..n-1, without replacement, sorted.
+
+    Draws k = min(d, n - d) vertices in O(k): the first k distinct values of
+    a sequence of uniform vertices, each a raw 64-bit word w taken as
+    w mod n and kept only below the largest multiple of n (so exactly
+    uniform, with no float scaling). Those k distinct values form a uniform
+    k-subset; for d > n/2 the sample is its complement.
+    """
     if not 0 <= d <= n:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
-    if d == 0:
-        return ()
-    if d == n:
-        return tuple(range(n))
-    picks = rng.gen.choice(n, size=d, replace=False)
-    return tuple(sorted(int(v) for v in picks))
+    k = min(d, n - d)
+    seen: set[int] = set()
+    if k:
+        bitgen = rng.gen.bit_generator
+        limit = (1 << 64) - (1 << 64) % n
+        while len(seen) < k:
+            # twice the shortfall, so one block nearly always suffices
+            for w in bitgen.random_raw(2 * (k - len(seen))).tolist():
+                if w < limit:
+                    seen.add(w % n)
+                    if len(seen) == k:
+                        break
+    if k < d:
+        return tuple(v for v in range(n) if v not in seen)
+    return tuple(sorted(seen))
 
 
 def pair_count(n: int) -> int:

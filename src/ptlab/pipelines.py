@@ -27,7 +27,7 @@ from .graphs import (
 )
 from .packing import PackingError, WitnessPacking
 from .recognizers import check_order_transitivity, is_cograph, property_recognizer
-from .rng import Stream
+from .rng import Stream, _trial_streams
 from .testers import TesterConfig, estimate_detection, wilson95
 
 __all__ = [
@@ -99,8 +99,9 @@ def pipeline_hardness(ks: Sequence[int], d: int, trials: int, rng: Stream,
                       ) -> tuple[list[HardnessRow], dict]:
     """Detection rates for the five-part gadget versus a farness-matched
     random control, for each planted size k. Also tallies the mechanism over
-    the order-check samples: samples whose inner portion is triangle-free
-    must pass the ordered comparability check, every time."""
+    the order-check samples (trial i of the batch on the planted size's
+    stream child(2)): samples whose inner portion is triangle-free must pass
+    the ordered comparability check, every time."""
     from .packing import random_tripartite_extract
 
     rows: list[HardnessRow] = []
@@ -123,8 +124,8 @@ def pipeline_hardness(ks: Sequence[int], d: int, trials: int, rng: Stream,
 
         offset = 4 * f.n
         rejections = trifree = passed = 0
-        for i in range(trials):
-            pick = sample_vertices(gadget.n, d, kstream.child(2, i))
+        for sample in _trial_streams(kstream.child(2), 0, trials):
+            pick = sample_vertices(gadget.n, d, sample)
             sub = induced_subgraph(gadget, pick)
             ok = check_order_transitivity(sub, gb.labeling.restrict(pick)).member
             if not ok:

@@ -2,15 +2,32 @@
 
 Every randomized operation in this package takes an explicit `Stream`. A
 stream is identified by (seed, path); `child(i, j, ...)` derives an
-independent substream. Work items that may run in parallel must each own a
-distinct child, so results never depend on scheduling.
+independent substream with its own Philox key. Work items that may run in
+parallel must each own a distinct child, so results never depend on
+scheduling.
+
+Trial batches (stream layout v2). A Monte-Carlo batch on the stream
+(seed, path) builds one generator, through `Stream(seed, path).gen`, and
+runs trial i from the start of its own counter block: Philox's 256-bit
+counter set to (i + 1) * 2**128, i.e. its third 64-bit word set to i + 1
+and the others to 0. Each draw of four words steps the counter by one, so
+a block holds 2**130 words, which no trial and no stream's own draws (from
+counter 0 up) come near. For trial indices 0 .. 2**64 - 2 the blocks are
+disjoint from each other and from the stream's own range; `_MAX_TRIALS` is
+the largest batch size this allows. Trial i's draws depend only on
+(seed, path, i), whichever process runs it and in whatever order.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 __all__ = ["Stream"]
+
+# trial i's block has third counter word i + 1, which must fit in 64 bits
+_MAX_TRIALS = (1 << 64) - 1
 
 
 class Stream:
@@ -39,3 +56,29 @@ class Stream:
 
     def __repr__(self) -> str:
         return f"Stream(seed={self.seed}, path={self.path})"
+
+
+def _trial_counter(i: int) -> list[int]:
+    """Philox counter words, low word first, at which trial i starts."""
+    return [0, 0, i + 1, 0]
+
+
+def _trial_streams(rng: Stream, lo: int, hi: int) -> Iterator[Stream]:
+    """Trials lo..hi-1 of the batch on `rng`, in order.
+
+    Each trial is the same fresh Stream(rng.seed, rng.path), its generator
+    moved to the start of that trial's counter block; it is valid until the
+    next trial is taken. `rng` itself is not touched.
+    """
+    batch = Stream(rng.seed, rng.path)
+    bitgen = batch.gen.bit_generator
+    counter = [0, 0, 0, 0]
+    # an empty output buffer, so the first draw starts the block
+    state = {"bit_generator": "Philox",
+             "state": {"counter": counter,
+                       "key": bitgen.state["state"]["key"].tolist()},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for i in range(lo, hi):
+        counter[:] = _trial_counter(i)
+        bitgen.state = state
+        yield batch

@@ -2,13 +2,16 @@
 
 All testers are one-sided: an input satisfying the property is always
 accepted; a rejection carries the sampled witness. The harness measures
-rejection rates over independent per-trial substreams, so reports are
-identical for a fixed seed no matter how trials are scheduled.
+rejection rates over a batch of trials on one stream: trial i draws from
+its own counter block of the batch's generator (see `rng`), so its draws
+depend only on (seed, path, i) and reports are identical for a fixed seed
+no matter how trials are scheduled or split over processes.
 
 Within a trial, the universal tester draws one vertex sample. The density
-testers draw their t tuples in blocks of at most `_BLOCK` tuples, one
-`integers` call per block; a tuple with a repeated vertex is dropped and
-made up for in the next block, so the t tuples tested are independent
+testers draw their t tuples in blocks, one `integers` call per block, sized
+so that the block is expected to hold the distinct-vertex tuples still
+needed (at most `_BLOCK` tuples); a tuple with a repeated vertex is dropped
+and made up for in the next block, so the t tuples tested are independent
 and uniform over tuples of distinct vertices. Bounded draws take the
 generator's words in order whatever the block shape, so a trial tests the
 same tuples, in the same order, as one draw per tuple would. Each tuple is
@@ -24,7 +27,7 @@ from typing import Iterator
 
 from .graphs import Graph, induced_subgraph, sample_vertices
 from .recognizers import property_recognizer
-from .rng import Stream
+from .rng import _MAX_TRIALS, Stream, _trial_streams
 
 __all__ = [
     "Verdict",
@@ -54,6 +57,10 @@ class Verdict:
 
     accepted: bool
     witness: tuple[int, ...] | None = None
+
+
+# frozen, so every accepting trial can share one instance
+_ACCEPTED = Verdict(True)
 
 
 @dataclass(frozen=True)
@@ -140,21 +147,27 @@ def universal_tester(g: Graph, d: int, recognizer, rng: Stream) -> Verdict:
         raise ValueError(f"cannot sample d={d} from n={g.n}")
     sample = sample_vertices(g.n, d, rng)
     if recognizer(induced_subgraph(g, sample)).member:
-        return Verdict(True)
+        return _ACCEPTED
     return Verdict(False, sample)
 
 
 def _distinct_tuples(gen, n: int, k: int, t: int) -> Iterator[list[int]]:
     """t independent uniform k-tuples of distinct vertices of 0..n-1.
 
-    Each draw is a block of as many tuples as are still needed, at most
-    _BLOCK; tuples with a repeated vertex are dropped.
+    Each draw is a block of ceil(needed / q) tuples, at most _BLOCK, where q
+    = n!/((n-k)! n^k) is the share of k-tuples with distinct vertices;
+    tuples with a repeated vertex are dropped, and so are the tuples of a
+    block beyond the t-th distinct one.
     """
+    distinct, total = math.perm(n, k), n ** k
     while t:
-        for tup in gen.integers(0, n, size=(min(t, _BLOCK), k)).tolist():
+        block = min(_BLOCK, -(-t * total // distinct))
+        for tup in gen.integers(0, n, size=(block, k)).tolist():
             if len(set(tup)) == k:
-                t -= 1
                 yield tup
+                t -= 1
+                if not t:
+                    return
 
 
 def triangle_tester(g: Graph, t: int, rng: Stream) -> Verdict:
@@ -167,7 +180,7 @@ def triangle_tester(g: Graph, t: int, rng: Stream) -> Verdict:
     for u, v, w in _distinct_tuples(rng.gen, g.n, 3, t):
         if (rows[u] >> v) & 1 and (rows[v] >> w) & 1 and (rows[u] >> w) & 1:
             return Verdict(False, tuple(sorted((u, v, w))))
-    return Verdict(True)
+    return _ACCEPTED
 
 
 def induced_p3_tester(g: Graph, t: int, rng: Stream) -> Verdict:
@@ -183,7 +196,7 @@ def induced_p3_tester(g: Graph, t: int, rng: Stream) -> Verdict:
         mask = (1 << a) | (1 << b) | (1 << c) | (1 << d)
         if sorted((rows[v] & mask).bit_count() for v in quad) == [1, 1, 2, 2]:
             return Verdict(False, tuple(sorted(quad)))
-    return Verdict(True)
+    return _ACCEPTED
 
 
 def run_tester(g: Graph, config: TesterConfig, rng: Stream) -> Verdict:
@@ -196,11 +209,8 @@ def run_tester(g: Graph, config: TesterConfig, rng: Stream) -> Verdict:
 
 def _count_rejections(g: Graph, config: TesterConfig, rng: Stream,
                       lo: int, hi: int) -> int:
-    rejections = 0
-    for trial in range(lo, hi):
-        if not run_tester(g, config, rng.child(trial)).accepted:
-            rejections += 1
-    return rejections
+    return sum(not run_tester(g, config, trial).accepted
+               for trial in _trial_streams(rng, lo, hi))
 
 
 def _rejection_chunk(args) -> int:
@@ -210,13 +220,14 @@ def _rejection_chunk(args) -> int:
 
 def estimate_detection(g: Graph, config: TesterConfig, trials: int,
                        rng: Stream, threads: int = 1) -> TesterReport:
-    """Run the configured tester on `trials` independent substreams.
+    """Run the configured tester on `trials` independent trials of `rng`.
 
-    Trial i always uses rng.child(i), so the report is bit-identical for a
-    fixed seed regardless of `threads`.
+    Trial i always draws from counter block i of the batch generator keyed
+    by (rng.seed, rng.path), so the report is bit-identical for a fixed seed
+    regardless of `threads`. At most 2**64 - 1 trials fit the layout.
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    if not 1 <= trials <= _MAX_TRIALS:
+        raise ValueError(f"need 1 <= trials <= {_MAX_TRIALS}, got {trials}")
     if threads <= 1 or trials < 4 * threads:
         rejections = _count_rejections(g, config, rng, 0, trials)
     else:

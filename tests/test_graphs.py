@@ -211,3 +211,51 @@ def test_components_match_networkx():
         got = [set(iter_bits(c)) for c in components(g.rows, mask)]
         want = sorted(nx.connected_components(h), key=min)
         assert got == want, (g.rows, mask)
+
+
+@pytest.mark.parametrize("n, d", [(6, 3), (7, 4), (10, 8)])
+def test_sampling_counts_uniform_over_every_subset(n, d):
+    # (7, 4) and (10, 8) take the complement of a uniform 3- and 2-subset
+    import math
+    from collections import Counter
+    subsets = math.comb(n, d)
+    draws = 300 * subsets
+    stream = Stream(19, (n, d))
+    counts = Counter(sample_vertices(n, d, stream) for _ in range(draws))
+    assert len(counts) == subsets
+    assert all(len(s) == d and list(s) == sorted(set(s)) and 0 <= s[0] and s[-1] < n
+               for s in counts)
+    se = math.sqrt(300 * (1 - 1 / subsets))
+    assert all(abs(c - 300) <= 5 * se for c in counts.values()), counts
+
+
+def test_sampling_skips_words_above_the_last_multiple_of_n():
+    n = 6
+    top = (1 << 64) - (1 << 64) % n  # the first word that would bias w mod n
+
+    class Words:
+        def __init__(self, words):
+            self.words = list(words)
+
+        def random_raw(self, size):
+            out, self.words = self.words[:size], self.words[size:]
+            return np.array(out, dtype=np.uint64)
+
+    class FakeStream:
+        def __init__(self, words):
+            self.gen = type("Gen", (), {"bit_generator": Words(words)})()
+
+    # top and (1 << 64) - 1 are skipped; 7 and 13 both map to vertex 1
+    assert sample_vertices(n, 2, FakeStream([top, 7, (1 << 64) - 1, 13, 20, 0])) == (1, 2)
+    # d > n/2: the complement of {4}
+    assert sample_vertices(n, 5, FakeStream([top, 4, 0])) == (0, 1, 2, 3, 5)
+
+
+def test_induced_subgraph_takes_numpy_integers():
+    g = gnp(70, 0.5, Stream(1))
+    vs = (3, 65, 40, 68)
+    sub = induced_subgraph(g, [np.int64(v) for v in vs])
+    assert sub == induced_subgraph(g, vs) and all(type(r) is int for r in sub.rows)
+    assert Digraph(70, g.rows).induced(np.array(vs)) == Digraph(70, g.rows).induced(vs)
+    with pytest.raises(TypeError):
+        induced_subgraph(g, [3, 65.0])

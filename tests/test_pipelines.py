@@ -38,6 +38,13 @@ def test_pipeline_hardness_small():
         assert len(r.as_list()) == len(HARDNESS_HEADER)
 
 
+def test_pipeline_hardness_identical_for_one_two_and_three_threads():
+    runs = [pipeline_hardness([3], d=10, trials=40, rng=Stream(47), retries=5,
+                              threads=th)
+            for th in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_pipeline_easy_small():
     rows = pipeline_easy(9, distances=[1, 2], budgets=[1, 8], trials=80,
                          rng=Stream(43))

@@ -1,0 +1,83 @@
+"""The trial-batch layout of `rng`: one generator per batch, trial i at its
+own Philox counter block."""
+
+import pytest
+
+import ptlab.rng as rng_mod
+from ptlab.graphs import cycle_graph, gnp
+from ptlab.rng import _MAX_TRIALS, Stream, _trial_counter, _trial_streams
+from ptlab.testers import TesterConfig, estimate_detection
+
+WORD = 1 << 64
+BLOCK = 1 << 128  # counter steps between the starts of consecutive trials
+
+
+def _counter(words) -> int:
+    return sum(int(w) << (64 * j) for j, w in enumerate(words))
+
+
+@pytest.mark.parametrize("i", [0, 1, 2, 12345, 1 << 32, _MAX_TRIALS - 2, _MAX_TRIALS - 1])
+def test_trial_blocks_are_disjoint_for_every_accepted_index(i):
+    words = _trial_counter(i)
+    assert len(words) == 4 and all(0 <= w < WORD for w in words)
+    # trial i's block is [(i + 1) * BLOCK, (i + 2) * BLOCK): distinct trials
+    # get distinct, equally spaced starts, and every one lies above the
+    # stream's own block [0, BLOCK)
+    assert _counter(words) == (i + 1) * BLOCK
+    # the next index that would be accepted starts a whole block later, or
+    # is refused because its word no longer fits
+    nxt = _trial_counter(i + 1)
+    if i + 1 < _MAX_TRIALS:
+        assert _counter(nxt) - _counter(words) == BLOCK
+    else:
+        assert max(nxt) >= WORD
+
+
+def test_trial_count_that_could_overlap_is_refused():
+    cfg = TesterConfig("triple-density", t=1)
+    with pytest.raises(ValueError, match="trials"):
+        estimate_detection(cycle_graph(5), cfg, _MAX_TRIALS + 1, Stream(1))
+    with pytest.raises(ValueError, match="trials"):
+        estimate_detection(cycle_graph(5), cfg, 0, Stream(1))
+
+
+def test_draws_stay_inside_their_block():
+    stream = Stream(3, (4,))
+    for i in (0, 7, _MAX_TRIALS - 1):
+        trial = next(_trial_streams(stream, i, i + 1))
+        trial.gen.integers(0, 1000, size=100_000)
+        trial.gen.bit_generator.random_raw(1001)
+        start = _counter(_trial_counter(i))
+        assert start < _counter(trial.gen.bit_generator.state["state"]["counter"]) \
+            < start + BLOCK
+
+
+def test_trial_draws_depend_only_on_seed_path_and_index():
+    stream = Stream(5, (1, 2))
+    whole = [t.gen.bit_generator.random_raw(3).tolist() for t in _trial_streams(stream, 0, 40)]
+    for lo, hi in ((0, 1), (13, 29), (39, 40)):
+        part = [t.gen.bit_generator.random_raw(3).tolist()
+                for t in _trial_streams(Stream(5, (1, 2)), lo, hi)]
+        assert part == whole[lo:hi]
+    # the caller's stream is untouched, and its own draws are none of the trials'
+    assert stream._gen is None
+    own = stream.gen.bit_generator.random_raw(3).tolist()
+    assert own == Stream(5, (1, 2)).gen.bit_generator.random_raw(3).tolist()
+    assert own not in whole
+
+
+def test_trials_draw_distinct_words():
+    words = [t.gen.bit_generator.random_raw(2).tolist()
+             for t in _trial_streams(Stream(7), 0, 2000)]
+    assert len({tuple(w) for w in words}) == len(words)
+    assert len({w[0] for w in words}) > 1990  # 64-bit words: collisions are rare
+
+
+def test_fault_injection_every_trial_reusing_block_zero_is_caught(monkeypatch):
+    monkeypatch.setattr(rng_mod, "_trial_counter", lambda i: [0, 0, 1, 0])
+    with pytest.raises(AssertionError):
+        test_trials_draw_distinct_words()
+    # and a batch's report collapses to all or nothing
+    g = gnp(20, 0.3, Stream(9))
+    rep = estimate_detection(g, TesterConfig("triple-density", t=2), 200, Stream(9, (1,)))
+    assert rep.rejections in (0, 200)

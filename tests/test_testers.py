@@ -187,6 +187,41 @@ def test_wilson_interval():
         wilson95(0, 0)
 
 
+@pytest.mark.parametrize("n, k, t", [(5, 4, 1), (4, 4, 3), (9, 3, 4), (30, 4, 40)])
+def test_density_blocks_sized_by_share_of_distinct_tuples(n, k, t):
+    # a block is expected to hold the distinct tuples still needed
+    gen = Stream(139, (n, k, t)).gen
+    blocks = []
+
+    class Spy:
+        def integers(self, lo, hi, size):
+            blocks.append(size)
+            return gen.integers(lo, hi, size=size)
+
+    assert len(list(_distinct_tuples(Spy(), n, k, t))) == t
+    assert blocks[0] == (min(_BLOCK, math.ceil(t * n ** k / math.perm(n, k))), k)
+
+
+def test_reports_identical_for_one_two_and_three_threads():
+    rng = Stream(149)
+    g = gnp(30, 0.3, rng.child(0))
+    configs = [TesterConfig("universal", d=9, property_name="triangle-free"),
+               TesterConfig("universal", d=12, property_name="perfect"),
+               TesterConfig("triple-density", t=5),
+               TesterConfig("quadruple-density", t=3)]
+    for j, cfg in enumerate(configs):
+        reps = [estimate_detection(g, cfg, 120, rng.child(1, j), threads=th)
+                for th in (1, 2, 3)]
+        assert reps[0] == reps[1] == reps[2]
+        assert 0 < reps[0].rejections < 120, (cfg, reps[0])
+    for kind in ("universal", "triple-density"):
+        curves = [min_budget_for_detection(g, kind, rng.child(2), trials=60,
+                                           property_name="triangle-free", cap=16,
+                                           threads=th)
+                  for th in (1, 2, 3)]
+        assert curves[0] == curves[1] == curves[2]
+
+
 def test_estimate_detection_deterministic_and_thread_invariant():
     g = gnp(25, 0.3, Stream(5).child(0))
     cfg = TesterConfig("triple-density", t=4)
@@ -237,10 +272,12 @@ def test_min_budget_capped():
 
 
 def test_min_budget_meets_target_at_cap():
-    # the target is first met at d = n = cap, which is not a power of two
-    g = Graph.from_edges(12, [(0, 1), (1, 2), (0, 2)])
+    # the target is first met at d = n = cap, which is not a power of two:
+    # an 11-hole plus an isolated vertex, so a sample of 11 holds the hole
+    # with probability 1/12 and the whole vertex set always does
+    g = Graph.from_edges(12, [(v, (v + 1) % 11) for v in range(11)])
     res = min_budget_for_detection(g, "universal", Stream(5), trials=200,
-                                   property_name="triangle-free", cap=12)
+                                   property_name="perfect", cap=12)
     assert res.budget == 12 and not res.capped
     lows = {b: lo for b, _, lo, _ in res.curve}
     assert lows[12] >= res.target > lows[11]
