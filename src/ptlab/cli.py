@@ -190,7 +190,7 @@ def _sidecar_path(args) -> str:
 def _load_parts(path: str, n: int, names: tuple[str, ...]) -> PartLabeling:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: not JSON ({exc})") from None
     parts = data.get("parts") if isinstance(data, dict) else None
     if not isinstance(parts, dict) or not parts:

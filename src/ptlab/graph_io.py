@@ -89,9 +89,12 @@ def read_digraph(source: Union[str, Path, io.TextIOBase]) -> Digraph:
 
 
 def _read_text(source) -> str:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text()
-    return source.read()
+    try:
+        if isinstance(source, (str, Path)):
+            return Path(source).read_text()
+        return source.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"undecodable text ({exc})") from None
 
 
 def write_graph(g: Graph, target: Union[str, Path, io.TextIOBase]) -> None:

@@ -114,9 +114,14 @@ def triangles_of(g: Graph) -> list[tuple[int, int, int]]:
     return tris
 
 
-def _edge_masks(g: Graph, tris: Sequence[tuple[int, int, int]]
-                ) -> tuple[list[int], dict[tuple[int, int], int]]:
-    """Per-triangle bitmasks over a deterministic index of triangle edges."""
+def _triangle_index(tris: Sequence[tuple[int, int, int]]
+                    ) -> tuple[list[int], dict[tuple[int, int], int], list[int], list[int]]:
+    """Index the triangles' edges once, in a deterministic order.
+
+    Returns per-triangle edge bitmasks, the edge index, hit[e] (the mask of
+    triangles through edge bit e) and conflict[i] (the mask of the other
+    triangles sharing an edge with triangle i).
+    """
     index: dict[tuple[int, int], int] = {}
     for t in tris:
         for p in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
@@ -124,7 +129,17 @@ def _edge_masks(g: Graph, tris: Sequence[tuple[int, int, int]]
                 index[p] = len(index)
     masks = [(1 << index[(a, b)]) | (1 << index[(b, c)]) | (1 << index[(a, c)])
              for a, b, c in tris]
-    return masks, index
+    hit = [0] * len(index)
+    for i, m in enumerate(masks):
+        for b in iter_bits(m):
+            hit[b] |= 1 << i
+    conflict = []
+    for i, m in enumerate(masks):
+        c = 0
+        for b in iter_bits(m):
+            c |= hit[b]
+        conflict.append(c & ~(1 << i))
+    return masks, index, hit, conflict
 
 
 def _guard_exact(g: Graph, tris: Sequence) -> None:
@@ -162,12 +177,7 @@ def triangle_packing(g: Graph, mode: str = "exact",
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     _guard_exact(g, tris)
-    conflict = _conflict_masks(g, tris)
-    emasks, eindex = _edge_masks(g, tris)
-    hit = [0] * len(eindex)  # edge bit -> mask of triangles through it
-    for i, m in enumerate(emasks):
-        for b in iter_bits(m):
-            hit[b] |= 1 << i
+    emasks, _, hit, conflict = _triangle_index(tris)
     t_count = len(tris)
     full = (1 << t_count) - 1
 
@@ -211,22 +221,6 @@ def triangle_packing(g: Graph, mode: str = "exact",
     return WitnessPacking("triangle", tuple(tris[i] for i in best_set), g.n).verified_in(g)
 
 
-def _conflict_masks(g: Graph, tris: Sequence[tuple[int, int, int]]) -> list[int]:
-    """conflict[i] = bitmask of triangle indices sharing an edge with i."""
-    edge_masks, index = _edge_masks(g, tris)
-    by_edge = [0] * len(index)
-    for i, m in enumerate(edge_masks):
-        for b in iter_bits(m):
-            by_edge[b] |= 1 << i
-    out = []
-    for i, m in enumerate(edge_masks):
-        c = 0
-        for b in iter_bits(m):
-            c |= by_edge[b]
-        out.append(c & ~(1 << i))
-    return out
-
-
 def triangle_cover(g: Graph, mode: str = "exact") -> tuple[tuple[int, int], ...]:
     """Edges covering every triangle.
 
@@ -246,15 +240,9 @@ def triangle_cover(g: Graph, mode: str = "exact") -> tuple[tuple[int, int], ...]
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     _guard_exact(g, tris)
-    _, index = _edge_masks(g, tris)
+    _, index, hit, conflict = _triangle_index(tris)
     edge_of_bit = {i: e for e, i in index.items()}
     tri_edges = [[index[(a, b)], index[(b, c)], index[(a, c)]] for a, b, c in tris]
-    conflict = _conflict_masks(g, tris)
-    # hit[e] = triangles through edge e, as a triangle-index mask
-    hit = [0] * len(index)
-    for i, es in enumerate(tri_edges):
-        for e in es:
-            hit[e] |= 1 << i
 
     def packing_bound(uncovered: int) -> int:
         count = 0

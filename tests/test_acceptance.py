@@ -12,39 +12,32 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
-from ptlab.decomposition import AboveCap, distance_to_property, find_beta_cut
+from ptlab.decomposition import find_beta_cut
 from ptlab.extremal import ExtremalRecord, estimate_f, search_min_p3_density
 from ptlab.gadgets import ap3_free_set, build_c5_gadget, build_poset_gadget, rs_graph
 from ptlab.graphs import (
     Graph,
-    complete_graph,
     count_induced_p3,
     count_triangles,
     cycle_graph,
     gnp,
-    induced_subgraph,
-    is_path_4,
-    naive_induced_count,
-    pair_from_index,
     random_cograph,
     sample_vertices,
 )
-from ptlab.packing import (
-    farness_lower_bound,
-    triangle_cover,
-    triangle_packing,
-    tripartition_retention_samples,
-)
-from ptlab.recognizers import (
-    check_order_transitivity,
-    is_cograph,
-    is_comparability,
-    is_poset,
-    is_triangle_free,
-)
+from ptlab.packing import farness_lower_bound, triangle_cover, triangle_packing
+from ptlab.recognizers import is_cograph, is_poset
 from ptlab.rng import Stream
-from ptlab.testers import TesterConfig, estimate_detection, min_budget_for_detection
-from ptlab.verify import CheckResult
+from ptlab.testers import min_budget_for_detection
+from ptlab.verify import (
+    all_graphs,
+    binomial_consistency,
+    c5_gadget_rules_and_samples,
+    distance_equals_nu,
+    one_sided,
+    poset_gadget_samples,
+    retention_mean,
+    seinsche_equivalence,
+)
 
 
 @contextmanager
@@ -91,23 +84,11 @@ def test_criterion_02_rs_exactness():
 def test_criterion_03_gadget_mechanism():
     with criterion(3, 180, "five-part gadget: triangle-free samples are comparability; "
                            "planted 5-cycles re-verify with overlap <= 1"):
+        detail = c5_gadget_rules_and_samples(Stream(1303), 6, 15, 1000)
+        assert detail is None, detail
         rb = rs_graph(6, ap3_free_set(6, "exact"))
-        f = rb.graph
-        gb = build_c5_gadget(f, rb.labeling.relabel(("V2", "V3", "V5")), rb.certificate)
-        gadget = gb.graph
-        rng = Stream(1303)
-        inner_n = f.n
-        trifree_count = 0
-        for i in range(1000):
-            pick = sample_vertices(gadget.n, 15, rng.child(i))
-            f_part = [v - 4 * inner_n for v in pick if v >= 4 * inner_n]
-            if count_triangles(induced_subgraph(f, f_part)) == 0:
-                trifree_count += 1
-                sub = induced_subgraph(gadget, pick)
-                assert check_order_transitivity(sub, gb.labeling.restrict(pick)).member, i
-                assert is_comparability(sub).member, i
-        assert trifree_count > 0
-        gb.certificate.verified_in(gadget)  # induced 5-cycles + pairwise overlap <= 1
+        gb = build_c5_gadget(rb.graph, rb.labeling.relabel(("V2", "V3", "V5")), rb.certificate)
+        gb.certificate.verified_in(gb.graph)  # induced 5-cycles + pairwise overlap <= 1
         vsets = [set(t) for t in gb.certificate.tuples]
         for a in range(len(vsets)):
             for b in range(a + 1, len(vsets)):
@@ -138,13 +119,8 @@ def test_criterion_04_poset_gadget():
         from ptlab.graphs import PartLabeling
         rng = Stream(1304)
         # triangle-containing T
-        rb = rs_graph(4, ap3_free_set(4, "exact"))
-        gb = build_poset_gadget(rb.graph, rb.labeling.relabel(("V1", "V2", "V3")),
-                                rb.certificate)
-        for i in range(1000):
-            pick = sample_vertices(rb.graph.n, 8, rng.child(0, i))
-            tri_free = count_triangles(induced_subgraph(rb.graph, pick)) == 0
-            assert is_poset(gb.graph.induced(pick)).member == tri_free, i
+        detail = poset_gadget_samples(rng.child(0), 4, 8, 1000)
+        assert detail is None, detail
         # triangle-free T: every sample must induce a poset
         t2, parts = _triangle_free_tripartite(6, rng.child(1))
         lab2 = PartLabeling(t2.n, [("V1", parts[0]), ("V2", parts[1]), ("V3", parts[2])])
@@ -158,69 +134,36 @@ def test_criterion_04_poset_gadget():
 def test_criterion_05_seinsche_equivalence():
     with criterion(5, 60, "cograph recognizer matches brute-force induced-4-path-freeness "
                           "on all 32768 graphs on 6 vertices"):
-        pairs = 15
-        for mask in range(1 << pairs):
-            g = Graph.from_edges(
-                6, [pair_from_index(6, i) for i in range(pairs) if (mask >> i) & 1])
-            brute_free = naive_induced_count(g, is_path_4, 4) == 0
-            assert is_cograph(g).member == brute_free, mask
+        detail = seinsche_equivalence(6)
+        assert detail is None, detail
 
 
 def test_criterion_06_one_sidedness():
     with criterion(6, 60, "one-sidedness: zero rejections over 10^4 member trials"):
         rng = Stream(1306)
-        tri_free = cycle_graph(9)
-        cograph = random_cograph(16, rng.child(0))
-        assert is_cograph(cograph).member
-        total_rejections = 0
-        rep = estimate_detection(tri_free, TesterConfig("triple-density", t=4),
-                                 2500, rng.child(1))
-        total_rejections += rep.rejections
-        rep = estimate_detection(cograph, TesterConfig("quadruple-density", t=4),
-                                 2500, rng.child(2))
-        total_rejections += rep.rejections
-        rep = estimate_detection(cograph, TesterConfig("universal", d=8,
-                                                       property_name="cograph"),
-                                 2500, rng.child(3))
-        total_rejections += rep.rejections
-        rep = estimate_detection(tri_free, TesterConfig("universal", d=9,
-                                                        property_name="triangle-free"),
-                                 2500, rng.child(4))
-        total_rejections += rep.rejections
-        assert total_rejections == 0
+        assert is_cograph(random_cograph(16, rng.child(0))).member
+        detail = one_sided(rng, 2500)
+        assert detail is None, detail
 
 
 def test_criterion_07_binomial_consistency():
     with criterion(7, 120, "density-tester rates within Wilson 95% of 1-(1-p)^t "
                            "for t in {1,10,100}"):
         rng = Stream(1307)
-        rb = rs_graph(20, ap3_free_set(20, "exact"))
-        g = rb.graph
-        p_tri = count_triangles(g) / math.comb(g.n, 3)
-        for t in (1, 10, 100):
-            rep = estimate_detection(g, TesterConfig("triple-density", t=t),
-                                     10_000, rng.child(0, t))
-            pred = 1 - (1 - p_tri) ** t
-            assert rep.wilson_lo <= pred <= rep.wilson_hi, (t, pred, rep.rejection_rate)
+        rs = rs_graph(20, ap3_free_set(20, "exact")).graph
+        detail = binomial_consistency(rs, "triple-density", 10_000, rng.child(0))
+        assert detail is None, detail
         c5 = cycle_graph(5)
-        p_quad = count_induced_p3(c5) / math.comb(5, 4)
-        assert p_quad == 1.0
-        for t in (1, 10, 100):
-            rep = estimate_detection(c5, TesterConfig("quadruple-density", t=t),
-                                     10_000, rng.child(1, t))
-            pred = 1 - (1 - p_quad) ** t
-            assert rep.wilson_lo <= pred <= rep.wilson_hi, (t, pred)
+        assert count_induced_p3(c5) == math.comb(5, 4)  # p = 1 for the quadruple tester
+        detail = binomial_consistency(c5, "quadruple-density", 10_000, rng.child(1))
+        assert detail is None, detail
 
 
 def test_criterion_08_tripartition_constant():
     with criterion(8, 60, "mean packing retention over 10^5 tripartitions within "
                           "3 SE of 2/9"):
-        g = complete_graph(3)
-        packing = triangle_packing(g, "exact")
-        samples = tripartition_retention_samples(g, packing, 100_000, Stream(1308))
-        mean = sum(samples) / len(samples)
-        se = math.sqrt((2 / 9) * (7 / 9) / len(samples))
-        assert abs(mean - 2 / 9) <= 3 * se, (mean, 3 * se)
+        detail = retention_mean(Stream(1308), 100_000)
+        assert detail is None, detail
 
 
 def test_criterion_09_bound_sanity():
@@ -230,9 +173,7 @@ def test_criterion_09_bound_sanity():
         floor12 = (beta / 100) ** 12
         # exhaustive optimum at n=5 as the independent oracle
         best = None
-        for mask in range(1 << 10):
-            g = Graph.from_edges(
-                5, [pair_from_index(5, i) for i in range(10) if (mask >> i) & 1])
+        for g in all_graphs(5):
             if find_beta_cut(g, beta, "exact") is None:
                 c = count_induced_p3(g)
                 best = c if best is None else min(best, c)
@@ -302,14 +243,5 @@ def test_criterion_10_hardness_gap():
 def test_criterion_11_edit_distance_cross_checks():
     with criterion(11, 300, "edit distance to triangle-freeness equals nu on 10^3 "
                             "draws; packing farness never exceeds true distance"):
-        rng = Stream(1311)
-        for i in range(1000):
-            g = gnp(7, 0.4, rng.child(i))
-            d = distance_to_property(g, is_triangle_free)
-            nu = len(triangle_cover(g, "exact"))
-            tau_packing = triangle_packing(g, "exact")
-            if isinstance(d, AboveCap):
-                assert nu > d.cap, (i, nu)
-            else:
-                assert d == nu, (i, d, nu)
-                assert farness_lower_bound(tau_packing, 7) <= Fraction(d, 49), i
+        detail = distance_equals_nu(Stream(1311), 1000)
+        assert detail is None, detail

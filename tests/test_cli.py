@@ -130,6 +130,12 @@ def test_exit_codes(tmp_path):
     bad = tmp_path / "bad.el"
     bad.write_text("2 1\n0 0\n")
     assert run(["recognize", "--property", "cograph", "--in", bad]) == 3
+    undecodable = tmp_path / "undecodable"
+    undecodable.write_bytes(b"3 1\n0 1\n\xff\n")
+    assert run(["recognize", "--property", "cograph", "--in", undecodable]) == 3
+    rs, _, _ = _rs_with_sidecar(tmp_path)
+    assert run(["gen", "c5-gadget", "--from", rs, "--parts-json", undecodable,
+                "--out", tmp_path / "g.el"]) == 3
     assert run(["gen", "gnp", "--p", "0.5", "--out", tmp_path / "x.el"]) == 2
     with pytest.raises(SystemExit) as err:
         run(["bogus-command"])

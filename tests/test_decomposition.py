@@ -18,13 +18,12 @@ from ptlab.graphs import (
     cycle_graph,
     gnp,
     induced_subgraph,
-    is_path_4,
-    naive_induced_count,
     path_graph,
     random_cograph,
 )
 from ptlab.recognizers import is_cograph, is_triangle_free
 from ptlab.rng import Stream
+from ptlab.verify import no_cut_implies_p4, refinement_parts
 
 
 def naive_beta_cuts(g, beta):
@@ -170,30 +169,15 @@ def test_refine_budget_and_certification():
 
 
 def test_refine_parts_contain_induced_p4():
-    rng = Stream(47)
-    for i in range(30):
-        g = gnp(8, 0.5, rng.child(i))
-        ref = refine_along_cuts(g, 0)
-        for part in ref.parts:
-            if len(part) >= 2:
-                sub = induced_subgraph(g, part)
-                assert naive_induced_count(sub, is_path_4, 4) > 0
+    detail = refinement_parts(Stream(47), 8, 30)
+    assert detail is None, detail
 
 
 def test_cut_absence_forces_induced_p4_small():
-    # Seinsche as an implication pair, exhaustively at n = 5: a graph with no
-    # exact cut contains an induced 4-path (equivalently, 4-path-free graphs
-    # always split). The naive 4-path count is the independent oracle.
-    from ptlab.graphs import pair_from_index
-    pairs = 10
-    for mask in range(1 << pairs):
-        g = Graph.from_edges(
-            5, [pair_from_index(5, i) for i in range(pairs) if (mask >> i) & 1])
-        has_p4 = naive_induced_count(g, is_path_4, 4) > 0
-        if find_cut(g) is None:
-            assert has_p4
-        if not has_p4:
-            assert find_cut(g) is not None
+    # Seinsche, exhaustively at n = 5: a graph with no exact cut contains an
+    # induced 4-path. The naive 4-path count is the independent oracle.
+    detail = no_cut_implies_p4(5)
+    assert detail is None, detail
 
 
 def test_distance_examples():

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from ptlab.decomposition import AboveCap, distance_to_property
 from ptlab.gadgets import (
     ApFreeSet,
     ap3_free_set,
@@ -20,15 +19,14 @@ from ptlab.graphs import (
     induced_subgraph,
     is_cycle_5,
     naive_induced_count,
-    sample_vertices,
 )
-from ptlab.recognizers import (
-    check_order_transitivity,
-    is_comparability,
-    is_poset,
-    is_triangle_free,
-)
+from ptlab.recognizers import is_poset
 from ptlab.rng import Stream
+from ptlab.verify import (
+    c5_gadget_rules_and_samples,
+    farness_below_distance,
+    poset_gadget_samples,
+)
 
 
 def exhaustive_max_ap_free(n):
@@ -138,21 +136,8 @@ def test_c5_gadget_rejects_bad_inner():
 
 
 def test_c5_gadget_sampling_mechanism():
-    rb = rs_graph(4, ap3_free_set(4, "exact"))
-    f = rb.graph
-    gb = build_c5_gadget(f, rb.labeling.relabel(("V2", "V3", "V5")), rb.certificate)
-    rng = Stream(83)
-    inner_n = f.n
-    seen_trifree = 0
-    for i in range(200):
-        pick = sample_vertices(gb.graph.n, 10, rng.child(i))
-        fpart = [v - 4 * inner_n for v in pick if v >= 4 * inner_n]
-        if count_triangles(induced_subgraph(f, fpart)) == 0:
-            seen_trifree += 1
-            sub = induced_subgraph(gb.graph, pick)
-            assert check_order_transitivity(sub, gb.labeling.restrict(pick)).member
-            assert is_comparability(sub).member
-    assert seen_trifree > 0
+    detail = c5_gadget_rules_and_samples(Stream(83), 4, 10, 200)
+    assert detail is None, detail
 
 
 def test_poset_gadget_examples():
@@ -167,18 +152,10 @@ def test_poset_gadget_examples():
 
 
 def test_poset_gadget_samples():
-    rb = rs_graph(3, ap3_free_set(3, "exact"))
-    t = rb.graph
-    gb = build_poset_gadget(t, rb.labeling.relabel(("V1", "V2", "V3")), rb.certificate)
-    rng = Stream(89)
-    for i in range(300):
-        pick = sample_vertices(t.n, 7, rng.child(i))
-        tri_free = count_triangles(induced_subgraph(t, pick)) == 0
-        assert is_poset(gb.graph.induced(pick)).member == tri_free
+    detail = poset_gadget_samples(Stream(89), 3, 7, 300)
+    assert detail is None, detail
 
 
 def test_bundle_farness_below_exact_distance():
-    rb = rs_graph(1, ap3_free_set(1, "exact"))  # n = 6, farness 1/36
-    d = distance_to_property(rb.graph, is_triangle_free)
-    dist = d.cap + 1 if isinstance(d, AboveCap) else d
-    assert rb.farness <= Fraction(dist, 36)
+    detail = farness_below_distance()
+    assert detail is None, detail

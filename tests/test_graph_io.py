@@ -37,10 +37,13 @@ def test_comments_and_whitespace():
     ("3 2\n0 1\n", "m=2"),
     ("2 1\nx y\n", "non-integer"),
     ("2 1 directed\n0 1\n", "undirected"),
+    (b"3 1\n0 1\n\xff\n", "undecodable"),
 ])
 def test_parse_errors(text, fragment):
+    source = (io.TextIOWrapper(io.BytesIO(text), encoding="utf-8")
+              if isinstance(text, bytes) else io.StringIO(text))
     with pytest.raises(ParseError) as err:
-        read_graph(io.StringIO(text))
+        read_graph(source)
     assert fragment in str(err.value)
 
 

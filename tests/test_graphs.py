@@ -23,11 +23,10 @@ from ptlab.graphs import (
     pair_count,
     pair_from_index,
     path_graph,
-    random_cograph,
     sample_vertices,
 )
-from ptlab.recognizers import is_cograph
 from ptlab.rng import Stream
+from ptlab.verify import cograph_generator, sampling_uniform
 
 
 def test_complement_examples():
@@ -137,16 +136,8 @@ def test_sampling_examples_and_determinism():
 
 def test_sampling_uniformity():
     # 10^5 draws of 2-subsets of 5: each of the 10 pairs within 3 SE of 0.1
-    import math
-    trials = 100_000
-    stream = Stream(17, (0,))
-    counts = {}
-    for _ in range(trials):
-        pick = sample_vertices(5, 2, stream)
-        counts[pick] = counts.get(pick, 0) + 1
-    se = math.sqrt(trials * 0.1 * 0.9)
-    for pair, got in counts.items():
-        assert abs(got - trials / 10) <= 3 * se, (pair, got)
+    detail = sampling_uniform(Stream(17, (0,)))
+    assert detail is None, detail
 
 
 def test_gnp_edge_cases():
@@ -158,9 +149,8 @@ def test_gnp_edge_cases():
 
 
 def test_random_cograph_always_recognized():
-    rng = Stream(29)
-    for i in range(100):
-        assert is_cograph(random_cograph(10, rng.child(i))).member
+    detail = cograph_generator(Stream(29))
+    assert detail is None, detail
 
 
 def test_flip_pairs():

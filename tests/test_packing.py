@@ -21,9 +21,9 @@ from ptlab.packing import (
     triangle_cover,
     triangle_packing,
     triangles_of,
-    tripartition_retention_samples,
 )
 from ptlab.rng import Stream
+from ptlab.verify import distance_dominates_tau, retention_mean
 
 
 def naive_tau(g):
@@ -185,27 +185,13 @@ def test_tripartite_extract_empty_packing():
 
 
 def test_retention_mean_near_two_ninths():
-    import math
-    g = complete_graph(3)
-    packing = triangle_packing(g)
-    samples = tripartition_retention_samples(g, packing, 30_000, Stream(11, (4,)))
-    mean = sum(samples) / len(samples)
-    se = math.sqrt((2 / 9) * (7 / 9) / len(samples))
-    assert abs(mean - 2 / 9) <= 3 * se
+    detail = retention_mean(Stream(11, (4,)), 30_000)
+    assert detail is None, detail
 
 
 def test_distance_dominates_tau():
-    from ptlab.decomposition import AboveCap, distance_to_property
-    from ptlab.recognizers import is_triangle_free
-    rng = Stream(13)
-    for i in range(40):
-        g = gnp(7, 0.4, rng.child(i))
-        tau = len(triangle_packing(g))
-        d = distance_to_property(g, is_triangle_free)
-        if isinstance(d, AboveCap):
-            assert tau >= 0
-        else:
-            assert d >= tau
+    detail = distance_dominates_tau(Stream(13), 40)
+    assert detail is None, detail
 
 
 def test_packing_json_roundtrip():

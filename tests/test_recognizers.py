@@ -16,7 +16,6 @@ from ptlab.graphs import (
     is_path_4,
     iter_bits,
     naive_induced_count,
-    pair_from_index,
     path_graph,
     random_cograph,
 )
@@ -32,13 +31,7 @@ from ptlab.recognizers import (
     property_recognizer,
 )
 from ptlab.rng import Stream
-
-
-def all_graphs(n):
-    pairs = n * (n - 1) // 2
-    for mask in range(1 << pairs):
-        yield Graph.from_edges(
-            n, [pair_from_index(n, i) for i in range(pairs) if (mask >> i) & 1])
+from ptlab.verify import all_graphs, forcing_vs_exhaustive, seinsche_equivalence
 
 
 # --- independent oracles ------------------------------------------------------
@@ -175,8 +168,8 @@ def test_cograph_examples():
 
 
 def test_cograph_matches_induced_p4_freeness_small():
-    for g in all_graphs(5):
-        assert is_cograph(g).member == (naive_induced_count(g, is_path_4, 4) == 0)
+    detail = seinsche_equivalence(5)
+    assert detail is None, detail
 
 
 def test_cograph_witness_reverifies():
@@ -213,10 +206,8 @@ def test_comparability_matches_naive_all_graphs_up_to_5():
 
 
 def test_comparability_forcing_vs_exhaustive_random():
-    rng = Stream(53)
-    for i in range(300):
-        g = gnp(7, 0.5, rng.child(i))
-        assert is_comparability(g).member == is_comparability(g, "exhaustive").member
+    detail = forcing_vs_exhaustive(Stream(53), 300)
+    assert detail is None, detail
 
 
 def test_cographs_are_comparability():

@@ -29,6 +29,7 @@ from ptlab.testers import (
     universal_tester,
     wilson95,
 )
+from ptlab.verify import binomial_consistency, budget_accounting
 
 
 def test_one_sidedness():
@@ -171,9 +172,7 @@ def test_tester_guards():
 
 
 def test_query_accounting():
-    assert TesterConfig("universal", d=7, property_name="cograph").queries_per_trial() == 21
-    assert TesterConfig("triple-density", t=5).queries_per_trial() == 15
-    assert TesterConfig("quadruple-density", t=5).queries_per_trial() == 30
+    assert budget_accounting() is None
 
 
 def test_wilson_interval():
@@ -246,14 +245,9 @@ def test_complete_graph_universal_always_rejects():
 
 
 def test_binomial_consistency_small():
-    bundle = rs_graph(12, ap3_free_set(12, "exact"))
-    g = bundle.graph
-    p = len(bundle.certificate) / math.comb(g.n, 3)
-    for t in (1, 10, 100):
-        rep = estimate_detection(g, TesterConfig("triple-density", t=t), 3000,
-                                 Stream(11, (t,)))
-        pred = 1 - (1 - p) ** t
-        assert rep.wilson_lo <= pred <= rep.wilson_hi, (t, pred, rep)
+    g = rs_graph(12, ap3_free_set(12, "exact")).graph
+    detail = binomial_consistency(g, "triple-density", 3000, Stream(11))
+    assert detail is None, detail
 
 
 def test_min_budget_examples():
