@@ -15,7 +15,7 @@ from pathlib import Path
 from .decomposition import distance_to_property, refine_along_cuts
 from .extremal import estimate_f, search_min_p3_density
 from .gadgets import ap3_free_set, build_c5_gadget, build_poset_gadget, rs_graph
-from .graphs import Digraph, Graph, PartLabeling, gnp, random_cograph
+from .graphs import Digraph, PartLabeling, gnp, random_cograph
 from .graph_io import ParseError, read_digraph, read_graph, write_digraph, write_graph
 from .packing import PackingError, WitnessPacking
 from .pipelines import (
@@ -175,19 +175,24 @@ def _tester_config(args, budget: int | None = None) -> TesterConfig:
     return TesterConfig(kind, t=t)
 
 
-def _spec(args, name: str, **params) -> ExperimentSpec:
-    return ExperimentSpec(name=name, params=params, seed=args.seed)
+def _emit(args, params: dict, graphs: list, results: dict, table=None) -> int:
+    """Write a command's JSON report, or under --format csv its `table`
+    (header, rows); a command without a table refuses csv."""
+    if args.format == "csv":
+        if table is None:
+            raise ValueError(f"{args.command} has no CSV output; use --format json")
+        write_csv(table[1], table[0], args.out)
+    else:
+        write_report(make_report(
+            args.command, ExperimentSpec(args.command, params, args.seed),
+            [{"name": name, "n": g.n, "m": g.m} for name, g in graphs], results,
+            {"seconds": time.perf_counter() - args.started}), args.out)
+    return EXIT_OK
 
 
-def _graph_summary(name: str, g) -> dict:
-    return {"name": name, "n": g.n, "m": g.m}
-
-
-def _sidecar_path(args) -> str:
-    return args.parts_json or (args.source + ".json")
-
-
-def _load_parts(path: str, n: int, names: tuple[str, ...]) -> PartLabeling:
+def _load_sidecar(path: str, n: int, names: tuple[str, ...]
+                  ) -> tuple[PartLabeling, WitnessPacking | None]:
+    """The part labeling and the packing (None if absent) of a gadget sidecar."""
     try:
         data = json.loads(Path(path).read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -198,17 +203,13 @@ def _load_parts(path: str, n: int, names: tuple[str, ...]) -> PartLabeling:
     if len(parts) != len(names):
         raise ParseError(f"{path}: need {len(names)} parts, found {len(parts)}")
     try:
-        return PartLabeling(n, list(zip(names, parts.values())), allow_empty=True)
+        labeling = PartLabeling(n, list(zip(names, parts.values())), allow_empty=True)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed parts ({type(exc).__name__}: {exc})") from None
-
-
-def _load_packing(path: str) -> WitnessPacking | None:
-    data = json.loads(Path(path).read_text())
     if not data.get("packing"):
-        return None
+        return labeling, None
     try:
-        return WitnessPacking.from_json(data["packing"])
+        return labeling, WitnessPacking.from_json(data["packing"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed packing ({type(exc).__name__}: {exc})") from None
 
@@ -219,6 +220,7 @@ def cmd_gen(args) -> int:
     rng = Stream(args.seed)
     sidecar: dict = {"construction": args.kind, "seed": args.seed,
                      "params": {}, "parts": None, "packing": None, "farness": None}
+    bundle = None
     if args.kind == "gnp":
         if args.n is None or args.p is None:
             raise ValueError("gen gnp needs --n and --p")
@@ -234,23 +236,19 @@ def cmd_gen(args) -> int:
             raise ValueError("gen rs needs --k")
         s = ap3_free_set(args.k, args.ap)
         bundle = rs_graph(args.k, s)
-        g = bundle.graph
         sidecar["params"] = {"k": args.k, "ap": args.ap, "s": list(s.elements)}
-        sidecar["parts"] = {name: list(part) for name, part in
-                            zip(bundle.labeling.names, bundle.labeling.parts)}
-        sidecar["packing"] = bundle.certificate.to_json()
-        sidecar["farness"] = float(bundle.farness)
     else:
         if not args.source:
             raise ValueError(f"gen {args.kind} needs --from FILE")
         inner = read_graph(args.source)
         names = ("V2", "V3", "V5") if args.kind == "c5-gadget" else ("V1", "V2", "V3")
-        labeling = _load_parts(_sidecar_path(args), inner.n, names)
-        packing = _load_packing(_sidecar_path(args))
+        labeling, packing = _load_sidecar(args.parts_json or args.source + ".json",
+                                          inner.n, names)
         build = build_c5_gadget if args.kind == "c5-gadget" else build_poset_gadget
         bundle = build(inner, labeling, packing)
-        g = bundle.graph
         sidecar["params"] = {"from": args.source, "inner_n": inner.n}
+    if bundle is not None:
+        g = bundle.graph
         sidecar["parts"] = {name: list(part) for name, part in
                             zip(bundle.labeling.names, bundle.labeling.parts)}
         sidecar["packing"] = bundle.certificate.to_json()
@@ -266,43 +264,29 @@ def cmd_gen(args) -> int:
 
 def cmd_recognize(args) -> int:
     if args.property == "poset":
-        d = read_digraph(args.infile)
-        res = is_poset(d)
-        host = d
+        host = read_digraph(args.infile)
+        res = is_poset(host)
     else:
-        g = read_graph(args.infile)
-        res = property_recognizer(_property_name(args))(g)
-        host = g
-    report = make_report(
-        "recognize", _spec(args, "recognize", property=args.property, h=args.h),
-        [_graph_summary("input", host)],
-        {"member": res.member,
-         "witness": None if res.witness is None else list(res.witness),
-         "label": res.label})
-    write_report(report, args.out)
-    return EXIT_OK
+        host = read_graph(args.infile)
+        res = property_recognizer(_property_name(args))(host)
+    return _emit(args, {"property": args.property, "h": args.h}, [("input", host)],
+                 {"member": res.member,
+                  "witness": None if res.witness is None else list(res.witness),
+                  "label": res.label})
 
 
 def cmd_test(args) -> int:
     g = read_graph(args.infile)
     config = _tester_config(args)
-    rng = Stream(args.seed)
-    t0 = time.time()
-    rep = estimate_detection(g, config, args.trials, rng.child(0), args.threads)
-    report = make_report(
-        "test", _spec(args, "test", tester=args.tester, trials=args.trials),
-        [_graph_summary("input", g)],
-        {"report": rep.to_json()},
-        {"seconds": time.time() - t0})
-    if args.format == "csv":
-        write_csv([[config.kind, config.d, config.t, rep.trials, rep.rejections,
+    rep = estimate_detection(g, config, args.trials, Stream(args.seed).child(0),
+                             args.threads)
+    return _emit(args, {"tester": args.tester, "trials": args.trials}, [("input", g)],
+                 {"report": rep.to_json()},
+                 (["kind", "d", "t", "trials", "rejections", "rate",
+                   "wilson_lo", "wilson_hi", "queries_per_trial"],
+                  [[config.kind, config.d, config.t, rep.trials, rep.rejections,
                     rep.rejection_rate, rep.wilson_lo, rep.wilson_hi,
-                    rep.queries_per_trial]],
-                  ["kind", "d", "t", "trials", "rejections", "rate",
-                   "wilson_lo", "wilson_hi", "queries_per_trial"], args.out)
-    else:
-        write_report(report, args.out)
-    return EXIT_OK
+                    rep.queries_per_trial]]))
 
 
 def cmd_curve(args) -> int:
@@ -317,34 +301,22 @@ def cmd_curve(args) -> int:
                      rep.wilson_lo, rep.wilson_hi, rep.queries_per_trial])
     header = ["budget", "trials", "rejections", "rate", "wilson_lo", "wilson_hi",
               "queries_per_trial"]
-    if args.format == "csv":
-        write_csv(rows, header, args.out)
-    else:
-        report = make_report(
-            "curve", _spec(args, "curve", tester=args.tester, budgets=args.budgets,
-                           trials=args.trials),
-            [_graph_summary("input", g)],
-            {"header": header, "rows": rows})
-        write_report(report, args.out)
-    return EXIT_OK
+    return _emit(args, {"tester": args.tester, "budgets": args.budgets,
+                        "trials": args.trials},
+                 [("input", g)], {"header": header, "rows": rows}, (header, rows))
 
 
 def cmd_decompose(args) -> int:
     g = read_graph(args.infile)
     beta = Fraction(args.beta)
-    rng = Stream(args.seed)
-    ref = refine_along_cuts(g, beta, mode=args.mode, rng=rng.child(0))
+    ref = refine_along_cuts(g, beta, mode=args.mode, rng=Stream(args.seed).child(0))
     if args.out_graph:
         write_graph(ref.modified_graph, args.out_graph)
-    report = make_report(
-        "decompose", _spec(args, "decompose", beta=str(beta), mode=args.mode),
-        [_graph_summary("input", g)],
-        {"parts": [list(p) for p in ref.parts],
-         "edited_pairs": ref.edited_pairs,
-         "certified": ref.certified,
-         "edit_budget": float(beta * g.n * (g.n - 1) / 2)})
-    write_report(report, args.out)
-    return EXIT_OK
+    return _emit(args, {"beta": str(beta), "mode": args.mode}, [("input", g)],
+                 {"parts": [list(p) for p in ref.parts],
+                  "edited_pairs": ref.edited_pairs,
+                  "certified": ref.certified,
+                  "edit_budget": float(beta * g.n * (g.n - 1) / 2)})
 
 
 def cmd_distance(args) -> int:
@@ -353,11 +325,8 @@ def cmd_distance(args) -> int:
     d = distance_to_property(g, rec, cap=args.cap)
     results = ({"distance": d, "above_cap": False} if isinstance(d, int)
                else {"distance": None, "above_cap": True, "cap": d.cap})
-    report = make_report(
-        "distance", _spec(args, "distance", property=args.property, cap=args.cap),
-        [_graph_summary("input", g)], results)
-    write_report(report, args.out)
-    return EXIT_OK
+    return _emit(args, {"property": args.property, "cap": args.cap}, [("input", g)],
+                 results)
 
 
 def cmd_search_extremal(args) -> int:
@@ -369,14 +338,9 @@ def cmd_search_extremal(args) -> int:
         rec = estimate_f(args.n, Fraction(args.epsilon), args.effort, rng.child(0))
     if args.out_graph:
         write_graph(rec.graph, args.out_graph)
-    report = make_report(
-        "search-extremal",
-        _spec(args, "search-extremal", n=args.n, beta=args.beta,
-              epsilon=args.epsilon, effort=args.effort),
-        [_graph_summary("record", rec.graph)],
-        {"record": rec.to_json()})
-    write_report(report, args.out)
-    return EXIT_OK
+    return _emit(args, {"n": args.n, "beta": args.beta, "epsilon": args.epsilon,
+                        "effort": args.effort},
+                 [("record", rec.graph)], {"record": rec.to_json()})
 
 
 def cmd_verify_suite(args) -> int:
@@ -393,37 +357,21 @@ def cmd_verify_suite(args) -> int:
 
 
 def cmd_pipeline_hardness(args) -> int:
-    rng = Stream(args.seed)
-    rows, extra = pipeline_hardness(args.k, args.d, args.trials, rng.child(0),
+    rows, extra = pipeline_hardness(args.k, args.d, args.trials, Stream(args.seed).child(0),
                                     retries=args.retries, threads=args.threads)
-    if args.format == "csv":
-        write_csv([r.as_list() for r in rows], HARDNESS_HEADER, args.out)
-    else:
-        report = make_report(
-            "pipeline-hardness",
-            _spec(args, "pipeline-hardness", k=args.k, d=args.d,
-                  trials=args.trials, retries=args.retries),
-            [],
-            {"header": HARDNESS_HEADER, "rows": [r.as_list() for r in rows],
-             **extra})
-        write_report(report, args.out)
-    return EXIT_OK
+    rows = [r.as_list() for r in rows]
+    return _emit(args, {"k": args.k, "d": args.d, "trials": args.trials,
+                        "retries": args.retries},
+                 [], {"header": HARDNESS_HEADER, "rows": rows, **extra},
+                 (HARDNESS_HEADER, rows))
 
 
 def cmd_pipeline_easy(args) -> int:
-    rng = Stream(args.seed)
     rows = pipeline_easy(args.n, args.distances, args.budgets, args.trials,
-                         rng.child(0), threads=args.threads)
-    if args.format == "csv":
-        write_csv(rows, EASY_HEADER, args.out)
-    else:
-        report = make_report(
-            "pipeline-easy",
-            _spec(args, "pipeline-easy", n=args.n, distances=args.distances,
-                  budgets=args.budgets, trials=args.trials),
-            [], {"header": EASY_HEADER, "rows": rows})
-        write_report(report, args.out)
-    return EXIT_OK
+                         Stream(args.seed).child(0), threads=args.threads)
+    return _emit(args, {"n": args.n, "distances": args.distances,
+                        "budgets": args.budgets, "trials": args.trials},
+                 [], {"header": EASY_HEADER, "rows": rows}, (EASY_HEADER, rows))
 
 
 COMMANDS = {
@@ -443,6 +391,7 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return COMMANDS[args.command](args)
     except ParseError as exc:

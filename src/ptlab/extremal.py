@@ -113,9 +113,8 @@ def _hill_climb(n: int, qualifies: Callable[[Graph], bool], effort: int,
                     break
             if not moved:
                 break
-        key = (count, g.key())
-        if best is None or key < (best[0], best[1]):
-            best = (count, g.key(), g)
+        if best is None or (count, g.rows) < (best[0], best[1]):
+            best = (count, g.rows, g)
     if best is None:
         raise ValueError(
             f"no qualifying graph found in {effort} restarts at n={n}")

@@ -14,9 +14,8 @@ from typing import Sequence, Union
 
 from .graphs import Digraph, Graph, PartLabeling, count_triangles, iter_bits
 from .packing import (
-    TRIANGLE_EXACT_MAX_N,
-    TRIANGLE_EXACT_MAX_TRIANGLES,
     WitnessPacking,
+    exact_affordable,
     farness_lower_bound,
     greedy_c5_packing,
     triangle_packing,
@@ -306,20 +305,14 @@ def build_c5_gadget(f: Graph, labeling: PartLabeling,
     empty; V1-V4, V1-V5, V2-V4 complete; V2-V3 and V3-V5 copy f's edges;
     V2-V5 is the bipartite complement of f's. Each triangle of f plus one
     vertex from V1 and one from V4 induces a 5-cycle, and the certificate
-    packs those greedily from f's triangle packing.
+    packs those greedily from f's triangle packing (by default its exact
+    one, so an f beyond the exact guard needs a packing supplied).
     """
     _check_tripartite(f, labeling, ("V2", "V3", "V5"))
     n = f.n
     if n < 1:
         raise ValueError("inner graph must have at least one vertex")
-    if packing is None:
-        tri_count = len(triangles_of(f))
-        if n > TRIANGLE_EXACT_MAX_N or tri_count > TRIANGLE_EXACT_MAX_TRIANGLES:
-            raise ValueError(
-                "inner graph too large for an exact packing; supply one explicitly")
-        packing = triangle_packing(f, mode="exact")
-    else:
-        packing = packing.verified_in(f)
+    packing = triangle_packing(f, "exact") if packing is None else packing.verified_in(f)
     offset = 4 * n
     big_n = 5 * n
     mask = {
@@ -402,15 +395,13 @@ def build_poset_gadget(t: Graph, labeling: PartLabeling,
     """Directed gadget on t's vertex set: V1->V2 and V2->V3 arcs copy t's
     edges, V1->V3 arcs are t's non-edges, nothing else. A vertex set induces
     a poset exactly when it spans no triangle of t, and every triangle of t
-    forces at least one pair edit, so a triangle packing certifies farness.
+    forces at least one pair edit, so a triangle packing certifies farness
+    (by default t's exact one where affordable, else its greedy one).
     """
     _check_tripartite(t, labeling, ("V1", "V2", "V3"))
     if packing is None:
-        tri_count = len(triangles_of(t))
-        if t.n > TRIANGLE_EXACT_MAX_N or tri_count > TRIANGLE_EXACT_MAX_TRIANGLES:
-            packing = triangle_packing(t, mode="greedy")
-        else:
-            packing = triangle_packing(t, mode="exact")
+        mode = "exact" if exact_affordable(t, triangles_of(t)) else "greedy"
+        packing = triangle_packing(t, mode)
     else:
         packing = packing.verified_in(t)
     m1, m2, m3 = (labeling.part_mask(p) for p in ("V1", "V2", "V3"))

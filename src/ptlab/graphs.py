@@ -109,9 +109,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(iter_bits(self.rows[v]))
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, lexicographic."""
         for u in range(self.n):
@@ -131,10 +128,6 @@ class Graph:
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u
         return _trusted_graph(n, rows)
-
-    def key(self) -> tuple[int, ...]:
-        """Hashable adjacency encoding (used for memoization and tie-breaks)."""
-        return self.rows
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows

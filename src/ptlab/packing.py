@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import Graph, PartLabeling, induced_subgraph, is_cycle_5, iter_bits
 from .rng import Stream
@@ -21,6 +21,7 @@ __all__ = [
     "triangles_of",
     "triangle_packing",
     "triangle_cover",
+    "exact_affordable",
     "greedy_c5_packing",
     "farness_lower_bound",
     "random_tripartite_extract",
@@ -62,10 +63,6 @@ class WitnessPacking:
 
     def __len__(self) -> int:
         return len(self.tuples)
-
-    @property
-    def overlap_rule(self) -> str:
-        return "edge-disjoint" if self.kind == "triangle" else "share-at-most-one-vertex"
 
     def verified_in(self, g: Graph) -> "WitnessPacking":
         """Re-verify every tuple and the pairwise overlap rule in `g`."""
@@ -114,14 +111,9 @@ def triangles_of(g: Graph) -> list[tuple[int, int, int]]:
     return tris
 
 
-def _triangle_index(tris: Sequence[tuple[int, int, int]]
-                    ) -> tuple[list[int], dict[tuple[int, int], int], list[int], list[int]]:
-    """Index the triangles' edges once, in a deterministic order.
-
-    Returns per-triangle edge bitmasks, the edge index, hit[e] (the mask of
-    triangles through edge bit e) and conflict[i] (the mask of the other
-    triangles sharing an edge with triangle i).
-    """
+def _edge_masks(tris: Sequence[tuple[int, int, int]]
+                ) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """Per-triangle edge bitmasks and the edge index, in a deterministic order."""
     index: dict[tuple[int, int], int] = {}
     for t in tris:
         for p in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
@@ -129,26 +121,52 @@ def _triangle_index(tris: Sequence[tuple[int, int, int]]
                 index[p] = len(index)
     masks = [(1 << index[(a, b)]) | (1 << index[(b, c)]) | (1 << index[(a, c)])
              for a, b, c in tris]
+    return masks, index
+
+
+def exact_affordable(g: Graph, tris: Sequence) -> bool:
+    """Whether the exact packing and cover searches take g: at most
+    TRIANGLE_EXACT_MAX_N vertices and TRIANGLE_EXACT_MAX_TRIANGLES triangles."""
+    return g.n <= TRIANGLE_EXACT_MAX_N and len(tris) <= TRIANGLE_EXACT_MAX_TRIANGLES
+
+
+def _exact_index(g: Graph, tris: Sequence[tuple[int, int, int]]
+                 ) -> tuple[list[int], dict[tuple[int, int], int], list[int], list[int]]:
+    """Refuse an unaffordable exact search, then index the triangles' edges.
+
+    Returns per-triangle edge bitmasks, the edge index, hit[e] (the mask of
+    triangles through edge bit e) and disjoint[i] (the mask of triangles
+    edge-disjoint from triangle i; its bits above the last triangle are set
+    too, so it is negative and only ever ANDed).
+    """
+    if not exact_affordable(g, tris):
+        raise ValueError(
+            f"exact mode limited to n <= {TRIANGLE_EXACT_MAX_N} and "
+            f"{TRIANGLE_EXACT_MAX_TRIANGLES} triangles, got n={g.n} with "
+            f"{len(tris)} triangles")
+    masks, index = _edge_masks(tris)
     hit = [0] * len(index)
     for i, m in enumerate(masks):
         for b in iter_bits(m):
             hit[b] |= 1 << i
-    conflict = []
-    for i, m in enumerate(masks):
+    disjoint = []
+    for m in masks:
         c = 0
         for b in iter_bits(m):
             c |= hit[b]
-        conflict.append(c & ~(1 << i))
-    return masks, index, hit, conflict
+        disjoint.append(~c)
+    return masks, index, hit, disjoint
 
 
-def _guard_exact(g: Graph, tris: Sequence) -> None:
-    if g.n > TRIANGLE_EXACT_MAX_N:
-        raise ValueError(f"exact mode limited to n <= {TRIANGLE_EXACT_MAX_N}, got {g.n}")
-    if len(tris) > TRIANGLE_EXACT_MAX_TRIANGLES:
-        raise ValueError(
-            f"exact mode limited to {TRIANGLE_EXACT_MAX_TRIANGLES} triangles, "
-            f"got {len(tris)}")
+def _greedy(avail: int, disjoint: Sequence[int]) -> int:
+    """The mask of a maximal edge-disjoint packing of the triangles in
+    `avail`, picking the lowest-index triangle first."""
+    picked = 0
+    while avail:
+        low = avail & -avail
+        picked |= low
+        avail &= disjoint[low.bit_length() - 1]
+    return picked
 
 
 def triangle_packing(g: Graph, mode: str = "exact",
@@ -161,32 +179,23 @@ def triangle_packing(g: Graph, mode: str = "exact",
     """
     tris = triangles_of(g)
     if mode == "greedy":
+        emasks, _ = _edge_masks(tris)
         order = list(range(len(tris)))
         if rng is not None:
             rng.gen.shuffle(order)
-        used: set[frozenset] = set()
+        used = 0
         chosen = []
         for i in order:
-            a, b, c = tris[i]
-            edges = {frozenset((a, b)), frozenset((b, c)), frozenset((a, c))}
-            if not (edges & used):
-                used |= edges
+            if not emasks[i] & used:
+                used |= emasks[i]
                 chosen.append(tris[i])
         chosen.sort()
         return WitnessPacking("triangle", tuple(chosen), g.n).verified_in(g)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    _guard_exact(g, tris)
-    emasks, _, hit, conflict = _triangle_index(tris)
-    t_count = len(tris)
-    full = (1 << t_count) - 1
-
-    best_set: list[int] = []
-    avail0 = full
-    while avail0:  # greedy seed for early pruning
-        i = (avail0 & -avail0).bit_length() - 1
-        best_set.append(i)
-        avail0 &= ~conflict[i] & ~(1 << i)
+    emasks, _, hit, disjoint = _exact_index(g, tris)
+    full = (1 << len(tris)) - 1
+    best_set = list(iter_bits(_greedy(full, disjoint)))  # seed for early pruning
     chosen: list[int] = []
 
     # branch on the lowest edge still usable: either one of its triangles is
@@ -212,7 +221,7 @@ def triangle_packing(g: Graph, mode: str = "exact",
         through = hit[e] & avail
         for t in iter_bits(through):
             chosen.append(t)
-            dfs(avail & ~conflict[t] & ~(1 << t))
+            dfs(avail & disjoint[t])
             chosen.pop()
         dfs(avail & ~through)
 
@@ -222,45 +231,20 @@ def triangle_packing(g: Graph, mode: str = "exact",
 
 
 def triangle_cover(g: Graph, mode: str = "exact") -> tuple[tuple[int, int], ...]:
-    """Edges covering every triangle.
-
-    "exact": a minimum cover by branch-and-bound over an uncovered triangle's
-    three edges, lower-bounded by an edge-disjoint packing of the uncovered
-    triangles. "from_packing": all edges of a maximum packing (the 3*tau
-    upper bound; deleting them leaves the graph triangle-free).
-    """
+    """A minimum set of edges covering every triangle ("exact", the only mode):
+    branch-and-bound over an uncovered triangle's three edges, lower-bounded
+    by a greedy edge-disjoint packing of the uncovered triangles."""
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
     tris = triangles_of(g)
     if not tris:
         return ()
-    if mode == "from_packing":
-        packing = triangle_packing(g, mode="exact")
-        edges = {tuple(sorted(p)) for t in packing.tuples
-                 for p in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2]))}
-        return tuple(sorted(edges))
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-    _guard_exact(g, tris)
-    _, index, hit, conflict = _triangle_index(tris)
+    _, index, hit, disjoint = _exact_index(g, tris)
     edge_of_bit = {i: e for e, i in index.items()}
     tri_edges = [[index[(a, b)], index[(b, c)], index[(a, c)]] for a, b, c in tris]
-
-    def packing_bound(uncovered: int) -> int:
-        count = 0
-        while uncovered:
-            low = uncovered & -uncovered
-            i = low.bit_length() - 1
-            count += 1
-            uncovered &= ~conflict[i] & ~low
-        return count
-
+    full = (1 << len(tris)) - 1
     # initial feasible cover: all edges of a maximal greedy packing
-    greedy_edges: list[int] = []
-    avail = (1 << len(tris)) - 1
-    while avail:
-        i = (avail & -avail).bit_length() - 1
-        greedy_edges.extend(tri_edges[i])
-        avail &= ~conflict[i] & ~(1 << i)
-    best = greedy_edges
+    best = [e for i in iter_bits(_greedy(full, disjoint)) for e in tri_edges[i]]
     chosen: list[int] = []
 
     def dfs(uncovered: int) -> None:
@@ -269,7 +253,7 @@ def triangle_cover(g: Graph, mode: str = "exact") -> tuple[tuple[int, int], ...]
             if len(chosen) < len(best):
                 best = chosen.copy()
             return
-        if len(chosen) + packing_bound(uncovered) >= len(best):
+        if len(chosen) + _greedy(uncovered, disjoint).bit_count() >= len(best):
             return
         target = (uncovered & -uncovered).bit_length() - 1
         for e in tri_edges[target]:
@@ -277,7 +261,7 @@ def triangle_cover(g: Graph, mode: str = "exact") -> tuple[tuple[int, int], ...]
             dfs(uncovered & ~hit[e])
             chosen.pop()
 
-    dfs((1 << len(tris)) - 1)
+    dfs(full)
     return tuple(sorted(edge_of_bit[e] for e in best))
 
 

@@ -26,7 +26,7 @@ from .graphs import (
     sample_vertices,
 )
 from .packing import PackingError, WitnessPacking
-from .recognizers import check_order_transitivity, is_cograph, property_recognizer
+from .recognizers import check_order_transitivity, is_cograph
 from .rng import Stream, _trial_streams
 from .testers import TesterConfig, estimate_detection, wilson95
 

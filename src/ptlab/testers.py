@@ -21,7 +21,7 @@ tested on the adjacency rows directly, with no induced subgraph built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 

@@ -24,7 +24,7 @@ from ptlab.graphs import (
     random_cograph,
     sample_vertices,
 )
-from ptlab.packing import farness_lower_bound, triangle_cover, triangle_packing
+from ptlab.packing import farness_lower_bound, triangle_packing
 from ptlab.recognizers import is_cograph, is_poset
 from ptlab.rng import Stream
 from ptlab.testers import min_budget_for_detection
@@ -37,6 +37,7 @@ from ptlab.verify import (
     poset_gadget_samples,
     retention_mean,
     seinsche_equivalence,
+    tau_nu_chain,
 )
 
 
@@ -54,14 +55,10 @@ def criterion(number: int, budget_seconds: float, label: str):
 
 
 def test_criterion_01_tau_nu_chain():
-    with criterion(1, 120, "tau <= nu <= 3*tau over 200 seeded G(12,p), zero violations"):
-        rng = Stream(1301)
-        for i in range(200):
-            p = (0.3, 0.5, 0.7)[i % 3]
-            g = gnp(12, p, rng.child(i))
-            tau = len(triangle_packing(g, "exact"))
-            nu = len(triangle_cover(g, "exact"))
-            assert tau <= nu <= 3 * tau, (i, p, tau, nu)
+    with criterion(1, 120, "tau <= nu <= 3*tau and maximal packings over 200 seeded G(12,p), "
+                           "zero violations"):
+        detail = tau_nu_chain(Stream(1301), 200, ns=(12,))
+        assert detail is None, detail
 
 
 def test_criterion_02_rs_exactness():

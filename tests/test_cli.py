@@ -245,3 +245,76 @@ def test_verify_suite_cli(capsys):
     assert run(["verify-suite", "gadgets"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines and all(line.startswith("PASS") for line in lines)
+
+
+def test_csv_refused_without_table(tmp_path, capsys):
+    g = tmp_path / "g.el"
+    run(["gen", "gnp", "--n", 8, "--p", "0.5", "--out", g])
+    capsys.readouterr()
+    assert run(["--format", "csv", "recognize", "--property", "cograph",
+                "--in", g]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ptlab:") and "recognize" in captured.err
+
+
+def test_every_report_is_timed(tmp_path):
+    g = tmp_path / "g.el"
+    run(["--seed", 2, "gen", "gnp", "--n", 8, "--p", "0.5", "--out", g])
+    commands = {
+        "recognize": ["--property", "cograph", "--in", g],
+        "test": ["--in", g, "--tester", "triple", "--t", 2, "--trials", 20],
+        "curve": ["--in", g, "--tester", "triple", "--budgets", "1,2", "--trials", 20],
+        "decompose": ["--in", g, "--beta", "1/10"],
+        "distance": ["--in", g, "--property", "cograph"],
+        "search-extremal": ["--n", 5, "--beta", "1/5", "--effort", 2],
+        "pipeline-hardness": ["--k", "3", "--d", 8, "--trials", 10, "--retries", 1],
+        "pipeline-easy": ["--n", 8, "--distances", "1", "--budgets", "1",
+                          "--trials", 10],
+    }
+    for command, args in commands.items():
+        out = tmp_path / f"{command}.json"
+        assert run([command, *args, "--out", out]) == 0, command
+        report = json.loads(out.read_text())
+        validate_report(report)
+        assert report["command"] == report["spec"]["name"] == command
+        seconds = report["timings"]["seconds"]
+        assert isinstance(seconds, float) and seconds >= 0, command
+
+
+CSV_PINNED = {
+    "test": (["--seed", 5, "test", "--in", "{g}", "--tester", "triple", "--t", 5,
+              "--trials", 300],
+             "kind,d,t,trials,rejections,rate,wilson_lo,wilson_hi,queries_per_trial\r\n"
+             "triple-density,,5,300,127,0.42333333333333334,0.3687385228107271,"
+             "0.47986673277703656,15\r\n"),
+    "curve": (["--seed", 5, "curve", "--in", "{g}", "--tester", "quadruple",
+               "--budgets", "1,2,4", "--trials", 200],
+              "budget,trials,rejections,rate,wilson_lo,wilson_hi,queries_per_trial\r\n"
+              "1,200,37,0.185,0.13730192800616042,0.2445706276115175,6\r\n"
+              "2,200,78,0.39,0.3250834313746962,0.4590625404283025,12\r\n"
+              "4,200,97,0.485,0.41667385171877513,0.5538915080725428,24\r\n"),
+    "pipeline-hardness": (
+        ["--seed", 9, "pipeline-hardness", "--k", "3", "--d", 10, "--trials", 50,
+         "--retries", 4],
+        "k,graph,property,farness,d,trials,rejection_rate,wilson_lo,wilson_hi\r\n"
+        "3,gadget,induced-c5-free,0.0001234567901234568,10,50,0.0,0.0,"
+        "0.07134759913335872\r\n"
+        "3,gadget,comparability-order,0.0001234567901234568,10,50,0.0,0.0,"
+        "0.07134759913335872\r\n"
+        "3,control,induced-c5-free,0.0001234567901234568,10,50,0.68,"
+        "0.5418970269185592,0.7924178373934316\r\n"
+        "3,control,comparability,0.0001234567901234568,10,50,0.92,"
+        "0.8116175308165717,0.968450485911407\r\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CSV_PINNED))
+def test_csv_bytes_pinned(tmp_path, command):
+    g = tmp_path / "g.el"
+    run(["--seed", 2, "gen", "gnp", "--n", 18, "--p", "0.5", "--out", g])
+    args, expected = CSV_PINNED[command]
+    out = tmp_path / "out.csv"
+    assert run(["--format", "csv", *[str(a).format(g=g) for a in args],
+                "--out", out]) == 0
+    assert out.read_bytes() == expected.encode()

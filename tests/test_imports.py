@@ -1,0 +1,33 @@
+"""Every module-level import of a ptlab module is used by that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ptlab
+
+MODULES = sorted(p for p in Path(ptlab.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_is_caught():
+    assert unused_imports("import os\nfrom typing import Iterable, Sequence\n"
+                          "x: Sequence[int] = []\n") == ["os", "Iterable"]

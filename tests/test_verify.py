@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import ptlab.verify as verify
@@ -54,6 +56,19 @@ def test_fault_injection_breaks_distance_dominates_tau(monkeypatch):
     detail = _failed(run_suite("packing", chain_draws=5)).get(
         "edit distance to triangle-freeness is at least tau")
     assert detail and "< tau" in detail
+
+
+def test_fault_injection_breaks_tau_nu_chain(monkeypatch):
+    # drop one triangle from every packing of two or more: tau stays within
+    # the chain often enough, but the dropped triangle survives the deletion
+    def dropping_packing(g, mode="exact", rng=None):
+        p = triangle_packing(g, mode, rng)
+        return replace(p, tuples=p.tuples[1:]) if len(p) > 1 else p
+
+    monkeypatch.setattr(verify, "triangle_packing", dropping_packing)
+    detail = _failed(run_suite("packing", chain_draws=30)).get(
+        "tau <= nu <= 3*tau and a maximum packing is maximal over 30 draws (n <= 12)")
+    assert detail and "deleting the packing's edges leaves a triangle" in detail
 
 
 def test_fault_injection_breaks_far_graphs_have_p3(monkeypatch):
