@@ -9,6 +9,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -177,10 +178,8 @@ def _tester_config(args, budget: int | None = None) -> TesterConfig:
 
 def _emit(args, params: dict, graphs: list, results: dict, table=None) -> int:
     """Write a command's JSON report, or under --format csv its `table`
-    (header, rows); a command without a table refuses csv."""
+    (header, rows); `main` refuses csv for commands not in CSV_COMMANDS."""
     if args.format == "csv":
-        if table is None:
-            raise ValueError(f"{args.command} has no CSV output; use --format json")
         write_csv(table[1], table[0], args.out)
     else:
         write_report(make_report(
@@ -346,10 +345,11 @@ def cmd_search_extremal(args) -> int:
 def cmd_verify_suite(args) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     failures = 0
-    for name in names:
-        for res in run_suite(name, seed=args.seed):
-            print(res.line())
-            failures += 0 if res.passed else 1
+    with nullcontext(sys.stdout) if args.out in (None, "-") else open(args.out, "w") as out:
+        for name in names:
+            for res in run_suite(name, seed=args.seed):
+                print(res.line(), file=out)
+                failures += 0 if res.passed else 1
     if failures:
         print(f"{failures} invariant check(s) FAILED", file=sys.stderr)
         return EXIT_INVARIANT
@@ -386,12 +386,16 @@ COMMANDS = {
     "pipeline-hardness": cmd_pipeline_hardness,
     "pipeline-easy": cmd_pipeline_easy,
 }
+CSV_COMMANDS = ("test", "curve", "pipeline-hardness", "pipeline-easy")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.started = time.perf_counter()
+    if args.format == "csv" and args.command not in CSV_COMMANDS:
+        print(f"ptlab: {args.command} has no CSV output; use --format json", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return COMMANDS[args.command](args)
     except ParseError as exc:

@@ -256,10 +256,7 @@ class PartLabeling:
         return self.parts[self.names.index(name)]
 
     def part_mask(self, name: str) -> int:
-        mask = 0
-        for v in self.part(name):
-            mask |= 1 << v
-        return mask
+        return sum(1 << v for v in self.part(name))
 
     def part_index_of(self) -> list[int]:
         """Array mapping vertex -> index of its part in the part order."""
@@ -303,14 +300,16 @@ def complement(g: Graph) -> Graph:
 def _reindexed_rows(rows: Sequence[int], vertices: Iterable[int]) -> list[int]:
     """Rows restricted to `vertices` and renumbered in ascending vertex order."""
     vs = _checked_subset(vertices, len(rows))
-    pos = {v: i for i, v in enumerate(vs)}
-    mask = 0
+    bit = {1 << v: 1 << i for i, v in enumerate(vs)}  # host bit -> new bit
+    mask = sum(bit)  # the kept host bits
+    out = []
     for v in vs:
-        mask |= 1 << v
-    out = [0] * len(vs)
-    for i, v in enumerate(vs):
-        for w in iter_bits(rows[v] & mask):
-            out[i] |= 1 << pos[w]
+        row, new = rows[v] & mask, 0
+        while row:
+            low = row & -row
+            new |= bit[low]
+            row ^= low
+        out.append(new)
     return out
 
 
@@ -381,20 +380,19 @@ def count_induced_c5(g: Graph, exact_bound: int = C5_EXACT_BOUND) -> int:
         raise ValueError(
             f"exact induced-C5 count refused for n={g.n} > {exact_bound}; "
             "use the sampling estimator")
-    return sum(fan[4].bit_count() for fan in _induced_c5_fans(g))
+    return sum(fan[4].bit_count() for fan in _induced_c5_fans(g.rows, (1 << g.n) - 1))
 
 
-def _induced_c5_fans(g: Graph) -> Iterator[tuple[int, int, int, int, int]]:
-    """Canonical induced-5-cycle enumeration, grouped by the last vertex.
+def _induced_c5_fans(rows: Sequence[int], mask: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Canonical induced-5-cycle enumeration inside `mask`, grouped by the last vertex.
 
     Yields (v0, v1, v2, v4, v3s) for every path v1-v0-v4 with v0 the
     cycle's minimum vertex and v1 < v4, and every v2 extending it, whose
     closing set v3s (vertices adjacent to v2 and v4 that complete an induced
     5-cycle) is nonempty. Each induced 5-cycle is one bit of one v3s.
     """
-    rows = g.rows
-    for v0 in range(g.n):
-        above = -1 << (v0 + 1)
+    for v0 in iter_bits(mask):
+        above = mask & (-1 << (v0 + 1))
         nbrs = rows[v0] & above
         for v1 in iter_bits(nbrs):
             for v4 in iter_bits(nbrs >> (v1 + 1)):

@@ -17,16 +17,14 @@ from .decomposition import AboveCap, distance_to_property
 from .gadgets import ap3_free_set, build_c5_gadget, rs_graph
 from .graphs import (
     Graph,
-    count_triangles,
     flip_pairs,
     gnp,
     induced_subgraph,
-    is_cycle_5,
     random_cograph,
     sample_vertices,
 )
 from .packing import PackingError, WitnessPacking
-from .recognizers import check_order_transitivity, is_cograph
+from .recognizers import _find_triangle, check_order_transitivity, is_cograph
 from .rng import Stream, _trial_streams
 from .testers import TesterConfig, estimate_detection, wilson95
 
@@ -71,7 +69,8 @@ def sampled_c5_packing(g: Graph, target: int, budget: int, rng: Stream) -> Witne
         if len(chosen) >= target:
             break
         pick = tuple(sorted(int(v) for v in gen.choice(g.n, size=5, replace=False)))
-        if not is_cycle_5(induced_subgraph(g, pick)):
+        mask = sum(1 << v for v in pick)
+        if any((g.rows[v] & mask).bit_count() != 2 for v in pick):  # 2-regular: a C5
             continue
         ps = set(pick)
         if all(len(ps & vs) <= 1 for vs in vsets):
@@ -130,8 +129,8 @@ def pipeline_hardness(ks: Sequence[int], d: int, trials: int, rng: Stream,
             ok = check_order_transitivity(sub, gb.labeling.restrict(pick)).member
             if not ok:
                 rejections += 1
-            fpart = [v - offset for v in pick if v >= offset]
-            if count_triangles(induced_subgraph(f, fpart)) == 0:
+            fmask = sum(1 << (v - offset) for v in pick if v >= offset)
+            if _find_triangle(f.rows, fmask) is None:
                 trifree += 1
                 if ok:
                     passed += 1

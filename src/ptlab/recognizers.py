@@ -2,21 +2,23 @@
 
 Every decider returns a `RecognitionResult`; a negative answer carries a
 witness (a forbidden induced structure, or a violating arc pattern for
-posets) that re-verifies independently of the decision path.
+posets) that re-verifies independently of the decision path. Each
+structure scan is a core on (rows, mask): it sees only the vertices of
+`mask`, in host indexing, and returns its first hit or None. Recognizers
+pass all of g; the universal tester passes a sample's mask (`_CORES`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
 
 from .graphs import (
     Graph,
     Digraph,
     PartLabeling,
     _induced_c5_fans,
-    complement,
     components,
     cycle_graph,
     complete_graph,
@@ -72,41 +74,53 @@ class RecognitionResult:
 MEMBER = RecognitionResult(True)
 
 
-def is_triangle_free(g: Graph) -> RecognitionResult:
-    for u in range(g.n):
-        for v in iter_bits(g.rows[u] >> (u + 1)):
-            v += u + 1
-            common = g.rows[u] & g.rows[v]
+def _co_rows(rows: Sequence[int], mask: int) -> dict[int, int]:
+    """Complement rows inside `mask`, for the vertices of `mask`."""
+    return {v: (mask & ~rows[v]) ^ (1 << v) for v in iter_bits(mask)}
+
+
+def _find_triangle(rows: Sequence[int], mask: int) -> tuple[int, ...] | None:
+    """First triangle inside `mask`: the first edge u < v (lexicographic)
+    with a common neighbor, and the lowest such neighbor; sorted."""
+    for u in iter_bits(mask):
+        for v in iter_bits(rows[u] & mask & (-1 << (u + 1))):
+            common = rows[u] & rows[v] & mask
             if common:
-                w = next(iter_bits(common))
-                return RecognitionResult(False, tuple(sorted((u, v, w))), "triangle")
-    return MEMBER
+                return tuple(sorted((u, v, next(iter_bits(common)))))
+    return None
 
 
-def is_cograph(g: Graph) -> RecognitionResult:
-    """Decide by Seinsche decomposition: recurse into components of g, else
-    of its complement; a subgraph where both are connected is a failure, and
-    it must contain an induced 4-vertex path. The witness is the first one
-    the middle-edge scan of `_find_induced_p4` meets inside that subgraph."""
-    if g.n <= 1:
-        return MEMBER
-    crows = complement(g).rows
-    stack = [(1 << g.n) - 1]
+def is_triangle_free(g: Graph) -> RecognitionResult:
+    hit = _find_triangle(g.rows, (1 << g.n) - 1)
+    return MEMBER if hit is None else RecognitionResult(False, hit, "triangle")
+
+
+def _cograph_p4(rows: Sequence[int], mask: int) -> tuple[int, ...] | None:
+    """Seinsche decomposition inside `mask`; the hit is the first induced
+    4-path `_find_induced_p4` meets in a part both connected and co-connected."""
+    crows = _co_rows(rows, mask)
+    stack = [mask]
     while stack:
-        mask = stack.pop()
-        if mask.bit_count() <= 1:
+        part = stack.pop()
+        if part.bit_count() <= 1:
             continue
-        comps = components(g.rows, mask)
+        comps = components(rows, part)
         if len(comps) == 1:
-            comps = components(crows, mask)
+            comps = components(crows, part)
         if len(comps) > 1:
             stack.extend(c for c in comps if c.bit_count() > 1)
             continue
-        witness = _find_induced_p4(g, mask)
+        witness = _find_induced_p4(rows, part)
         if witness is None:
             raise AssertionError("non-decomposable subgraph without an induced 4-path")
-        return RecognitionResult(False, witness, "induced-path-4")
-    return MEMBER
+        return witness
+    return None
+
+
+def is_cograph(g: Graph) -> RecognitionResult:
+    """Decide by Seinsche decomposition; the witness is an induced 4-path."""
+    hit = _cograph_p4(g.rows, (1 << g.n) - 1)
+    return MEMBER if hit is None else RecognitionResult(False, hit, "induced-path-4")
 
 
 # --- induced-H-freeness -----------------------------------------------------
@@ -148,10 +162,9 @@ def _induced_iso(g: Graph, vs: tuple[int, ...], h: Graph, h_deg: list[int]) -> b
     return place(0)
 
 
-def _find_induced_p4(g: Graph, mask: int) -> tuple[int, ...] | None:
+def _find_induced_p4(rows: Sequence[int], mask: int) -> tuple[int, ...] | None:
     """First induced 4-vertex path inside `mask`, scanning middle edges
     {u, v} in lexicographic order, or None."""
-    rows = g.rows
     for u in iter_bits(mask):
         for v in iter_bits(rows[u] & mask & (-1 << (u + 1))):
             a_side = rows[u] & ~rows[v] & mask & ~(1 << v)
@@ -161,6 +174,13 @@ def _find_induced_p4(g: Graph, mask: int) -> tuple[int, ...] | None:
                 if free:
                     d = next(iter_bits(free))
                     return tuple(sorted((a, u, v, d)))
+    return None
+
+
+def _find_induced_c5(rows: Sequence[int], mask: int) -> tuple[int, ...] | None:
+    """First induced 5-cycle inside `mask` in `_induced_c5_fans` order, sorted."""
+    for v0, v1, v2, v4, v3s in _induced_c5_fans(rows, mask):
+        return tuple(sorted((v0, v1, v2, next(iter_bits(v3s)), v4)))
     return None
 
 
@@ -174,16 +194,11 @@ def is_induced_h_free(g: Graph, h: Graph) -> RecognitionResult:
         raise ValueError(f"induced-H search limited to |V(H)| <= {INDUCED_H_MAX}, got {h.n}")
     if h.n > g.n:
         return MEMBER
-    if is_cycle_5(h):
-        fan = next(_induced_c5_fans(g), None)
-        if fan is None:
-            return MEMBER
-        v0, v1, v2, v4, v3s = fan
-        v3 = next(iter_bits(v3s))
-        return RecognitionResult(False, tuple(sorted((v0, v1, v2, v3, v4))), "induced-cycle-5")
-    if is_path_4(h):
-        hit = _find_induced_p4(g, (1 << g.n) - 1)
-        return MEMBER if hit is None else RecognitionResult(False, hit, "induced-path-4")
+    for shape, scan, label in ((is_cycle_5, _find_induced_c5, "induced-cycle-5"),
+                               (is_path_4, _find_induced_p4, "induced-path-4")):
+        if shape(h):
+            hit = scan(g.rows, (1 << g.n) - 1)
+            return MEMBER if hit is None else RecognitionResult(False, hit, label)
     h_deg = [h.degree(v) for v in range(h.n)]
     for vs in combinations(range(g.n), h.n):
         if _induced_iso(g, vs, h, h_deg):
@@ -193,9 +208,10 @@ def is_induced_h_free(g: Graph, h: Graph) -> RecognitionResult:
 
 # --- comparability ----------------------------------------------------------
 
-def _verify_transitive(out: list[int]) -> tuple[int, int, int] | None:
-    """A triple (u, v, z) with u->v, v->z but not u->z, or None."""
-    for u in range(len(out)):
+def _verify_transitive(out: Sequence[int] | dict[int, int], mask: int
+                       ) -> tuple[int, int, int] | None:
+    """A triple (u, v, z), u in `mask`, with u->v, v->z but not u->z, or None."""
+    for u in iter_bits(mask):
         for v in iter_bits(out[u]):
             bad = out[v] & ~out[u]
             if bad:
@@ -203,46 +219,53 @@ def _verify_transitive(out: list[int]) -> tuple[int, int, int] | None:
     return None
 
 
-def _force_orientation(g: Graph) -> list[int] | None:
-    """Orient g by implication-class forcing; None on a class contradiction.
+def _force_orientation(rows: Sequence[int], mask: int
+                       ) -> tuple[dict[int, int], tuple[int, int] | None]:
+    """Orient g[mask] by implication-class forcing.
 
     Classes are grown inside the not-yet-oriented partial graph: edges
     {x,y},{x,z} with y,z currently non-adjacent must point the same way at
     x. Each completed class is removed before the next seed edge (lowest
-    lexicographic) is oriented. For a comparability graph the union of the
-    class orientations is transitive; the caller verifies.
+    lexicographic) is oriented. Arcs are head (`out`) and tail (`inn`)
+    bitmasks per vertex; on unoriented edges they hold the growing class.
+    Returns the arc rows and None, or the seed arc of the first class that
+    forces an edge both ways. The caller verifies transitivity.
     """
-    n = g.n
-    rem = list(g.rows)
-    out = [0] * n
-    for a in range(n):
-        for b_off in iter_bits(rem[a] >> (a + 1)):
-            b = a + 1 + b_off
-            if not (rem[a] >> b) & 1:
-                continue  # swept into an earlier class
-            arcs = {(a, b)}
+    rem = {v: rows[v] & mask for v in iter_bits(mask)}
+    out = dict.fromkeys(rem, 0)
+    inn = dict.fromkeys(rem, 0)
+    for a in rem:
+        while rem[a] >> (a + 1):
+            b = next(iter_bits(rem[a] & (-1 << (a + 1))))
+            out[a] |= 1 << b
+            inn[b] |= 1 << a
+            touched = (1 << a) | (1 << b)
             queue = [(a, b)]
             while queue:
                 x, y = queue.pop()
-                for z in iter_bits(rem[x] & ~rem[y] & ~(1 << y)):
-                    arc = (x, z)
-                    if arc not in arcs:
-                        if (z, x) in arcs:
-                            return None
-                        arcs.add(arc)
-                        queue.append(arc)
-                for z in iter_bits(rem[y] & ~rem[x] & ~(1 << x)):
-                    arc = (z, y)
-                    if arc not in arcs:
-                        if (y, z) in arcs:
-                            return None
-                        arcs.add(arc)
-                        queue.append(arc)
-            for x, y in arcs:
-                rem[x] &= ~(1 << y)
-                rem[y] &= ~(1 << x)
-                out[x] |= 1 << y
-    return out
+                heads = rem[x] & ~rem[y] & ~(1 << y) & ~out[x]
+                tails = rem[y] & ~rem[x] & ~(1 << x) & ~inn[y]
+                if heads & inn[x] or tails & out[y]:
+                    return out, (a, b)
+                out[x] |= heads
+                inn[y] |= tails
+                for z in iter_bits(heads):
+                    inn[z] |= 1 << x
+                    queue.append((x, z))
+                for z in iter_bits(tails):
+                    out[z] |= 1 << y
+                    queue.append((z, y))
+                touched |= heads | tails
+            for v in iter_bits(touched):
+                rem[v] &= ~(out[v] | inn[v])
+    return out, None
+
+
+def _comparability_hit(rows: Sequence[int], mask: int) -> tuple[int, ...] | None:
+    """None if forcing orients g[mask] transitively; else the seed arc of a
+    contradicting class, or an intransitive triple of the orientation."""
+    out, conflict = _force_orientation(rows, mask)
+    return conflict or _verify_transitive(out, mask)
 
 
 def _orientable_exhaustive(g: Graph) -> bool:
@@ -282,20 +305,19 @@ def _orientable_exhaustive(g: Graph) -> bool:
     return rec(0)
 
 
-def _minimal_failing_subset(g: Graph, fails: Callable[[Graph], bool]) -> tuple[int, ...]:
-    """Greedy vertex deletion to a minimal induced subgraph with `fails` true.
+def _minimal_failing_subset(fails: Callable[[int], bool], mask: int) -> tuple[int, ...]:
+    """Greedy vertex deletion from `mask` to a minimal set with `fails` true.
 
     Valid because failing is preserved upward for hereditary properties: a
     superset of a failing set fails too, so one pass yields minimality.
     """
-    keep = list(range(g.n))
-    for v in range(g.n):
-        if len(keep) <= 2:
+    keep = mask
+    for v in iter_bits(mask):
+        if keep.bit_count() <= 2:
             break
-        trial = [u for u in keep if u != v]
-        if len(trial) < len(keep) and fails(induced_subgraph(g, trial)):
-            keep = trial
-    return tuple(keep)
+        if fails(keep & ~(1 << v)):
+            keep &= ~(1 << v)
+    return tuple(iter_bits(keep))
 
 
 def is_comparability(g: Graph, mode: str = "forcing") -> RecognitionResult:
@@ -306,36 +328,36 @@ def is_comparability(g: Graph, mode: str = "forcing") -> RecognitionResult:
     correctness oracle for the forcing path. A negative answer's witness is
     a minimal non-orientable induced subgraph.
     """
-    if mode == "forcing":
-        def decide(h: Graph) -> bool:
-            out = _force_orientation(h)
-            return out is not None and _verify_transitive(out) is None
-    elif mode == "exhaustive":
-        if g.n > COMPARABILITY_EXHAUSTIVE_BOUND:
-            raise ValueError(
-                f"exhaustive orientation limited to n <= {COMPARABILITY_EXHAUSTIVE_BOUND}")
-        decide = _orientable_exhaustive
-    else:
+    if mode not in ("forcing", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
-    if decide(g):
+    if mode == "exhaustive" and g.n > COMPARABILITY_EXHAUSTIVE_BOUND:
+        raise ValueError(
+            f"exhaustive orientation limited to n <= {COMPARABILITY_EXHAUSTIVE_BOUND}")
+
+    def fails(mask: int) -> bool:
+        if mode == "forcing":
+            return _comparability_hit(g.rows, mask) is not None
+        return not _orientable_exhaustive(induced_subgraph(g, iter_bits(mask)))
+
+    full = (1 << g.n) - 1
+    if not fails(full):
         return MEMBER
-    witness = _minimal_failing_subset(g, lambda h: not decide(h))
-    return RecognitionResult(False, witness, "non-orientable-subgraph")
+    return RecognitionResult(False, _minimal_failing_subset(fails, full),
+                             "non-orientable-subgraph")
 
 
 # --- perfectness ------------------------------------------------------------
 
-def _find_odd_hole(g: Graph) -> tuple[int, ...] | None:
-    """A chordless odd cycle of length >= 5, by DFS over chordless paths.
+def _find_odd_hole(rows: Sequence[int], mask: int) -> tuple[int, ...] | None:
+    """A chordless odd cycle of length >= 5 inside `mask`, by DFS over chordless paths.
 
     Cycles are walked from their minimum vertex v0; a path v0..vk may grow
     only into vertices above v0 that avoid the neighborhoods of the path's
     interior (keeping it chordless), and closes at a neighbor of v0 when
     the resulting cycle has odd length at least 5.
     """
-    rows = g.rows
-    for v0 in range(g.n):
-        above = -1 << (v0 + 1)
+    for v0 in iter_bits(mask):
+        above = mask & (-1 << (v0 + 1))
         for v1 in iter_bits(rows[v0] & above):
             # entries: (path, neighborhoods of interior v1..v_{k-1}, path bits)
             stack = [((v0, v1), 0, (1 << v0) | (1 << v1))]
@@ -353,19 +375,26 @@ def _find_odd_hole(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
+def _odd_hole_or_antihole(rows: Sequence[int], mask: int, exact_bound: int = PERFECT_EXACT_BOUND
+                          ) -> tuple[tuple[int, ...], str] | None:
+    """An odd hole inside `mask`, else an odd antihole, as (sorted
+    vertices, label), or None; refused above `exact_bound` vertices."""
+    n = mask.bit_count()
+    if n > exact_bound:
+        raise ValueError(f"exact perfectness limited to n <= {exact_bound}, got {n}")
+    hole = _find_odd_hole(rows, mask)
+    if hole is not None:
+        return tuple(sorted(hole)), "odd-hole"
+    antihole = _find_odd_hole(_co_rows(rows, mask), mask)
+    return None if antihole is None else (tuple(sorted(antihole)), "odd-antihole")
+
+
 def is_perfect(g: Graph, exact_bound: int = PERFECT_EXACT_BOUND) -> RecognitionResult:
     """Perfect iff neither g nor its complement has an induced odd cycle of
     length >= 5 (strong perfect graph characterization); witness-producing,
     guarded to small n."""
-    if g.n > exact_bound:
-        raise ValueError(f"exact perfectness limited to n <= {exact_bound}, got {g.n}")
-    hole = _find_odd_hole(g)
-    if hole is not None:
-        return RecognitionResult(False, tuple(sorted(hole)), "odd-hole")
-    antihole = _find_odd_hole(complement(g))
-    if antihole is not None:
-        return RecognitionResult(False, tuple(sorted(antihole)), "odd-antihole")
-    return MEMBER
+    hit = _odd_hole_or_antihole(g.rows, (1 << g.n) - 1, exact_bound)
+    return MEMBER if hit is None else RecognitionResult(False, *hit)
 
 
 # --- posets and ordered orientations ----------------------------------------
@@ -412,7 +441,7 @@ def check_order_transitivity(g: Graph, labeling: PartLabeling) -> RecognitionRes
     orientation itself is the certificate.
     """
     d = orient_by_part_order(g, labeling)
-    bad = _verify_transitive(list(d.rows))
+    bad = _verify_transitive(d.rows, (1 << d.n) - 1)
     if bad is None:
         return MEMBER
     return RecognitionResult(False, bad, "intransitive")
@@ -422,6 +451,11 @@ def check_order_transitivity(g: Graph, labeling: PartLabeling) -> RecognitionRes
 
 _CYCLE_5 = cycle_graph(5)
 _PATH_4 = path_graph(4)
+
+# each named property's scan core, for callers that need only the decision
+_CORES = {"triangle-free": _find_triangle, "cograph": _cograph_p4,
+          "comparability": _comparability_hit, "perfect": _odd_hole_or_antihole,
+          "induced-c5-free": _find_induced_c5, "induced-p3-free": _find_induced_p4}
 
 
 def named_graph(token: str) -> Graph:

@@ -7,15 +7,16 @@ its own counter block of the batch's generator (see `rng`), so its draws
 depend only on (seed, path, i) and reports are identical for a fixed seed
 no matter how trials are scheduled or split over processes.
 
-Within a trial, the universal tester draws one vertex sample. The density
-testers draw their t tuples in blocks, one `integers` call per block, sized
-so that the block is expected to hold the distinct-vertex tuples still
-needed (at most `_BLOCK` tuples); a tuple with a repeated vertex is dropped
-and made up for in the next block, so the t tuples tested are independent
-and uniform over tuples of distinct vertices. Bounded draws take the
-generator's words in order whatever the block shape, so a trial tests the
-same tuples, in the same order, as one draw per tuple would. Each tuple is
-tested on the adjacency rows directly, with no induced subgraph built.
+Within a trial, the universal tester draws one vertex sample and decides
+it on the host's rows under the sample's bitmask. The density testers draw
+their t tuples in blocks, one `integers` call per block, sized so that the
+block is expected to hold the distinct-vertex tuples still needed (at most
+`_BLOCK` tuples); a tuple with a repeated vertex is dropped and made up for
+in the next block, so the t tuples tested are independent and uniform over
+tuples of distinct vertices. Bounded draws take the generator's words in
+order whatever the block shape, so a trial tests the same tuples, in the
+same order, as one draw per tuple would. Each tuple is tested on the
+adjacency rows directly, with no induced subgraph built.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .graphs import Graph, induced_subgraph, sample_vertices
-from .recognizers import property_recognizer
+from .recognizers import _CORES, property_recognizer
 from .rng import _MAX_TRIALS, Stream, _trial_streams
 
 __all__ = [
@@ -67,9 +68,9 @@ _ACCEPTED = Verdict(True)
 class TesterConfig:
     """Which tester to run and with what budget.
 
-    kind "universal" samples d vertices and asks the exact recognizer named
-    by `property_name`; "triple-density" / "quadruple-density" sample t
-    uniform 3-/4-subsets and look for a triangle / an induced 4-path.
+    kind "universal" samples d vertices and decides the property named by
+    `property_name` on them exactly; "triple-density" / "quadruple-density"
+    sample t uniform 3-/4-subsets and look for a triangle / an induced 4-path.
     """
 
     __test__ = False  # keep pytest from collecting the Test* name
@@ -140,15 +141,18 @@ class TesterReport:
                 "queries_per_trial": self.queries_per_trial}
 
 
-def universal_tester(g: Graph, d: int, recognizer, rng: Stream) -> Verdict:
-    """Sample d vertices; accept iff their induced subgraph is in the
-    property. One-sided by construction."""
+def universal_tester(g: Graph, d: int, property_name: str, rng: Stream) -> Verdict:
+    """Sample d vertices; accept iff their induced subgraph has the named
+    property (one-sided). A property with a scan core is decided on the host's
+    rows under the sample's mask, any other on the induced subgraph."""
     if d > g.n:
         raise ValueError(f"cannot sample d={d} from n={g.n}")
     sample = sample_vertices(g.n, d, rng)
-    if recognizer(induced_subgraph(g, sample)).member:
-        return _ACCEPTED
-    return Verdict(False, sample)
+    if property_name in _CORES:
+        member = _CORES[property_name](g.rows, sum(1 << v for v in sample)) is None
+    else:
+        member = property_recognizer(property_name)(induced_subgraph(g, sample)).member
+    return _ACCEPTED if member else Verdict(False, sample)
 
 
 def _distinct_tuples(gen, n: int, k: int, t: int) -> Iterator[list[int]]:
@@ -201,7 +205,7 @@ def induced_p3_tester(g: Graph, t: int, rng: Stream) -> Verdict:
 
 def run_tester(g: Graph, config: TesterConfig, rng: Stream) -> Verdict:
     if config.kind == "universal":
-        return universal_tester(g, config.d, property_recognizer(config.property_name), rng)
+        return universal_tester(g, config.d, config.property_name, rng)
     if config.kind == "triple-density":
         return triangle_tester(g, config.t, rng)
     return induced_p3_tester(g, config.t, rng)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import ptlab.cli as cli
 from ptlab.cli import main
 from ptlab.graph_io import read_digraph, read_graph
 from ptlab.reports import validate_report
@@ -245,6 +246,29 @@ def test_verify_suite_cli(capsys):
     assert run(["verify-suite", "gadgets"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines and all(line.startswith("PASS") for line in lines)
+
+
+def test_verify_suite_writes_to_out(tmp_path, capsys):
+    out = tmp_path / "suite.txt"
+    assert run(["verify-suite", "gadgets", "--out", out]) == 0
+    assert capsys.readouterr().out == ""
+    lines = out.read_text().splitlines()
+    assert lines and all(line.startswith("PASS") for line in lines)
+
+
+@pytest.mark.parametrize("command, args", [
+    ("search-extremal", ["--n", 8, "--beta", "1/5", "--effort", 30]),
+    ("gen", ["gnp", "--n", 5, "--p", "0.5"]),
+    ("verify-suite", ["gadgets"]),
+])
+def test_csv_refused_before_the_command_runs(tmp_path, capsys, monkeypatch, command, args):
+    monkeypatch.setitem(cli.COMMANDS, command, lambda a: pytest.fail(f"{command} ran"))
+    out = tmp_path / "out"
+    assert run(["--format", "csv", command, *args, "--out", out]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ptlab:") and command in captured.err
 
 
 def test_csv_refused_without_table(tmp_path, capsys):

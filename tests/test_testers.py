@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ptlab.gadgets import ap3_free_set, rs_graph
+from ptlab.gadgets import ap3_free_set, build_c5_gadget, rs_graph
 from ptlab.graphs import (
     Graph,
     complete_graph,
@@ -15,7 +15,6 @@ from ptlab.graphs import (
     path_graph,
     random_cograph,
 )
-from ptlab.recognizers import is_cograph
 from ptlab.rng import Stream
 from ptlab.testers import (
     _BLOCK,
@@ -39,15 +38,14 @@ def test_one_sidedness():
     for i in range(200):
         assert triangle_tester(trifree, 5, rng.child(1, i)).accepted
         assert induced_p3_tester(cg, 5, rng.child(2, i)).accepted
-        assert universal_tester(cg, 7, is_cograph, rng.child(3, i)).accepted
+        assert universal_tester(cg, 7, "cograph", rng.child(3, i)).accepted
 
 
 def test_forced_rejections():
     rng = Stream(103)
-    v = universal_tester(path_graph(4), 4, is_cograph, rng.child(0))
+    v = universal_tester(path_graph(4), 4, "cograph", rng.child(0))
     assert not v.accepted and v.witness == (0, 1, 2, 3)
-    v = universal_tester(cycle_graph(5), 5,
-                         lambda g: is_cograph(g), rng.child(1))
+    v = universal_tester(cycle_graph(5), 5, "cograph", rng.child(1))
     assert not v.accepted
     assert not triangle_tester(complete_graph(9), 1, rng.child(2)).accepted
     assert not induced_p3_tester(path_graph(4), 1, rng.child(3)).accepted
@@ -158,7 +156,7 @@ def test_many_blocks_on_members_always_accept():
 def test_tester_guards():
     rng = Stream(107)
     with pytest.raises(ValueError):
-        universal_tester(cycle_graph(5), 6, is_cograph, rng)
+        universal_tester(cycle_graph(5), 6, "cograph", rng)
     with pytest.raises(ValueError):
         triangle_tester(complete_graph(2), 1, rng)
     with pytest.raises(ValueError):
@@ -294,3 +292,28 @@ def test_theoretical_sample_counts():
         theoretical_sample_counts(2)
     with pytest.raises(ValueError):
         theoretical_sample_counts(0)
+
+
+# rejections of 300 universal trials on Stream(1701, (j, d)), j the property's
+# index in PINNED_PROPERTIES; computed when the universal tester still
+# decided every sample on its induced subgraph
+PINNED_PROPERTIES = ["triangle-free", "cograph", "comparability", "perfect",
+                     "induced-c5-free", "induced-p3-free", "induced-h-free:cycle:4"]
+PINNED_REJECTIONS = {
+    "rs": {10: [146, 209, 36, 18, 12, 214, 44], 14: [259, 296, 146, 78, 78, 288, 162]},
+    "gadget": {10: [1, 46, 2, 4, 2, 43, 282], 14: [2, 72, 5, 11, 3, 93, 300]},
+}
+
+
+def test_universal_reports_pinned():
+    rb = rs_graph(5, ap3_free_set(5, "exact"))
+    r3 = rs_graph(3, ap3_free_set(3, "exact"))
+    gb = build_c5_gadget(r3.graph, r3.labeling.relabel(("V2", "V3", "V5")), r3.certificate)
+    hosts = {"rs": rb.graph, "gadget": gb.graph}
+    for host, by_d in PINNED_REJECTIONS.items():
+        for d, expected in by_d.items():
+            for j, prop in enumerate(PINNED_PROPERTIES):
+                rep = estimate_detection(
+                    hosts[host], TesterConfig("universal", d=d, property_name=prop), 300,
+                    Stream(1701, (j, d)))
+                assert rep.rejections == expected[j], (host, d, prop)
