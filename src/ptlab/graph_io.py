@@ -3,7 +3,8 @@
 Undirected: first non-comment line `n m`, then m lines `u v` with
 0 <= u < v < n. Directed: header `n m directed`, then m arc lines `u v`
 meaning u->v. `#` starts a comment; tokens are whitespace-separated.
-Duplicates, self-loops, and out-of-range indices are parse errors.
+Duplicates, self-loops, out-of-range indices and a header n above 2**20
+are parse errors.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ __all__ = ["ParseError", "read_graph", "write_graph", "read_digraph", "write_dig
 
 class ParseError(ValueError):
     """Malformed graph file."""
+
+
+# largest vertex count a file may declare; refused before anything is allocated
+_MAX_N = 1 << 20
 
 
 def _content_lines(text: str):
@@ -47,6 +52,8 @@ def _parse(text: str, expect_directed: bool):
         raise ParseError(f"line {lineno}: non-integer header fields") from None
     if n < 0 or m < 0:
         raise ParseError(f"line {lineno}: negative n or m")
+    if n > _MAX_N:
+        raise ParseError(f"line {lineno}: n={n} exceeds the limit of {_MAX_N} vertices")
     if directed != expect_directed:
         want = "directed" if expect_directed else "undirected"
         raise ParseError(f"line {lineno}: expected a {want} graph file")

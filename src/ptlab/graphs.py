@@ -272,15 +272,6 @@ class PartLabeling:
             raise ValueError(f"need {len(self.parts)} names, got {len(names)}")
         return PartLabeling(self.n, list(zip(names, self.parts)), allow_empty=True)
 
-    def restrict(self, vertices: Iterable[int]) -> "PartLabeling":
-        """Labeling induced on a vertex subset, reindexed like induced_subgraph."""
-        vs = _checked_subset(vertices, self.n)
-        pos = {v: i for i, v in enumerate(vs)}
-        keep = set(vs)
-        named = [(name, [pos[v] for v in part if v in keep])
-                 for name, part in zip(self.names, self.parts)]
-        return PartLabeling(len(vs), named, allow_empty=True)
-
 
 def _checked_subset(vertices: Iterable[int], n: int) -> list[int]:
     """`vertices` as ascending distinct ints in 0..n-1. Numpy integers are
@@ -369,16 +360,16 @@ def count_induced_p3(g: Graph) -> int:
     return total
 
 
-def count_induced_c5(g: Graph, exact_bound: int = C5_EXACT_BOUND) -> int:
+def count_induced_c5(g: Graph) -> int:
     """Number of 5-vertex subsets inducing a 5-cycle. Exact; refuses large n.
 
     Canonical enumeration: v0 is the cycle's minimum vertex, its two cycle
     neighbors v1 < v4, then v2 ~ v1 and v3 ~ v2,v4 subject to the C5
     non-adjacency pattern, so each copy is generated exactly once.
     """
-    if g.n > exact_bound:
+    if g.n > C5_EXACT_BOUND:
         raise ValueError(
-            f"exact induced-C5 count refused for n={g.n} > {exact_bound}; "
+            f"exact induced-C5 count refused for n={g.n} > {C5_EXACT_BOUND}; "
             "use the sampling estimator")
     return sum(fan[4].bit_count() for fan in _induced_c5_fans(g.rows, (1 << g.n) - 1))
 

@@ -15,16 +15,9 @@ from typing import Sequence
 
 from .decomposition import AboveCap, distance_to_property
 from .gadgets import ap3_free_set, build_c5_gadget, rs_graph
-from .graphs import (
-    Graph,
-    flip_pairs,
-    gnp,
-    induced_subgraph,
-    random_cograph,
-    sample_vertices,
-)
+from .graphs import Graph, flip_pairs, gnp, random_cograph, sample_vertices
 from .packing import PackingError, WitnessPacking
-from .recognizers import _find_triangle, check_order_transitivity, is_cograph
+from .recognizers import _find_triangle, _later_masks, _order_hit, is_cograph
 from .rng import Stream, _trial_streams
 from .testers import TesterConfig, estimate_detection, wilson95
 
@@ -122,11 +115,11 @@ def pipeline_hardness(ks: Sequence[int], d: int, trials: int, rng: Stream,
                                 rep.rejection_rate, rep.wilson_lo, rep.wilson_hi))
 
         offset = 4 * f.n
+        later = _later_masks(gb.labeling)
         rejections = trifree = passed = 0
         for sample in _trial_streams(kstream.child(2), 0, trials):
             pick = sample_vertices(gadget.n, d, sample)
-            sub = induced_subgraph(gadget, pick)
-            ok = check_order_transitivity(sub, gb.labeling.restrict(pick)).member
+            ok = _order_hit(gadget.rows, sum(1 << v for v in pick), later) is None
             if not ok:
                 rejections += 1
             fmask = sum(1 << (v - offset) for v in pick if v >= offset)

@@ -5,12 +5,14 @@ witness (a forbidden induced structure, or a violating arc pattern for
 posets) that re-verifies independently of the decision path. Each
 structure scan is a core on (rows, mask): it sees only the vertices of
 `mask`, in host indexing, and returns its first hit or None. Recognizers
-pass all of g; the universal tester passes a sample's mask (`_CORES`).
+pass all of g; the universal tester passes a sample's mask (`_core`), and
+so does the gadget's part-order check (`_order_hit`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -23,7 +25,6 @@ from .graphs import (
     cycle_graph,
     complete_graph,
     empty_graph,
-    induced_subgraph,
     is_cycle_5,
     is_path_4,
     iter_bits,
@@ -42,11 +43,9 @@ __all__ = [
     "property_recognizer",
     "named_graph",
     "PERFECT_EXACT_BOUND",
-    "COMPARABILITY_EXHAUSTIVE_BOUND",
 ]
 
 PERFECT_EXACT_BOUND = 14
-COMPARABILITY_EXHAUSTIVE_BOUND = 8
 
 
 @dataclass(frozen=True)
@@ -72,6 +71,8 @@ class RecognitionResult:
 
 
 MEMBER = RecognitionResult(True)
+# a scan core: (rows, mask) -> first hit inside mask, or None
+_Core = Callable[[Sequence[int], int], object]
 
 
 def _co_rows(rows: Sequence[int], mask: int) -> dict[int, int]:
@@ -128,38 +129,28 @@ def is_cograph(g: Graph) -> RecognitionResult:
 INDUCED_H_MAX = 6
 
 
-def _induced_iso(g: Graph, vs: tuple[int, ...], h: Graph, h_deg: list[int]) -> bool:
-    """Is g[vs] isomorphic to h? Backtracking on degree-compatible maps."""
-    k = len(vs)
-    sub = induced_subgraph(g, vs)
-    if sub.m != h.m:
-        return False
-    sub_deg = [sub.degree(i) for i in range(k)]
-    if sorted(sub_deg) != sorted(h_deg):
-        return False
-    image = [-1] * k  # h-vertex -> sub-vertex
-    used = [False] * k
+def _find_induced_h(rows: Sequence[int], mask: int, h: Graph) -> tuple[int, ...] | None:
+    """First h.n-subset of `mask` (lexicographic) that induces a copy of h,
+    or None. A subset with h's degree sequence is matched to h by
+    backtracking over degree-compatible placements."""
+    h_deg = [h.degree(i) for i in range(h.n)]
+    want = sorted(h_deg)
 
-    def place(i: int) -> bool:
-        if i == k:
+    def place(vs: tuple[int, ...], deg: dict[int, int], image: list[int]) -> bool:
+        i = len(image)
+        if i == len(vs):
             return True
-        for cand in range(k):
-            if used[cand] or sub_deg[cand] != h_deg[i]:
-                continue
-            ok = True
-            for j in range(i):
-                if h.has_edge(i, j) != sub.has_edge(cand, image[j]):
-                    ok = False
-                    break
-            if ok:
-                used[cand] = True
-                image[i] = cand
-                if place(i + 1):
-                    return True
-                used[cand] = False
-        return False
+        return any(c not in image and deg[c] == h_deg[i]
+                   and all((h.rows[i] >> j & 1) == (rows[c] >> w & 1)
+                           for j, w in enumerate(image))
+                   and place(vs, deg, image + [c]) for c in vs)
 
-    return place(0)
+    for vs in combinations(iter_bits(mask), h.n):
+        sub = sum(1 << v for v in vs)
+        deg = {v: (rows[v] & sub).bit_count() for v in vs}
+        if sorted(deg.values()) == want and place(vs, deg, []):
+            return vs
+    return None
 
 
 def _find_induced_p4(rows: Sequence[int], mask: int) -> tuple[int, ...] | None:
@@ -184,26 +175,24 @@ def _find_induced_c5(rows: Sequence[int], mask: int) -> tuple[int, ...] | None:
     return None
 
 
-def is_induced_h_free(g: Graph, h: Graph) -> RecognitionResult:
-    """Does g avoid h as an induced subgraph? Enumeration, guarded to small h.
-
-    The 5-cycle and the 4-vertex path get dedicated early-exit scans; other
-    shapes fall back to subset enumeration with isomorphism backtracking.
-    """
+def _h_core(h: Graph) -> tuple[_Core, str]:
+    """The scan core deciding induced-h-freeness on (rows, mask), and its
+    witness label: dedicated scans for the 5-cycle and the 4-vertex path,
+    the general subset scan for any other h of at most INDUCED_H_MAX vertices."""
     if h.n > INDUCED_H_MAX:
         raise ValueError(f"induced-H search limited to |V(H)| <= {INDUCED_H_MAX}, got {h.n}")
-    if h.n > g.n:
-        return MEMBER
-    for shape, scan, label in ((is_cycle_5, _find_induced_c5, "induced-cycle-5"),
-                               (is_path_4, _find_induced_p4, "induced-path-4")):
-        if shape(h):
-            hit = scan(g.rows, (1 << g.n) - 1)
-            return MEMBER if hit is None else RecognitionResult(False, hit, label)
-    h_deg = [h.degree(v) for v in range(h.n)]
-    for vs in combinations(range(g.n), h.n):
-        if _induced_iso(g, vs, h, h_deg):
-            return RecognitionResult(False, vs, "induced-subgraph")
-    return MEMBER
+    if is_cycle_5(h):
+        return _find_induced_c5, "induced-cycle-5"
+    if is_path_4(h):
+        return _find_induced_p4, "induced-path-4"
+    return partial(_find_induced_h, h=h), "induced-subgraph"
+
+
+def is_induced_h_free(g: Graph, h: Graph) -> RecognitionResult:
+    """Does g avoid h as an induced subgraph? Enumeration, guarded to small h."""
+    core, label = _h_core(h)
+    hit = core(g.rows, (1 << g.n) - 1)
+    return MEMBER if hit is None else RecognitionResult(False, hit, label)
 
 
 # --- comparability ----------------------------------------------------------
@@ -305,8 +294,8 @@ def _orientable_exhaustive(g: Graph) -> bool:
     return rec(0)
 
 
-def _minimal_failing_subset(fails: Callable[[int], bool], mask: int) -> tuple[int, ...]:
-    """Greedy vertex deletion from `mask` to a minimal set with `fails` true.
+def _minimal_failing_subset(core: _Core, rows: Sequence[int], mask: int) -> tuple[int, ...]:
+    """Greedy vertex deletion from `mask` to a minimal set the core still hits.
 
     Valid because failing is preserved upward for hereditary properties: a
     superset of a failing set fails too, so one pass yields minimality.
@@ -315,34 +304,22 @@ def _minimal_failing_subset(fails: Callable[[int], bool], mask: int) -> tuple[in
     for v in iter_bits(mask):
         if keep.bit_count() <= 2:
             break
-        if fails(keep & ~(1 << v)):
+        if core(rows, keep & ~(1 << v)) is not None:
             keep &= ~(1 << v)
     return tuple(iter_bits(keep))
 
 
-def is_comparability(g: Graph, mode: str = "forcing") -> RecognitionResult:
+def is_comparability(g: Graph) -> RecognitionResult:
     """Does g admit a transitive orientation?
 
-    "forcing" runs implication-class forcing and then verifies the full
-    orientation; "exhaustive" (n <= 8) searches all orientations and is the
-    correctness oracle for the forcing path. A negative answer's witness is
-    a minimal non-orientable induced subgraph.
+    Implication-class forcing, then a transitivity check of the full
+    orientation; `_orientable_exhaustive` is its test oracle. A negative
+    answer's witness is a minimal non-orientable induced subgraph.
     """
-    if mode not in ("forcing", "exhaustive"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exhaustive" and g.n > COMPARABILITY_EXHAUSTIVE_BOUND:
-        raise ValueError(
-            f"exhaustive orientation limited to n <= {COMPARABILITY_EXHAUSTIVE_BOUND}")
-
-    def fails(mask: int) -> bool:
-        if mode == "forcing":
-            return _comparability_hit(g.rows, mask) is not None
-        return not _orientable_exhaustive(induced_subgraph(g, iter_bits(mask)))
-
     full = (1 << g.n) - 1
-    if not fails(full):
+    if _comparability_hit(g.rows, full) is None:
         return MEMBER
-    return RecognitionResult(False, _minimal_failing_subset(fails, full),
+    return RecognitionResult(False, _minimal_failing_subset(_comparability_hit, g.rows, full),
                              "non-orientable-subgraph")
 
 
@@ -375,13 +352,13 @@ def _find_odd_hole(rows: Sequence[int], mask: int) -> tuple[int, ...] | None:
     return None
 
 
-def _odd_hole_or_antihole(rows: Sequence[int], mask: int, exact_bound: int = PERFECT_EXACT_BOUND
+def _odd_hole_or_antihole(rows: Sequence[int], mask: int
                           ) -> tuple[tuple[int, ...], str] | None:
     """An odd hole inside `mask`, else an odd antihole, as (sorted
-    vertices, label), or None; refused above `exact_bound` vertices."""
+    vertices, label), or None; refused above PERFECT_EXACT_BOUND vertices."""
     n = mask.bit_count()
-    if n > exact_bound:
-        raise ValueError(f"exact perfectness limited to n <= {exact_bound}, got {n}")
+    if n > PERFECT_EXACT_BOUND:
+        raise ValueError(f"exact perfectness limited to n <= {PERFECT_EXACT_BOUND}, got {n}")
     hole = _find_odd_hole(rows, mask)
     if hole is not None:
         return tuple(sorted(hole)), "odd-hole"
@@ -389,11 +366,11 @@ def _odd_hole_or_antihole(rows: Sequence[int], mask: int, exact_bound: int = PER
     return None if antihole is None else (tuple(sorted(antihole)), "odd-antihole")
 
 
-def is_perfect(g: Graph, exact_bound: int = PERFECT_EXACT_BOUND) -> RecognitionResult:
+def is_perfect(g: Graph) -> RecognitionResult:
     """Perfect iff neither g nor its complement has an induced odd cycle of
     length >= 5 (strong perfect graph characterization); witness-producing,
     guarded to small n."""
-    hit = _odd_hole_or_antihole(g.rows, (1 << g.n) - 1, exact_bound)
+    hit = _odd_hole_or_antihole(g.rows, (1 << g.n) - 1)
     return MEMBER if hit is None else RecognitionResult(False, *hit)
 
 
@@ -410,28 +387,25 @@ def is_poset(d: Digraph) -> RecognitionResult:
             v += u + 1
             if (rows[v] >> u) & 1:
                 return RecognitionResult(False, (u, v), "antiparallel")
-    for u in range(d.n):
-        for v in iter_bits(rows[u]):
-            missing = rows[v] & ~rows[u] & ~(1 << u)
-            if missing:
-                z = next(iter_bits(missing))
-                return RecognitionResult(False, (u, v, z), "intransitive")
-    return MEMBER
+    bad = _verify_transitive(rows, (1 << d.n) - 1)
+    return MEMBER if bad is None else RecognitionResult(False, bad, "intransitive")
 
 
-def orient_by_part_order(g: Graph, labeling: PartLabeling) -> Digraph:
-    """Orient every edge from the earlier part to the later (part order =
-    labeling order; same-part ties go from the lower vertex index)."""
-    if labeling.n != g.n:
-        raise ValueError(f"labeling covers {labeling.n} vertices, graph has {g.n}")
-    pidx = labeling.part_index_of()
-    rows = [0] * g.n
-    for u, v in g.edges():
-        if (pidx[u], u) <= (pidx[v], v):
-            rows[u] |= 1 << v
-        else:
-            rows[v] |= 1 << u
-    return Digraph(g.n, rows)
+def _later_masks(labeling: PartLabeling) -> list[int]:
+    """Per vertex, the mask of the vertices after it in part order (parts in
+    labeling order, ascending index within a part)."""
+    later, after = [0] * labeling.n, 0
+    for v in reversed([v for part in labeling.parts for v in part]):
+        later[v] = after
+        after |= 1 << v
+    return later
+
+
+def _order_hit(rows: Sequence[int], mask: int, later: Sequence[int]
+               ) -> tuple[int, int, int] | None:
+    """An intransitive triple of g[mask] with each edge oriented toward its
+    later end in part order (`_later_masks`), or None."""
+    return _verify_transitive({u: rows[u] & mask & later[u] for u in iter_bits(mask)}, mask)
 
 
 def check_order_transitivity(g: Graph, labeling: PartLabeling) -> RecognitionResult:
@@ -440,41 +414,41 @@ def check_order_transitivity(g: Graph, labeling: PartLabeling) -> RecognitionRes
     A cheap sufficient condition for comparability: if it passes, the
     orientation itself is the certificate.
     """
-    d = orient_by_part_order(g, labeling)
-    bad = _verify_transitive(d.rows, (1 << d.n) - 1)
-    if bad is None:
-        return MEMBER
-    return RecognitionResult(False, bad, "intransitive")
+    if labeling.n != g.n:
+        raise ValueError(f"labeling covers {labeling.n} vertices, graph has {g.n}")
+    bad = _order_hit(g.rows, (1 << g.n) - 1, _later_masks(labeling))
+    return MEMBER if bad is None else RecognitionResult(False, bad, "intransitive")
 
 
 # --- property registry -------------------------------------------------------
-
-_CYCLE_5 = cycle_graph(5)
-_PATH_4 = path_graph(4)
 
 # each named property's scan core, for callers that need only the decision
 _CORES = {"triangle-free": _find_triangle, "cograph": _cograph_p4,
           "comparability": _comparability_hit, "perfect": _odd_hole_or_antihole,
           "induced-c5-free": _find_induced_c5, "induced-p3-free": _find_induced_p4}
 
+_RECOGNIZERS = {"triangle-free": is_triangle_free, "cograph": is_cograph,
+                "comparability": is_comparability, "perfect": is_perfect,
+                "induced-c5-free": partial(is_induced_h_free, h=cycle_graph(5)),
+                "induced-p3-free": partial(is_induced_h_free, h=path_graph(4))}
+
+_NAMED = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph,
+          "empty": empty_graph}
+
 
 def named_graph(token: str) -> Graph:
     """Small named graphs for CLI/property tokens: 'cycle:5', 'path:4',
-    'complete:3', 'empty:2' (counts are vertex counts)."""
+    'complete:3', 'empty:2' (vertex counts, at most INDUCED_H_MAX)."""
     try:
         kind, k_str = token.split(":")
         k = int(k_str)
     except ValueError:
         raise ValueError(f"bad graph token {token!r}; expected kind:count") from None
-    if kind == "cycle":
-        return cycle_graph(k)
-    if kind == "path":
-        return path_graph(k)
-    if kind == "complete":
-        return complete_graph(k)
-    if kind == "empty":
-        return empty_graph(k)
-    raise ValueError(f"unknown graph kind {kind!r}")
+    if kind not in _NAMED:
+        raise ValueError(f"unknown graph kind {kind!r}")
+    if k > INDUCED_H_MAX:
+        raise ValueError(f"induced-H search limited to |V(H)| <= {INDUCED_H_MAX}, got {k}")
+    return _NAMED[kind](k)
 
 
 def property_recognizer(name: str) -> Callable[[Graph], RecognitionResult]:
@@ -484,19 +458,18 @@ def property_recognizer(name: str) -> Callable[[Graph], RecognitionResult]:
     induced-c5-free, induced-p3-free (the 4-vertex path, edge-count
     naming), or induced-h-free:<kind>:<count>.
     """
-    if name == "triangle-free":
-        return is_triangle_free
-    if name == "cograph":
-        return is_cograph
-    if name == "comparability":
-        return is_comparability
-    if name == "perfect":
-        return is_perfect
-    if name == "induced-c5-free":
-        return lambda g: is_induced_h_free(g, _CYCLE_5)
-    if name == "induced-p3-free":
-        return lambda g: is_induced_h_free(g, _PATH_4)
     if name.startswith("induced-h-free:"):
-        h = named_graph(name.split(":", 1)[1])
-        return lambda g: is_induced_h_free(g, h)
-    raise ValueError(f"unknown property {name!r}")
+        return partial(is_induced_h_free, h=named_graph(name.split(":", 1)[1]))
+    if name not in _RECOGNIZERS:
+        raise ValueError(f"unknown property {name!r}")
+    return _RECOGNIZERS[name]
+
+
+def _core(name: str) -> _Core:
+    """Resolve a property name to the scan core that decides it on (rows,
+    mask): None means the vertices of the mask induce a member."""
+    if name.startswith("induced-h-free:"):
+        return _h_core(named_graph(name.split(":", 1)[1]))[0]
+    if name not in _CORES:
+        raise ValueError(f"unknown property {name!r}")
+    return _CORES[name]

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .graphs import Graph, induced_subgraph, sample_vertices
-from .recognizers import _CORES, property_recognizer
+from .graphs import Graph, sample_vertices
+from .recognizers import _core
 from .rng import _MAX_TRIALS, Stream, _trial_streams
 
 __all__ = [
@@ -79,8 +79,6 @@ class TesterConfig:
     d: int | None = None
     t: int | None = None
     property_name: str | None = None
-    budget_cap: int = DEFAULT_BUDGET_CAP
-    seed: int | None = None
 
     def __post_init__(self):
         if self.kind == "universal":
@@ -93,8 +91,6 @@ class TesterConfig:
                 raise ValueError(f"{self.kind} tester needs t >= 1")
         else:
             raise ValueError(f"unknown tester kind {self.kind!r}")
-        if self.budget_cap < 1:
-            raise ValueError("budget cap must be positive")
 
     def queries_per_trial(self) -> int:
         if self.kind == "universal":
@@ -103,8 +99,7 @@ class TesterConfig:
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "d": self.d, "t": self.t,
-                "property": self.property_name, "budget_cap": self.budget_cap,
-                "seed": self.seed}
+                "property": self.property_name}
 
 
 def wilson95(successes: int, trials: int) -> tuple[float, float]:
@@ -143,15 +138,12 @@ class TesterReport:
 
 def universal_tester(g: Graph, d: int, property_name: str, rng: Stream) -> Verdict:
     """Sample d vertices; accept iff their induced subgraph has the named
-    property (one-sided). A property with a scan core is decided on the host's
-    rows under the sample's mask, any other on the induced subgraph."""
+    property (one-sided), decided by the property's scan core on the host's
+    rows under the sample's mask."""
     if d > g.n:
         raise ValueError(f"cannot sample d={d} from n={g.n}")
     sample = sample_vertices(g.n, d, rng)
-    if property_name in _CORES:
-        member = _CORES[property_name](g.rows, sum(1 << v for v in sample)) is None
-    else:
-        member = property_recognizer(property_name)(induced_subgraph(g, sample)).member
+    member = _core(property_name)(g.rows, sum(1 << v for v in sample)) is None
     return _ACCEPTED if member else Verdict(False, sample)
 
 

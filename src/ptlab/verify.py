@@ -46,7 +46,11 @@ from .packing import (
     tripartition_retention_samples,
 )
 from .recognizers import (
-    check_order_transitivity,
+    _comparability_hit,
+    _find_triangle,
+    _later_masks,
+    _orientable_exhaustive,
+    _order_hit,
     is_cograph,
     is_comparability,
     is_perfect,
@@ -193,11 +197,11 @@ def seinsche_equivalence(n: int) -> str | None:
 
 def forcing_vs_exhaustive(stream: Stream, draws: int) -> str | None:
     for g in all_graphs(5):
-        if is_comparability(g).member != is_comparability(g, mode="exhaustive").member:
+        if is_comparability(g).member != _orientable_exhaustive(g):
             return f"rows={g.rows}"
     for i in range(draws):
         g = gnp(7, 0.5, stream.child(i))
-        if is_comparability(g).member != is_comparability(g, mode="exhaustive").member:
+        if is_comparability(g).member != _orientable_exhaustive(g):
             return f"draw {i} rows={g.rows}"
     return None
 
@@ -242,7 +246,7 @@ def witnesses_reverify(stream: Stream) -> str | None:
         rc = is_comparability(g)
         if not rc.member:
             sub = induced_subgraph(g, rc.witness)
-            if sub.n <= 8 and is_comparability(sub, mode="exhaustive").member:
+            if sub.n <= 8 and _orientable_exhaustive(sub):
                 return f"draw {i} comparability witness not non-orientable"
     return None
 
@@ -473,16 +477,18 @@ def c5_gadget_rules_and_samples(stream: Stream, k: int, d: int, trials: int) -> 
     f = rb.graph
     gb = build_c5_gadget(f, rb.labeling.relabel(("V2", "V3", "V5")),
                          rb.certificate)  # construction re-audits the 9 rules
+    later = _later_masks(gb.labeling)
     trifree = 0
     for i in range(trials):
         pick = sample_vertices(gb.graph.n, d, stream.child(i))
-        if count_triangles(induced_subgraph(f, [v - 4 * f.n for v in pick if v >= 4 * f.n])):
+        inner = sum(1 << (v - 4 * f.n) for v in pick if v >= 4 * f.n)
+        if _find_triangle(f.rows, inner) is not None:
             continue
         trifree += 1
-        sub = induced_subgraph(gb.graph, pick)
-        if not check_order_transitivity(sub, gb.labeling.restrict(pick)).member:
+        mask = sum(1 << v for v in pick)
+        if _order_hit(gb.graph.rows, mask, later) is not None:
             return f"trial {i}: triangle-free portion fails order transitivity"
-        if not is_comparability(sub).member:
+        if _comparability_hit(gb.graph.rows, mask) is not None:
             return f"trial {i}: triangle-free portion not comparability"
     if not trifree:
         return f"no triangle-free sample in {trials} trials"
@@ -496,7 +502,7 @@ def poset_gadget_samples(stream: Stream, k: int, d: int, trials: int) -> str | N
     pb = build_poset_gadget(t, rb.labeling.relabel(("V1", "V2", "V3")), rb.certificate)
     for i in range(trials):
         pick = sample_vertices(t.n, d, stream.child(i))
-        tri_free = count_triangles(induced_subgraph(t, pick)) == 0
+        tri_free = _find_triangle(t.rows, sum(1 << v for v in pick)) is None
         ok = is_poset(pb.graph.induced(pick)).member
         if ok != tri_free:
             return f"trial {i}: poset={ok} but triangle-free={tri_free}"

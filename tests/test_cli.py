@@ -143,6 +143,18 @@ def test_exit_codes(tmp_path):
     assert err.value.code == 2
 
 
+def test_absurd_vertex_count_is_io_error(tmp_path, capsys):
+    huge = tmp_path / "huge.el"
+    huge.write_text("10000000000000 0\n")
+    assert run(["recognize", "--property", "cograph", "--in", huge]) == 3
+    assert "exceeds the limit" in capsys.readouterr().err
+    tiny = tmp_path / "tiny.el"
+    tiny.write_text("5 0\n")
+    assert run(["recognize", "--property", "induced-h-free", "--h", "cycle:7",
+                "--in", tiny]) == 2
+    assert "limited to" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_is_usage_error(threads):
     with pytest.raises(SystemExit) as err:

@@ -2,7 +2,15 @@ import io
 
 import pytest
 
-from ptlab.graph_io import ParseError, read_digraph, read_graph, write_digraph, write_graph
+from ptlab.graph_io import (
+    _MAX_N,
+    ParseError,
+    _parse,
+    read_digraph,
+    read_graph,
+    write_digraph,
+    write_graph,
+)
 from ptlab.graphs import Digraph, cycle_graph, gnp
 from ptlab.rng import Stream
 
@@ -52,3 +60,11 @@ def test_digraph_header_required():
         read_digraph(io.StringIO("2 1\n0 1\n"))
     d = read_digraph(io.StringIO("2 2 directed\n0 1\n1 0\n"))
     assert d.has_arc(0, 1) and d.has_arc(1, 0)
+
+
+def test_vertex_count_limit_checked_before_allocation():
+    assert _parse(f"{_MAX_N} 0\n", expect_directed=False) == (_MAX_N, [])
+    with pytest.raises(ParseError, match="exceeds the limit"):
+        read_graph(io.StringIO(f"{_MAX_N + 1} 0\n"))
+    with pytest.raises(ParseError, match="exceeds the limit"):
+        read_digraph(io.StringIO("10000000000000 0 directed\n"))

@@ -179,8 +179,6 @@ def test_part_labeling():
     assert lab.part_index_of() == [0, 0, 1, 2, 2]
     renamed = lab.relabel(("V2", "V3", "V5"))
     assert renamed.part("V2") == (0, 1)
-    restricted = lab.restrict([1, 3])
-    assert restricted.part("X") == (0,) and restricted.part("Z") == (1,)
     with pytest.raises(ValueError):
         PartLabeling(4, [("A", [0, 1]), ("B", [1, 2, 3])])  # overlap
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+import ptlab.recognizers as R
 from ptlab.graphs import (
     Digraph,
     Graph,
@@ -20,6 +21,7 @@ from ptlab.graphs import (
     random_cograph,
 )
 from ptlab.recognizers import (
+    _orientable_exhaustive,
     check_order_transitivity,
     is_cograph,
     is_comparability,
@@ -214,7 +216,7 @@ def test_cographs_are_comparability():
     rng = Stream(59)
     for i in range(100):
         g = random_cograph(8, rng.child(i))
-        assert is_comparability(g, mode="exhaustive").member
+        assert _orientable_exhaustive(g)
         assert is_comparability(g).member
 
 
@@ -323,3 +325,14 @@ def test_property_registry():
         property_recognizer("chromatic")
     with pytest.raises(ValueError):
         named_graph("moebius:5")
+
+
+def test_induced_h_size_guard(monkeypatch):
+    with pytest.raises(ValueError, match="limited to"):
+        is_induced_h_free(cycle_graph(8), cycle_graph(7))
+    with pytest.raises(ValueError, match="limited to"):
+        property_recognizer("induced-h-free:path:7")
+    # a token's count is refused before its graph is built
+    monkeypatch.setitem(R._NAMED, "cycle", lambda k: pytest.fail("built"))
+    with pytest.raises(ValueError, match="limited to"):
+        named_graph(f"cycle:{10 ** 12}")

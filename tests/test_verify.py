@@ -30,11 +30,11 @@ def test_scaled_suites_pass():
 
 
 def test_fault_injection_breaks_containment_chain(monkeypatch):
-    def broken_comparability(g, mode="forcing"):
-        res = is_comparability(g, mode)
-        if res.member and g.n >= 5 and mode == "forcing":
+    def broken_comparability(g):
+        res = is_comparability(g)
+        if res.member and g.n >= 5:
             # lie about membership: claim a forbidden structure exists; the
-            # exhaustive mode stays honest as the oracle
+            # exhaustive oracle stays honest
             return RecognitionResult(False, tuple(range(min(5, g.n))), "induced-path-4")
         return res
 
@@ -82,7 +82,7 @@ def test_fault_injection_breaks_far_graphs_have_p3(monkeypatch):
 def test_fault_injection_breaks_gadget_mechanism(monkeypatch):
     # with every sample counted as holding a triangle, the mechanism check
     # has nothing to test and must say so instead of passing
-    monkeypatch.setattr(verify, "count_triangles", lambda g: 1)
+    monkeypatch.setattr(verify, "_find_triangle", lambda rows, mask: (0, 1, 2))
     results = run_suite("gadgets", sample_trials=20, rs_max_k=2)
     detail = _failed(results).get(
         "five-part gadget: triangle-free samples are comparability graphs")
