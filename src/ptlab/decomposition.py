@@ -13,7 +13,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .graphs import Graph, complement, components, induced_subgraph, iter_bits
+from .graphs import Graph, _co_rows, _trusted_graph, components, induced_subgraph, iter_bits
 from .recognizers import RecognitionResult
 from .rng import Stream
 
@@ -98,7 +98,7 @@ def find_cut(g: Graph) -> Cut | None:
     if g.n < 2:
         raise ValueError(f"cuts need n >= 2, got {g.n}")
     full = (1 << g.n) - 1
-    for rows, kind in ((g.rows, "sparse"), (complement(g).rows, "dense")):
+    for rows, kind in ((g.rows, "sparse"), (_co_rows(g.rows, full), "dense")):
         comp = components(rows, full)[0]
         if comp != full:
             density = Fraction(0) if kind == "sparse" else Fraction(1)
@@ -303,7 +303,7 @@ def refine_along_cuts(g: Graph, beta, mode: str = "exact",
         work.append(side1)
         work.append(side2)
     final.sort()
-    return Refinement(tuple(final), edited, Graph(g.n, rows), certified)
+    return Refinement(tuple(final), edited, _trusted_graph(g.n, rows), certified)
 
 
 @dataclass(frozen=True)

@@ -63,8 +63,9 @@ class Graph:
     `Graph(n, rows)` validates its rows: each in range, no self-loops,
     symmetric. So do `from_edges`, unpickling and everything built on them
     (readers, generators, gadget builders). Graphs derived from a valid
-    graph by `induced_subgraph`, `complement` and `with_toggled` are valid
-    by construction and skip that O(m) check.
+    graph by `induced_subgraph`, `complement`, `with_toggled`, cut
+    refinement and tripartite extraction are valid by construction and
+    skip that O(m) check.
     """
 
     __slots__ = ("n", "rows", "_m")
@@ -199,11 +200,6 @@ class Digraph:
             for v in iter_bits(self.rows[u]):
                 yield (u, v)
 
-    def induced(self, vertices: Iterable[int]) -> "Digraph":
-        """Sub-digraph induced on `vertices`, reindexed like induced_subgraph."""
-        rows = _reindexed_rows(self.rows, vertices)
-        return Digraph(len(rows), rows)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Digraph) and self.n == other.n and self.rows == other.rows
 
@@ -273,40 +269,33 @@ class PartLabeling:
         return PartLabeling(self.n, list(zip(names, self.parts)), allow_empty=True)
 
 
-def _checked_subset(vertices: Iterable[int], n: int) -> list[int]:
-    """`vertices` as ascending distinct ints in 0..n-1. Numpy integers are
-    taken as ints (so `1 << v` cannot overflow); floats are refused."""
-    vs = sorted(set(map(operator.index, vertices)))
-    if vs and (vs[0] < 0 or vs[-1] >= n):
-        raise ValueError(f"vertex set {vs[:8]}... out of range for n={n}")
-    return vs
+def _co_rows(rows: Sequence[int], mask: int) -> dict[int, int]:
+    """Complement rows inside `mask`, for the vertices of `mask` in ascending order."""
+    return {v: (mask & ~rows[v]) ^ (1 << v) for v in iter_bits(mask)}
 
 
 def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    rows = [(full ^ g.rows[v]) & ~(1 << v) for v in range(g.n)]
-    return _trusted_graph(g.n, rows)
+    return _trusted_graph(g.n, _co_rows(g.rows, (1 << g.n) - 1).values())
 
 
-def _reindexed_rows(rows: Sequence[int], vertices: Iterable[int]) -> list[int]:
-    """Rows restricted to `vertices` and renumbered in ascending vertex order."""
-    vs = _checked_subset(vertices, len(rows))
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
+    """Subgraph induced on `vertices`, reindexed in ascending vertex order.
+
+    Numpy integers are taken as ints (so `1 << v` cannot overflow); floats
+    are refused."""
+    vs = sorted(set(map(operator.index, vertices)))
+    if vs and (vs[0] < 0 or vs[-1] >= g.n):
+        raise ValueError(f"vertex set {vs[:8]}... out of range for n={g.n}")
     bit = {1 << v: 1 << i for i, v in enumerate(vs)}  # host bit -> new bit
     mask = sum(bit)  # the kept host bits
-    out = []
+    rows = []
     for v in vs:
-        row, new = rows[v] & mask, 0
+        row, new = g.rows[v] & mask, 0
         while row:
             low = row & -row
             new |= bit[low]
             row ^= low
-        out.append(new)
-    return out
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced on `vertices`, reindexed in ascending vertex order."""
-    rows = _reindexed_rows(g.rows, vertices)
+        rows.append(new)
     return _trusted_graph(len(rows), rows)
 
 
@@ -331,15 +320,24 @@ def components(rows: Sequence[int], mask: int) -> list[int]:
     return comps
 
 
+def _triangle_fans(rows: Sequence[int], mask: int) -> Iterator[tuple[int, int, int]]:
+    """(u, v, ws) for each edge u < v of `mask`, lexicographic, whose common
+    neighbors above v (the mask ws) are nonempty: each triangle is one bit of
+    one ws, and the first fan's lowest bit closes the least triangle."""
+    for u in iter_bits(mask):
+        above = rows[u] & mask & (-1 << (u + 1))  # u's neighbors above v, as v rises
+        while above:
+            low = above & -above
+            above ^= low
+            v = low.bit_length() - 1
+            ws = above & rows[v]
+            if ws:
+                yield u, v, ws
+
+
 def count_triangles(g: Graph) -> int:
     """Number of vertex triples inducing K3 (row-intersection popcounts)."""
-    total = 0
-    for u in range(g.n):
-        for v in iter_bits(g.rows[u] >> (u + 1)):
-            v += u + 1
-            above_v = -1 << (v + 1)
-            total += (g.rows[u] & g.rows[v] & above_v).bit_count()
-    return total
+    return sum(ws.bit_count() for _, _, ws in _triangle_fans(g.rows, (1 << g.n) - 1))
 
 
 def count_induced_p3(g: Graph) -> int:
@@ -536,10 +534,13 @@ def is_path_4(h: Graph) -> bool:
     return h.n == 4 and h.m == 3 and sorted(h.degree(v) for v in range(4)) == [1, 1, 2, 2]
 
 
-def is_cycle_5(h: Graph) -> bool:
-    """Does a 5-vertex graph equal a 5-cycle (any labeling)?
+def _induces_c5(rows: Sequence[int], mask: int) -> bool:
+    """Do the vertices of `mask` induce a 5-cycle? Five vertices each with two
+    neighbors among them are one 5-cycle (no C3 + C2 split exists)."""
+    return mask.bit_count() == 5 and all((rows[v] & mask).bit_count() == 2
+                                         for v in iter_bits(mask))
 
-    Five vertices all of degree 2 force a single 5-cycle (no 2-cycle exists
-    to complete a C3+C2 split).
-    """
-    return h.n == 5 and all(h.degree(v) == 2 for v in range(5))
+
+def is_cycle_5(h: Graph) -> bool:
+    """Does a 5-vertex graph equal a 5-cycle (any labeling)?"""
+    return h.n == 5 and _induces_c5(h.rows, (1 << 5) - 1)

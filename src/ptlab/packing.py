@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .graphs import Graph, PartLabeling, induced_subgraph, is_cycle_5, iter_bits
+from .graphs import Graph, PartLabeling, _induces_c5, _trusted_graph, _triangle_fans, iter_bits
 from .rng import Stream
 
 __all__ = [
@@ -65,28 +65,27 @@ class WitnessPacking:
         return len(self.tuples)
 
     def verified_in(self, g: Graph) -> "WitnessPacking":
-        """Re-verify every tuple and the pairwise overlap rule in `g`."""
+        """Re-verify every tuple and the pairwise overlap rule in `g`: two
+        triangles' edge masks may share no bit, two 5-cycles' vertex masks
+        at most one."""
         if g.n != self.host_n:
             raise PackingError(f"host has {g.n} vertices, packing says {self.host_n}")
         if self.kind == "triangle":
             for a, b, c in self.tuples:
                 if not (g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)):
                     raise PackingError(f"tuple {(a, b, c)} is not a triangle")
-            edge_sets = [{frozenset(p) for p in ((a, b), (b, c), (a, c))}
-                         for a, b, c in self.tuples]
-            for i in range(len(edge_sets)):
-                for j in range(i + 1, len(edge_sets)):
-                    if edge_sets[i] & edge_sets[j]:
-                        raise PackingError(f"tuples {i} and {j} share an edge")
+            masks, _ = _edge_masks(self.tuples)
+            limit, shared = 0, "an edge"
         else:
-            for t in self.tuples:
-                if not is_cycle_5(induced_subgraph(g, t)):
+            masks = [sum(1 << v for v in t) for t in self.tuples]
+            for t, mask in zip(self.tuples, masks):
+                if not _induces_c5(g.rows, mask):
                     raise PackingError(f"tuple {t} does not induce a 5-cycle")
-            vsets = [set(t) for t in self.tuples]
-            for i in range(len(vsets)):
-                for j in range(i + 1, len(vsets)):
-                    if len(vsets[i] & vsets[j]) > 1:
-                        raise PackingError(f"tuples {i} and {j} share two vertices")
+            limit, shared = 1, "two vertices"
+        for i, mask in enumerate(masks):
+            for j in range(i + 1, len(masks)):
+                if (mask & masks[j]).bit_count() > limit:
+                    raise PackingError(f"tuples {i} and {j} share {shared}")
         return replace(self, verified=True)
 
     def to_json(self) -> dict:
@@ -101,26 +100,23 @@ class WitnessPacking:
 
 def triangles_of(g: Graph) -> list[tuple[int, int, int]]:
     """All triangles (u, v, w) with u < v < w, lexicographic."""
-    tris = []
-    for u in range(g.n):
-        for v in iter_bits(g.rows[u] >> (u + 1)):
-            v += u + 1
-            above = -1 << (v + 1)
-            for w in iter_bits(g.rows[u] & g.rows[v] & above):
-                tris.append((u, v, w))
-    return tris
+    return [(u, v, w) for u, v, ws in _triangle_fans(g.rows, (1 << g.n) - 1)
+            for w in iter_bits(ws)]
 
 
 def _edge_masks(tris: Sequence[tuple[int, int, int]]
                 ) -> tuple[list[int], dict[tuple[int, int], int]]:
-    """Per-triangle edge bitmasks and the edge index, in a deterministic order."""
+    """Per-triangle edge bitmasks and the edge index, in a deterministic order.
+
+    Edges are keyed as (low, high) pairs, so the triangles need not be sorted.
+    """
     index: dict[tuple[int, int], int] = {}
-    for t in tris:
-        for p in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
-            if p not in index:
-                index[p] = len(index)
-    masks = [(1 << index[(a, b)]) | (1 << index[(b, c)]) | (1 << index[(a, c)])
-             for a, b, c in tris]
+    masks = []
+    for a, b, c in tris:
+        mask = 0
+        for u, v in ((a, b), (b, c), (a, c)):
+            mask |= 1 << index.setdefault((u, v) if u < v else (v, u), len(index))
+        masks.append(mask)
     return masks, index
 
 
@@ -332,7 +328,7 @@ def _apply_tripartition(g: Graph, assign: Sequence[int],
                 rows[u] |= 1 << v
     retained = [t for t in packing.tuples
                 if {assign[t[0]], assign[t[1]], assign[t[2]]} == {0, 1, 2}]
-    return Graph(g.n, rows), retained
+    return _trusted_graph(g.n, rows), retained
 
 
 def random_tripartite_extract(g: Graph, packing: WitnessPacking, rng: Stream,

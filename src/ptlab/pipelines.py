@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .decomposition import AboveCap, distance_to_property
 from .gadgets import ap3_free_set, build_c5_gadget, rs_graph
-from .graphs import Graph, flip_pairs, gnp, random_cograph, sample_vertices
+from .graphs import Graph, _induces_c5, flip_pairs, gnp, random_cograph, sample_vertices
 from .packing import PackingError, WitnessPacking
 from .recognizers import _find_triangle, _later_masks, _order_hit, is_cograph
 from .rng import Stream, _trial_streams
@@ -57,18 +57,15 @@ def sampled_c5_packing(g: Graph, target: int, budget: int, rng: Stream) -> Witne
     large to enumerate."""
     gen = rng.gen
     chosen: list[tuple[int, ...]] = []
-    vsets: list[set[int]] = []
+    masks: list[int] = []
     for _ in range(budget):
         if len(chosen) >= target:
             break
         pick = tuple(sorted(int(v) for v in gen.choice(g.n, size=5, replace=False)))
         mask = sum(1 << v for v in pick)
-        if any((g.rows[v] & mask).bit_count() != 2 for v in pick):  # 2-regular: a C5
-            continue
-        ps = set(pick)
-        if all(len(ps & vs) <= 1 for vs in vsets):
+        if _induces_c5(g.rows, mask) and all((mask & m).bit_count() <= 1 for m in masks):
             chosen.append(pick)
-            vsets.append(ps)
+            masks.append(mask)
     return WitnessPacking("inducedC5", tuple(sorted(chosen)), g.n).verified_in(g)
 
 

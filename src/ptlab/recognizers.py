@@ -6,7 +6,7 @@ posets) that re-verifies independently of the decision path. Each
 structure scan is a core on (rows, mask): it sees only the vertices of
 `mask`, in host indexing, and returns its first hit or None. Recognizers
 pass all of g; the universal tester passes a sample's mask (`_core`), and
-so does the gadget's part-order check (`_order_hit`).
+so do the gadgets' part-order and poset checks (`_order_hit`, `_poset_hit`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from .graphs import (
     Graph,
     Digraph,
     PartLabeling,
+    _co_rows,
     _induced_c5_fans,
+    _triangle_fans,
     components,
     cycle_graph,
     complete_graph,
@@ -75,19 +77,11 @@ MEMBER = RecognitionResult(True)
 _Core = Callable[[Sequence[int], int], object]
 
 
-def _co_rows(rows: Sequence[int], mask: int) -> dict[int, int]:
-    """Complement rows inside `mask`, for the vertices of `mask`."""
-    return {v: (mask & ~rows[v]) ^ (1 << v) for v in iter_bits(mask)}
-
-
 def _find_triangle(rows: Sequence[int], mask: int) -> tuple[int, ...] | None:
-    """First triangle inside `mask`: the first edge u < v (lexicographic)
-    with a common neighbor, and the lowest such neighbor; sorted."""
-    for u in iter_bits(mask):
-        for v in iter_bits(rows[u] & mask & (-1 << (u + 1))):
-            common = rows[u] & rows[v] & mask
-            if common:
-                return tuple(sorted((u, v, next(iter_bits(common)))))
+    """The lexicographically least triangle inside `mask` (the first
+    `_triangle_fans` fan and its lowest closing vertex), or None."""
+    for u, v, ws in _triangle_fans(rows, mask):
+        return u, v, (ws & -ws).bit_length() - 1
     return None
 
 
@@ -179,8 +173,8 @@ def _h_core(h: Graph) -> tuple[_Core, str]:
     """The scan core deciding induced-h-freeness on (rows, mask), and its
     witness label: dedicated scans for the 5-cycle and the 4-vertex path,
     the general subset scan for any other h of at most INDUCED_H_MAX vertices."""
-    if h.n > INDUCED_H_MAX:
-        raise ValueError(f"induced-H search limited to |V(H)| <= {INDUCED_H_MAX}, got {h.n}")
+    if not 1 <= h.n <= INDUCED_H_MAX:
+        raise ValueError(f"induced-H search limited to 1 <= |V(H)| <= {INDUCED_H_MAX}, got {h.n}")
     if is_cycle_5(h):
         return _find_induced_c5, "induced-cycle-5"
     if is_path_4(h):
@@ -259,14 +253,10 @@ def _comparability_hit(rows: Sequence[int], mask: int) -> tuple[int, ...] | None
 
 def _orientable_exhaustive(g: Graph) -> bool:
     """Complete backtracking over edge orientations with sound pruning."""
-    n = g.n
     adj = g.rows
-    edges = []
-    for u in range(n):
-        for v in iter_bits(adj[u] >> (u + 1)):
-            edges.append((u, u + 1 + v))
-    out = [0] * n
-    inn = [0] * n
+    edges = list(g.edges())
+    out = [0] * g.n
+    inn = [0] * g.n
 
     def can_add(x: int, y: int) -> bool:
         for z in iter_bits(out[y]):
@@ -376,19 +366,22 @@ def is_perfect(g: Graph) -> RecognitionResult:
 
 # --- posets and ordered orientations ----------------------------------------
 
-def is_poset(d: Digraph) -> RecognitionResult:
-    """Check the three poset axioms: no loops, no antiparallel arcs, transitive."""
-    rows = d.rows
-    for u in range(d.n):
-        if (rows[u] >> u) & 1:
-            return RecognitionResult(False, (u,), "loop")
-    for u in range(d.n):
-        for v in iter_bits(rows[u] >> (u + 1)):
-            v += u + 1
+def _poset_hit(rows: Sequence[int], mask: int) -> tuple[tuple[int, ...], str] | None:
+    """The first antiparallel arc pair inside `mask`, else an intransitive
+    triple, as (vertices, label); None if the arcs inside `mask` form a poset."""
+    for u in iter_bits(mask):
+        for v in iter_bits(rows[u] & mask & (-1 << (u + 1))):
             if (rows[v] >> u) & 1:
-                return RecognitionResult(False, (u, v), "antiparallel")
-    bad = _verify_transitive(rows, (1 << d.n) - 1)
-    return MEMBER if bad is None else RecognitionResult(False, bad, "intransitive")
+                return (u, v), "antiparallel"
+    bad = _verify_transitive({u: rows[u] & mask for u in iter_bits(mask)}, mask)
+    return None if bad is None else (bad, "intransitive")
+
+
+def is_poset(d: Digraph) -> RecognitionResult:
+    """Check the poset axioms: no antiparallel arcs, transitive (a Digraph
+    has no self-arcs, so irreflexivity holds by construction)."""
+    hit = _poset_hit(d.rows, (1 << d.n) - 1)
+    return MEMBER if hit is None else RecognitionResult(False, *hit)
 
 
 def _later_masks(labeling: PartLabeling) -> list[int]:
@@ -438,7 +431,7 @@ _NAMED = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph,
 
 def named_graph(token: str) -> Graph:
     """Small named graphs for CLI/property tokens: 'cycle:5', 'path:4',
-    'complete:3', 'empty:2' (vertex counts, at most INDUCED_H_MAX)."""
+    'complete:3', 'empty:2' (vertex counts, 1 to INDUCED_H_MAX)."""
     try:
         kind, k_str = token.split(":")
         k = int(k_str)
@@ -446,8 +439,8 @@ def named_graph(token: str) -> Graph:
         raise ValueError(f"bad graph token {token!r}; expected kind:count") from None
     if kind not in _NAMED:
         raise ValueError(f"unknown graph kind {kind!r}")
-    if k > INDUCED_H_MAX:
-        raise ValueError(f"induced-H search limited to |V(H)| <= {INDUCED_H_MAX}, got {k}")
+    if not 1 <= k <= INDUCED_H_MAX:
+        raise ValueError(f"induced-H search limited to 1 <= |V(H)| <= {INDUCED_H_MAX}, got {k}")
     return _NAMED[kind](k)
 
 

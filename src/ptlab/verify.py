@@ -51,10 +51,10 @@ from .recognizers import (
     _later_masks,
     _orientable_exhaustive,
     _order_hit,
+    _poset_hit,
     is_cograph,
     is_comparability,
     is_perfect,
-    is_poset,
     is_triangle_free,
 )
 from .rng import Stream
@@ -502,8 +502,9 @@ def poset_gadget_samples(stream: Stream, k: int, d: int, trials: int) -> str | N
     pb = build_poset_gadget(t, rb.labeling.relabel(("V1", "V2", "V3")), rb.certificate)
     for i in range(trials):
         pick = sample_vertices(t.n, d, stream.child(i))
-        tri_free = _find_triangle(t.rows, sum(1 << v for v in pick)) is None
-        ok = is_poset(pb.graph.induced(pick)).member
+        mask = sum(1 << v for v in pick)
+        tri_free = _find_triangle(t.rows, mask) is None
+        ok = _poset_hit(pb.graph.rows, mask) is None
         if ok != tri_free:
             return f"trial {i}: poset={ok} but triangle-free={tri_free}"
     return None

@@ -4,7 +4,8 @@ import pytest
 
 import ptlab.cli as cli
 from ptlab.cli import main
-from ptlab.graph_io import read_digraph, read_graph
+from ptlab.graph_io import read_digraph, read_graph, write_graph
+from ptlab.graphs import cycle_graph
 from ptlab.reports import validate_report
 
 
@@ -153,6 +154,17 @@ def test_absurd_vertex_count_is_io_error(tmp_path, capsys):
     assert run(["recognize", "--property", "induced-h-free", "--h", "cycle:7",
                 "--in", tiny]) == 2
     assert "limited to" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["path:0", "complete:0", "empty:0", "complete:-3"])
+def test_graph_token_without_vertices_is_usage_error(tmp_path, capsys, token):
+    c5 = tmp_path / "c5.el"
+    write_graph(cycle_graph(5), c5)
+    out = tmp_path / "rec.json"
+    assert run(["recognize", "--property", "induced-h-free", "--h", token,
+                "--in", c5, "--out", out]) == 2
+    assert "limited to" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

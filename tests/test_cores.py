@@ -4,8 +4,10 @@ Each core decides a property on the vertices of a mask in host indexing.
 The oracles here share no code with the cores: they enumerate vertex
 subsets of the mask and test each by its induced degrees and connectivity,
 except comparability, whose oracle is the exhaustive orientation search on
-the induced subgraph, and the part-order check, whose oracle orients the
-mask's edges by a random labeling and tests every triple.
+the induced subgraph, the part-order check, whose oracle orients the
+mask's edges by a random labeling and tests every triple, and the poset
+core, whose oracle tests every arc pair and triple of a random orientation
+of the host.
 """
 
 import random
@@ -51,9 +53,15 @@ def _connected_with(degrees):
     return lambda a, s: _degrees(a, s) == degrees and _connected(a, s)
 
 
-def _oracle(name, rows, vs, part):
+def _oracle(name, rows, vs, part, arcs):
     """Does the subgraph induced on `vs` violate the named property? `part`
-    gives each vertex's part index for the order check."""
+    gives each vertex's part index for the order check, `arcs` the out-rows
+    of the digraph the poset core decides."""
+    if name == "poset":
+        inside = {(u, v) for u in vs for v in vs if (arcs[u] >> v) & 1}
+        return (any((v, u) in inside for u, v in inside)
+                or any((v, z) in inside and (u, z) not in inside
+                       for u, v in inside for z in vs if z != u))
     nbrs = _neighbor_sets(rows)
     co = [set(vs) - nbrs[v] - {v} if v in vs else set() for v in range(len(rows))]
     odd = range(5, len(vs) + 1, 2)
@@ -81,8 +89,10 @@ def _cases(count=1200, seed=20261018):
     """Hosts on 5..10 vertices at several densities, a third of them with a
     planted chordless 5-, 7- or 9-cycle and a third with its complement,
     each with a random mask and a random labeling into 1..4 parts (drawn
-    from a second generator)."""
+    from a second generator), and a digraph orienting each edge one way,
+    the other way or both ways (drawn from a third generator)."""
     rnd, rnd_parts = random.Random(seed), random.Random(seed + 1)
+    rnd_arcs = random.Random(seed + 2)
     for i in range(count):
         n = rnd.randint(5, 10)
         p = rnd.choice((0.2, 0.35, 0.5, 0.65, 0.8))
@@ -100,43 +110,59 @@ def _cases(count=1200, seed=20261018):
         keep = rnd.choice((0.6, 0.8, 1.0))
         k = rnd_parts.randint(1, 4)
         part = [rnd_parts.randrange(k) for _ in range(n)]
-        yield rows, [v for v in range(n) if rnd.random() < keep], part
+        both = rnd_arcs.choice((0.0, 0.0, 0.05, 0.2))
+        arcs = [0] * n
+        for (u, v), edge in pairs.items():
+            if edge:
+                r = rnd_arcs.random()  # below `both`: both ways; above: u -> v or v -> u
+                if r < (1 + both) / 2:
+                    arcs[u] |= 1 << v
+                if r < both or r >= (1 + both) / 2:
+                    arcs[v] |= 1 << u
+        yield rows, [v for v in range(n) if rnd.random() < keep], part, arcs
 
 
 CASES = list(_cases())
 
 
 def _host_only(core):
-    return lambda rows, mask, labeling: core(rows, mask)
+    return lambda rows, mask, extra: core(rows, mask)
 
 
-def _order_core(rows, mask, labeling):
+def _order_core(rows, mask, extra):
+    labeling, _ = extra
     return R._order_hit(rows, mask, R._later_masks(labeling))
 
 
-# every core under test, as (rows, mask, labeling) -> hit or None; the
-# general induced-H scan is covered through cycle:4 and path:5
+def _poset_core(rows, mask, extra):
+    _, arcs = extra
+    return R._poset_hit(arcs, mask)
+
+
+# every core under test, as (rows, mask, (labeling, arcs)) -> hit or None;
+# the general induced-H scan is covered through cycle:4 and path:5
 CORES = {name: _host_only(core) for name, core in R._CORES.items()}
 CORES.update({name: _host_only(R._core(name))
               for name in ("induced-h-free:cycle:4", "induced-h-free:path:5")})
 CORES["order"] = _order_core
+CORES["poset"] = _poset_core
 
 
 def core_mismatches():
     """(name, rows, mask vertices) where a core disagrees with its oracle,
     or returns a hit outside its mask."""
     bad = []
-    for rows, vs, part in CASES:
+    for rows, vs, part, arcs in CASES:
         mask = sum(1 << v for v in vs)
         labeling = PartLabeling(len(rows), [(str(j), [v for v in range(len(rows))
                                                       if part[v] == j]) for j in range(4)],
                                 allow_empty=True)
         for name, core in CORES.items():
-            hit = core(rows, mask, labeling)
-            if (hit is not None) != _oracle(name, rows, vs, part):
+            hit = core(rows, mask, (labeling, arcs))
+            if (hit is not None) != _oracle(name, rows, vs, part, arcs):
                 bad.append((name, rows, vs))
             elif name not in ("comparability", "perfect") and hit is not None:
-                if not set(hit) <= set(vs):
+                if not set(hit[0] if name == "poset" else hit) <= set(vs):
                     bad.append((name, rows, vs))
     return bad
 
@@ -154,8 +180,8 @@ def test_general_induced_h_cores_take_the_subset_scan():
 def test_fault_injection_core_ignoring_top_vertex_is_caught(monkeypatch, name):
     core = CORES[name]
 
-    def blind(rows, mask, labeling):
-        return core(rows, mask & ~(1 << (mask.bit_length() - 1)) if mask else mask, labeling)
+    def blind(rows, mask, extra):
+        return core(rows, mask & ~(1 << (mask.bit_length() - 1)) if mask else mask, extra)
 
     monkeypatch.setitem(CORES, name, blind)
     assert any(m[0] == name for m in core_mismatches())

@@ -21,7 +21,13 @@ from ptlab.graphs import (
     path_graph,
     random_cograph,
 )
-from ptlab.recognizers import is_cograph, is_triangle_free
+from ptlab.recognizers import (
+    RecognitionResult,
+    is_cograph,
+    is_comparability,
+    is_perfect,
+    is_triangle_free,
+)
 from ptlab.rng import Stream
 from ptlab.verify import no_cut_implies_p4, refinement_parts
 
@@ -195,13 +201,36 @@ def naive_distance(g, recognizer, cap):
     return AboveCap(cap)
 
 
-def test_distance_matches_naive_toggle_search():
+# the properties whose edit distance certify-style runs measure
+DISTANCE_RECOGNIZERS = (is_triangle_free, is_cograph, is_perfect, is_comparability)
+
+
+def distance_mismatches(recognizer_of):
+    """(recognizer, rows) where the witness-driven search, run on
+    `recognizer_of(recognizer)`, disagrees with the naive toggle search run
+    on the true recognizer, over G(6, p) and G(7, p) at cap 3."""
     rng = Stream(53)
-    for i in range(20):
-        g = gnp(6, 0.5, rng.child(i))
-        assert distance_to_property(g, is_cograph, cap=3) == naive_distance(g, is_cograph, 3)
-        assert distance_to_property(g, is_triangle_free, cap=3) == \
-            naive_distance(g, is_triangle_free, 3)
+    bad = []
+    for i in range(60):
+        g = gnp(6 + i % 2, (0.3, 0.5, 0.7)[i % 3], rng.child(i))
+        for rec in DISTANCE_RECOGNIZERS:
+            if distance_to_property(g, recognizer_of(rec), cap=3) != naive_distance(g, rec, 3):
+                bad.append((rec.__name__, g.rows))
+    return bad
+
+
+def test_distance_matches_naive_toggle_search():
+    assert distance_mismatches(lambda rec: rec) == []
+
+
+def test_fault_injection_distance_with_short_witnesses_is_caught():
+    def dropping_last_witness_vertex(rec):
+        def short(g):
+            res = rec(g)
+            return res if res.member else RecognitionResult(False, res.witness[:-1], res.label)
+        return short
+
+    assert distance_mismatches(dropping_last_witness_vertex)
 
 
 def test_distance_guards():

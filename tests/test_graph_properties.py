@@ -1,12 +1,14 @@
 """Property tests for graphs derived without re-validation.
 
-`induced_subgraph`, `complement` and `with_toggled` build their results
-through the trusted constructor, which skips `Graph.__init__`'s check.
+`induced_subgraph`, `complement`, `with_toggled`, cut refinement and
+tripartite extraction build their results through the trusted constructor,
+which skips `Graph.__init__`'s check.
 These tests rebuild every derived graph through the validating constructor
 and check the algebraic laws the derivations must obey.
 """
 
 import io
+from fractions import Fraction
 
 import pytest
 
@@ -15,8 +17,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ptlab import graphs
+from ptlab.decomposition import refine_along_cuts
 from ptlab.graph_io import read_graph, write_graph
 from ptlab.graphs import Graph, complement, induced_subgraph
+from ptlab.packing import WitnessPacking, _apply_tripartition
 
 
 @st.composite
@@ -29,15 +33,18 @@ def small_graphs(draw, max_n: int = 10) -> Graph:
 
 @st.composite
 def derivation_cases(draw):
-    """A graph, a vertex subset of it and a list of pairs to toggle."""
+    """A graph, a vertex subset of it, a list of pairs to toggle, a cut
+    threshold beta and a tripartition of its vertices."""
     g = draw(small_graphs())
+    beta = draw(st.sampled_from([Fraction(0), Fraction(1, 5), Fraction(2, 5)]))
+    assign = draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
     if g.n == 0:
-        return g, [], []
+        return g, [], [], beta, assign
     vertex = st.integers(0, g.n - 1)
     subset = draw(st.sets(vertex))
     pairs = [] if g.n < 2 else draw(st.lists(
         st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]), max_size=6))
-    return g, sorted(subset), pairs
+    return g, sorted(subset), pairs, beta, assign
 
 
 def _revalidate(h: Graph) -> None:
@@ -47,14 +54,16 @@ def _revalidate(h: Graph) -> None:
 
 @given(derivation_cases())
 def test_derived_graphs_pass_validation(case):
-    g, subset, pairs = case
-    for h in (induced_subgraph(g, subset), complement(g), g.with_toggled(pairs)):
+    g, subset, pairs, beta, assign = case
+    tripartite, _ = _apply_tripartition(g, assign, WitnessPacking("triangle", (), g.n))
+    for h in (induced_subgraph(g, subset), complement(g), g.with_toggled(pairs),
+              refine_along_cuts(g, beta).modified_graph, tripartite):
         _revalidate(h)
 
 
 @given(derivation_cases())
 def test_complement_laws(case):
-    g, subset, _ = case
+    g, subset, *_ = case
     assert complement(complement(g)) == g
     assert (complement(induced_subgraph(g, subset))
             == induced_subgraph(complement(g), subset))
@@ -63,7 +72,7 @@ def test_complement_laws(case):
 
 @given(derivation_cases())
 def test_toggle_laws(case):
-    g, _, pairs = case
+    g, _, pairs, *_ = case
     h = g.with_toggled(pairs)
     assert h.with_toggled(reversed(pairs)) == g
     for u, v in pairs:

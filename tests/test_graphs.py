@@ -244,6 +244,5 @@ def test_induced_subgraph_takes_numpy_integers():
     vs = (3, 65, 40, 68)
     sub = induced_subgraph(g, [np.int64(v) for v in vs])
     assert sub == induced_subgraph(g, vs) and all(type(r) is int for r in sub.rows)
-    assert Digraph(70, g.rows).induced(np.array(vs)) == Digraph(70, g.rows).induced(vs)
     with pytest.raises(TypeError):
         induced_subgraph(g, [3, 65.0])

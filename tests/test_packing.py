@@ -110,6 +110,9 @@ def test_packing_verification_catches_lies():
     with pytest.raises(PackingError):
         # two triangles sharing an edge
         WitnessPacking("triangle", ((0, 1, 2), (0, 1, 3)), 6).verified_in(k6)
+    with pytest.raises(PackingError, match="share an edge"):
+        # the shared edge {1, 2} appears as (1, 2) and as (2, 1): tuples need not be sorted
+        WitnessPacking("triangle", ((0, 1, 2), (2, 1, 3)), 4).verified_in(complete_graph(4))
     with pytest.raises(PackingError):
         WitnessPacking("inducedC5", ((0, 1, 2, 3, 4),), 6).verified_in(k6)
 

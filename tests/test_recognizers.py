@@ -336,3 +336,9 @@ def test_induced_h_size_guard(monkeypatch):
     monkeypatch.setitem(R._NAMED, "cycle", lambda k: pytest.fail("built"))
     with pytest.raises(ValueError, match="limited to"):
         named_graph(f"cycle:{10 ** 12}")
+    # so is an H with no vertices, whose empty witness would "contain" it
+    with pytest.raises(ValueError, match="limited to"):
+        is_induced_h_free(cycle_graph(5), empty_graph(0))
+    for token in ("cycle:0", "cycle:-3"):
+        with pytest.raises(ValueError, match="limited to"):
+            named_graph(token)
