@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,7 @@ from ptlab.decomposition import (
 )
 from ptlab.graphs import (
     Graph,
+    complement,
     complete_graph,
     cycle_graph,
     gnp,
@@ -144,6 +146,25 @@ def test_heuristic_mode_returns_cut_or_notfound():
     assert not NotFound(3)  # falsy
 
 
+def test_heuristic_results_pinned(digest):
+    rng = Stream(61)
+    cuts = []
+    for i in range(30):
+        g = gnp(4 + i % 12, (0.15, 0.5, 0.85)[i % 3], rng.child(0, i))
+        beta = (Fraction(1, 10), Fraction(1, 4))[i % 2]
+        cuts.append(find_beta_cut(g, beta, "heuristic", rng.child(1, i), restarts=3))
+    assert sum(isinstance(c, Cut) for c in cuts) == 25
+    assert cuts.count(NotFound(3)) == 5
+    assert digest(cuts) == "36634e7d6a3c961d"
+    refs = []
+    for i in range(6):
+        g = gnp(12 + 3 * i, (0.2, 0.5, 0.8)[i % 3], rng.child(2, i))
+        ref = refine_along_cuts(g, Fraction(1, 4), mode="heuristic", rng=rng.child(3, i))
+        refs.append((ref.parts, ref.edited_pairs, ref.modified_graph.rows))
+    assert [r[1] for r in refs] == [8, 23, 27, 35, 0, 64]
+    assert digest(refs) == "f1793376a0ce91ad"
+
+
 def test_refine_cograph_to_singletons():
     rng = Stream(41)
     for i in range(30):
@@ -201,26 +222,56 @@ def naive_distance(g, recognizer, cap):
     return AboveCap(cap)
 
 
+@lru_cache(maxsize=None)
+def naive_answer(recognizer, rows):
+    return naive_distance(Graph(len(rows), rows), recognizer, 3)
+
+
 # the properties whose edit distance certify-style runs measure
 DISTANCE_RECOGNIZERS = (is_triangle_free, is_cograph, is_perfect, is_comparability)
+
+
+def two_c5s(shared):
+    """Two 5-cycles on 10 - shared vertices; the second starts at vertex
+    5 - shared, so with shared = 1 they meet in vertex 4."""
+    c5 = [(i, (i + 1) % 5) for i in range(5)]
+    off = 5 - shared
+    return Graph.from_edges(10 - shared, c5 + [(u + off, v + off) for u, v in c5])
+
+
+# perfect distance 3; found by toggling one pair of a G(9, p) at distance 2
+PERFECT_AT_3 = Graph(9, (118, 77, 147, 482, 421, 153, 267, 316, 216))
+
+
+@lru_cache(maxsize=None)
+def distance_cases():
+    """(graph, recognizers) pairs: G(6, p) and G(7, p) on all four
+    properties; on perfect and comparability also two odd holes (disjoint,
+    or sharing a vertex), their complements (two odd antiholes), a host at
+    perfect distance 3, and G(9, p), where those two reach distance 2 and 3."""
+    rng = Stream(53)
+    cases = [(gnp(6 + i % 2, (0.3, 0.5, 0.7)[i % 3], rng.child(i)), DISTANCE_RECOGNIZERS)
+             for i in range(60)]
+    hosts = [two_c5s(0), two_c5s(1), complement(two_c5s(0)), complement(two_c5s(1)),
+             PERFECT_AT_3]
+    hosts += [gnp(9, (0.3, 0.5, 0.7)[i % 3], rng.child(1, i)) for i in range(150)]
+    return cases + [(g, (is_perfect, is_comparability)) for g in hosts]
 
 
 def distance_mismatches(recognizer_of):
     """(recognizer, rows) where the witness-driven search, run on
     `recognizer_of(recognizer)`, disagrees with the naive toggle search run
-    on the true recognizer, over G(6, p) and G(7, p) at cap 3."""
-    rng = Stream(53)
-    bad = []
-    for i in range(60):
-        g = gnp(6 + i % 2, (0.3, 0.5, 0.7)[i % 3], rng.child(i))
-        for rec in DISTANCE_RECOGNIZERS:
-            if distance_to_property(g, recognizer_of(rec), cap=3) != naive_distance(g, rec, 3):
-                bad.append((rec.__name__, g.rows))
-    return bad
+    on the true recognizer, at cap 3."""
+    return [(rec.__name__, g.rows) for g, recs in distance_cases() for rec in recs
+            if distance_to_property(g, recognizer_of(rec), cap=3) != naive_answer(rec, g.rows)]
 
 
 def test_distance_matches_naive_toggle_search():
     assert distance_mismatches(lambda rec: rec) == []
+    reached = {(rec.__name__, naive_answer(rec, g.rows))
+               for g, recs in distance_cases() for rec in recs}
+    for name in ("is_perfect", "is_comparability"):
+        assert {(name, 2), (name, 3)} <= reached, name
 
 
 def test_fault_injection_distance_with_short_witnesses_is_caught():
@@ -230,7 +281,8 @@ def test_fault_injection_distance_with_short_witnesses_is_caught():
             return res if res.member else RecognitionResult(False, res.witness[:-1], res.label)
         return short
 
-    assert distance_mismatches(dropping_last_witness_vertex)
+    caught = {name for name, _ in distance_mismatches(dropping_last_witness_vertex)}
+    assert {"is_perfect", "is_comparability"} <= caught, caught
 
 
 def test_distance_guards():

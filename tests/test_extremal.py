@@ -86,3 +86,11 @@ def test_json_payload():
     data = rec.to_json()
     assert data["n"] == 5 and data["certified"]
     assert data["p3_density"] >= data["density_floor"]
+
+
+def test_records_pinned(digest):
+    recs = [search_min_p3_density(7, Fraction(1, 5), 6, Stream(71, (0,))),
+            search_min_p3_density(8, Fraction(1, 5), 4, Stream(71, (1,))),
+            estimate_f(7, Fraction(2, 49), 4, Stream(71, (2,)))]
+    assert [r.p3_count for r in recs] == [8, 10, 3]
+    assert digest([(r.to_json(), r.graph.rows) for r in recs]) == "33f1efcad1f6c3fd"

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from ptlab.gadgets import (
+    AP_EXACT_BOUND,
     ApFreeSet,
     ap3_free_set,
     build_c5_gadget,
@@ -62,6 +64,34 @@ def test_ap_free_examples():
 def test_ap_free_exact_matches_exhaustive():
     for n in range(1, 13):
         assert len(ap3_free_set(n, "exact")) == exhaustive_max_ap_free(n), n
+
+
+def lex_first_max_ap_free(n):
+    """The lexicographically least largest 3-AP-free subset of 1..n: every
+    subset of each size, from n down, in lexicographic order."""
+    for size in range(n, 0, -1):
+        for combo in combinations(range(1, n + 1), size):
+            present = set(combo)
+            if all(2 * b - a not in present for i, a in enumerate(combo) for b in combo[i + 1:]):
+                return combo
+    return ()
+
+
+def test_ap_free_exact_is_lexicographically_first_optimum():
+    for n in range(1, 17):
+        assert ap3_free_set(n, "exact").elements == lex_first_max_ap_free(n), n
+
+
+# sizes of the exact sets for n = 1..40; each size also agrees with a plain
+# include/exclude search with no size bound
+AP_EXACT_SIZES = [1, 2, 2, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 8, 8, 8, 8, 8, 8, 9,
+                  9, 9, 9, 10, 10, 11, 11, 11, 11, 12, 12, 13, 13, 13, 13, 14, 14, 14, 14, 15]
+
+
+def test_ap_free_exact_sets_pinned(digest):
+    sets = [ap3_free_set(n, "exact").elements for n in range(1, AP_EXACT_BOUND + 1)]
+    assert [len(s) for s in sets] == AP_EXACT_SIZES
+    assert digest(sets) == "361c56e408ae9d2a"
 
 
 def test_ap_free_behrend_verified_and_reasonable():

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from ptlab.gadgets import ap3_free_set, rs_graph
 from ptlab.graphs import (
     PartLabeling,
     complete_graph,
@@ -179,6 +180,24 @@ def test_tripartite_extract_random_draws():
         for v in range(6):
             if (mask >> v) & 1:
                 assert not f.rows[v] & mask  # parts independent
+
+
+def test_tripartite_extract_pinned(digest):
+    rb = rs_graph(5, ap3_free_set(5, "exact"))
+    k6 = complete_graph(6)
+    hosts = ((rb.graph, rb.certificate), (k6, triangle_packing(k6)))
+    runs = [random_tripartite_extract(g, pk, Stream(67, (g.n, r)), retries=r)
+            for g, pk in hosts for r in (1, 4, 12)]
+    # forced: rs's own parts keep every planted triangle; on K6 the parts
+    # {0,3}, {1,4}, {2,5} keep the two packing triangles with one vertex in each
+    runs.append(random_tripartite_extract(rb.graph, rb.certificate, Stream(0),
+                                          parts=rb.labeling))
+    scrambled = PartLabeling(6, [("A", [0, 3]), ("B", [1, 4]), ("C", [2, 5])])
+    runs.append(random_tripartite_extract(k6, triangle_packing(k6), Stream(0),
+                                          parts=scrambled))
+    assert [len(kept) for _, _, kept in runs] == [4, 8, 6, 1, 1, 2, 20, 2]
+    assert digest([(f.rows, lab.parts, kept.tuples) for f, lab, kept in runs]) \
+        == "036a31e85509379a"
 
 
 def test_tripartite_extract_empty_packing():

@@ -45,6 +45,15 @@ def test_pipeline_hardness_identical_for_one_two_and_three_threads():
     assert runs[0] == runs[1] == runs[2]
 
 
+def test_pipeline_hardness_pinned(digest):
+    rows, extra = pipeline_hardness([3, 4], d=45, trials=80, rng=Stream(73), retries=4)
+    assert extra == {"mechanism": {"3": {"trifree_samples": 58, "trifree_pass": 58},
+                                   "4": {"trifree_samples": 66, "trifree_pass": 66}}}
+    assert [r.rejection_rate for r in rows] == [0.2, 0.275, 1.0, 1.0,
+                                                0.1375, 0.175, 1.0, 1.0]
+    assert digest([r.as_list() for r in rows]) == "051c54f004805fc4"
+
+
 def test_pipeline_easy_small():
     rows = pipeline_easy(9, distances=[1, 2], budgets=[1, 8], trials=80,
                          rng=Stream(43))
