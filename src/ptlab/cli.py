@@ -9,7 +9,6 @@ import json
 import os
 import sys
 import time
-from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .pipelines import (
     pipeline_hardness,
 )
 from .recognizers import is_poset, property_recognizer
-from .reports import ExperimentSpec, make_report, write_csv, write_report
+from .reports import ExperimentSpec, make_report, open_target, write_csv, write_report
 from .rng import Stream
 from .testers import TesterConfig, estimate_detection
 from .verify import SUITE_NAMES, run_suite
@@ -54,7 +53,8 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
                         **(kw or {"default": int(os.environ.get("PTLAB_SEED", "0"))}),
                         help="master seed (default: $PTLAB_SEED or 0)")
     parser.add_argument("--threads", type=_positive_int, **(kw or {"default": 1}),
-                        help="worker processes for trial loops (results unchanged)")
+                        help="trial-loop chunks, run by at most as many worker processes "
+                             "as the host has CPUs (results unchanged)")
     parser.add_argument("--out", **(kw or {"default": None}),
                         help="output path ('-' or omitted: stdout)")
     parser.add_argument("--format", choices=("json", "csv"),
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--property", required=True)
     p.add_argument("--h", help="graph token for induced-h-free")
-    p.add_argument("--cap", type=int, default=5)
+    p.add_argument("--cap", type=int, default=5, help="largest distance searched, 0..5")
 
     p = sub.add_parser("search-extremal",
                        help="hill-climb for cut-free / far graphs with few induced 4-paths")
@@ -345,7 +345,7 @@ def cmd_search_extremal(args) -> int:
 def cmd_verify_suite(args) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     failures = 0
-    with nullcontext(sys.stdout) if args.out in (None, "-") else open(args.out, "w") as out:
+    with open_target(args.out) as out:
         for name in names:
             for res in run_suite(name, seed=args.seed):
                 print(res.line(), file=out)
@@ -398,10 +398,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"ptlab: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"ptlab: {exc}", file=sys.stderr)
         return EXIT_IO
     except PackingError as exc:

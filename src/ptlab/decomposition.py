@@ -71,22 +71,27 @@ def _crossing_edges(g: Graph, mask1: int, mask2: int) -> int:
     return sum((g.rows[v] & mask2).bit_count() for v in iter_bits(mask1))
 
 
+def _cut(n: int, mask1: int, kind: str, cross: int, prod: int) -> Cut:
+    """The cut (mask1, rest) of `kind` with `cross` of its `prod` pairs crossing."""
+    return Cut(tuple(iter_bits(mask1)), tuple(iter_bits(((1 << n) - 1) ^ mask1)), kind,
+               Fraction(cross, prod), cross if kind == "sparse" else prod - cross)
+
+
 def _cut_from_mask(g: Graph, mask1: int, beta: Fraction) -> Cut | None:
-    """Classify the bipartition (mask1, rest) against beta, or None."""
+    """Classify the bipartition (mask1, rest) against beta, or None; side1 is
+    whichever side holds vertex 0."""
     full = (1 << g.n) - 1
-    mask2 = full ^ mask1
+    if not mask1 & 1:
+        mask1 ^= full
     s1 = mask1.bit_count()
-    s2 = g.n - s1
-    prod = s1 * s2
-    cross = _crossing_edges(g, mask1, mask2)
+    prod = s1 * (g.n - s1)
+    cross = _crossing_edges(g, mask1, full ^ mask1)
     density = Fraction(cross, prod)
     if density <= beta:
-        kind, edits = "sparse", cross
-    elif density >= 1 - beta:
-        kind, edits = "dense", prod - cross
-    else:
-        return None
-    return Cut(tuple(iter_bits(mask1)), tuple(iter_bits(mask2)), kind, density, edits)
+        return _cut(g.n, mask1, "sparse", cross, prod)
+    if density >= 1 - beta:
+        return _cut(g.n, mask1, "dense", cross, prod)
+    return None
 
 
 def find_cut(g: Graph) -> Cut | None:
@@ -101,9 +106,8 @@ def find_cut(g: Graph) -> Cut | None:
     for rows, kind in ((g.rows, "sparse"), (_co_rows(g.rows, full), "dense")):
         comp = components(rows, full)[0]
         if comp != full:
-            density = Fraction(0) if kind == "sparse" else Fraction(1)
-            return Cut(tuple(iter_bits(comp)), tuple(iter_bits(full ^ comp)),
-                       kind, density, 0)
+            prod = comp.bit_count() * (g.n - comp.bit_count())
+            return _cut(g.n, comp, kind, 0 if kind == "sparse" else prod, prod)
     return None
 
 
@@ -194,10 +198,8 @@ def _beta_cut_exact(g: Graph, beta: Fraction) -> Cut | None:
             tied = tied[has]
         bit <<= 1
     r = int(tied[0])
-    mask1 = 1 | (r << 1)
     kind = "sparse" if cross[r] <= sparse_max[r] else "dense"
-    return Cut(tuple(iter_bits(mask1)), tuple(iter_bits(((1 << n) - 1) ^ mask1)),
-               kind, Fraction(int(cross[r]), int(prod[r])), int(best))
+    return _cut(n, 1 | (r << 1), kind, int(cross[r]), int(prod[r]))
 
 
 def _beta_cut_heuristic(g: Graph, beta: Fraction, rng: Stream, restarts: int
@@ -206,17 +208,13 @@ def _beta_cut_heuristic(g: Graph, beta: Fraction, rng: Stream, restarts: int
     full = (1 << n) - 1
     for attempt in range(restarts):
         gen = rng.child(attempt).gen
-        side = [bool(b) for b in gen.integers(0, 2, size=n)]
-        if all(side) or not any(side):
-            side[0] = not side[0]
-        mask1 = sum(1 << v for v in range(n) if side[v])
+        mask1 = sum(int(b) << v for v, b in enumerate(gen.integers(0, 2, size=n)))
+        if mask1 in (0, full):
+            mask1 ^= 1  # both sides nonempty
         for _ in range(4 * n * n):  # flip budget per restart
             cut = _cut_from_mask(g, mask1, beta)
-            if cut is not None and 0 in cut.side1:
-                return cut
             if cut is not None:
-                # canonicalize: side1 holds vertex 0
-                return _cut_from_mask(g, full ^ mask1, beta)
+                return cut
             # objective (float guidance only): crossing density's distance
             # from {0, 1}; the final classification above is exact
             mask2 = full ^ mask1
@@ -231,12 +229,9 @@ def _beta_cut_heuristic(g: Graph, beta: Fraction, rng: Stream, restarts: int
                     continue
                 s1 = new1.bit_count()
                 nprod = s1 * (n - s1)
-                if vm & mask1:
-                    ncross = cross - (g.rows[v] & mask2).bit_count() \
-                        + (g.rows[v] & (mask1 & ~vm)).bit_count()
-                else:
-                    ncross = cross - (g.rows[v] & mask1).bit_count() \
-                        + (g.rows[v] & (mask2 & ~vm)).bit_count()
+                # v's edges into its own side start crossing, those across stop
+                across = (g.rows[v] & (mask2 if vm & mask1 else mask1)).bit_count()
+                ncross = cross + g.rows[v].bit_count() - 2 * across
                 nscore = min(ncross / nprod, 1 - ncross / nprod)
                 if nscore < score:
                     moves.append((nscore, v))
@@ -325,8 +320,8 @@ def distance_to_property(g: Graph, recognizer: Callable[[Graph], RecognitionResu
     """
     if g.n > DISTANCE_N_BOUND:
         raise ValueError(f"edit-distance oracle limited to n <= {DISTANCE_N_BOUND}")
-    if cap > DISTANCE_CAP_BOUND:
-        raise ValueError(f"edit-distance cap limited to {DISTANCE_CAP_BOUND}")
+    if not 0 <= cap <= DISTANCE_CAP_BOUND:
+        raise ValueError(f"edit-distance cap limited to 0..{DISTANCE_CAP_BOUND}, got {cap}")
     failed_at: dict[tuple[int, ...], int] = {}
 
     def search(h: Graph, budget: int, banned: frozenset) -> bool:

@@ -74,9 +74,10 @@ class ExtremalRecord:
 
 
 def _hill_climb(n: int, qualifies: Callable[[Graph], bool], effort: int,
-                rng: Stream, start_p: float = 0.5):
-    """Best (count, graph) over `effort` restarts of first-improvement
-    hill-climbing on single-pair toggles, staying inside `qualifies`.
+                rng: Stream, **family: Fraction) -> ExtremalRecord:
+    """The record of the best graph over `effort` restarts of
+    first-improvement hill-climbing on single-pair toggles, staying inside
+    `qualifies`; `family` is the record's beta=... or epsilon=....
 
     Equal-count moves are accepted with probability 1/2 to drift across
     plateaus; ties in the final reduction go to the lexicographically least
@@ -91,7 +92,7 @@ def _hill_climb(n: int, qualifies: Callable[[Graph], bool], effort: int,
         gen = child.gen
         g = None
         for attempt in range(40):
-            cand = gnp(n, start_p, child.child(attempt))
+            cand = gnp(n, 0.5, child.child(attempt))
             if qualifies(cand):
                 g = cand
                 break
@@ -118,7 +119,10 @@ def _hill_climb(n: int, qualifies: Callable[[Graph], bool], effort: int,
     if best is None:
         raise ValueError(
             f"no qualifying graph found in {effort} restarts at n={n}")
-    return best[0], best[2]
+    return ExtremalRecord(
+        n=n, graph=best[2], p3_count=best[0], p3_density=Fraction(best[0], n ** 4),
+        certified=True, provenance={"seed": rng.seed, "path": list(rng.path), "effort": effort},
+        **family)
 
 
 def search_min_p3_density(n: int, beta, effort: int, rng: Stream) -> ExtremalRecord:
@@ -134,11 +138,7 @@ def search_min_p3_density(n: int, beta, effort: int, rng: Stream) -> ExtremalRec
     def qualifies(g: Graph) -> bool:
         return find_beta_cut(g, b, mode="exact") is None
 
-    count, g = _hill_climb(n, qualifies, effort, rng)
-    return ExtremalRecord(
-        n=n, graph=g, p3_count=count, p3_density=Fraction(count, n ** 4),
-        certified=True, beta=b,
-        provenance={"seed": rng.seed, "path": list(rng.path), "effort": effort})
+    return _hill_climb(n, qualifies, effort, rng, beta=b)
 
 
 def estimate_f(n: int, epsilon, effort: int, rng: Stream) -> ExtremalRecord:
@@ -166,8 +166,4 @@ def estimate_f(n: int, epsilon, effort: int, rng: Stream) -> ExtremalRecord:
             return Fraction(d.cap + 1) >= threshold
         return Fraction(d) >= threshold
 
-    count, g = _hill_climb(n, qualifies, effort, rng)
-    return ExtremalRecord(
-        n=n, graph=g, p3_count=count, p3_density=Fraction(count, n ** 4),
-        certified=True, epsilon=eps,
-        provenance={"seed": rng.seed, "path": list(rng.path), "effort": effort})
+    return _hill_climb(n, qualifies, effort, rng, epsilon=eps)

@@ -67,66 +67,43 @@ def _find_3ap(elems: Sequence[int]) -> tuple[int, int, int] | None:
     return None
 
 
-def _max_ap_free_prefix_sizes(n: int) -> list[int]:
-    """sizes[m] = maximum 3-AP-free subset of any m consecutive integers.
+def _ap_free_exact(n: int) -> tuple[int, ...]:
+    """A maximum 3-AP-free subset of 1..n (lexicographically first optimum).
 
-    Shift-invariant, so sizes[m] for the window 1..m serves every window.
-    Computed bottom-up; sizes[m - v] prunes the search for sizes[m].
+    Bottom-up over the windows 1..m: sizes[m], the maximum for any m
+    consecutive integers (shift-invariant), lets sizes[m - v + 1] bound what
+    the window v..m can still add. Each window's search starts from a size
+    known to be reachable, sizes[m - 1] (one less for the last window, so
+    that it reaches a set even when n adds nothing), and records the first
+    set it reaches at each larger size. Including v is tried before
+    excluding it, so sets of one size are reached in lexicographic order and
+    the last set recorded is the lexicographically first optimum.
     """
     sizes = [0] * (n + 1)
     for m in range(1, n + 1):
-        best = sizes[m - 1]  # a maximum set for 1..m-1 is feasible for 1..m
+        best = sizes[m - 1] - (m == n)
         chosen: list[int] = []
+        found: list[int] = []
 
-        def dfs(v: int) -> None:
-            nonlocal best
+        def dfs(v: int, banned: int) -> None:
+            # banned has bit c set when some a < b in chosen have c = 2b - a
+            nonlocal best, found
             if len(chosen) > best:
-                best = len(chosen)
+                best, found = len(chosen), chosen.copy()
             if v > m:
                 return
             # window [v..m] has m-v+1 slots; its bound is known once v >= 2
             if v > 1 and len(chosen) + sizes[m - v + 1] <= best:
                 return
-            # include v unless it completes a progression
-            ok = True
-            cs = set(chosen)
-            for b in chosen:
-                if 2 * b - v in cs:
-                    ok = False
-                    break
-            if ok:
+            if not banned >> v & 1:
                 chosen.append(v)
-                dfs(v + 1)
+                dfs(v + 1, banned | sum(1 << (2 * v - a) for a in chosen))
                 chosen.pop()
-            dfs(v + 1)
+            dfs(v + 1, banned)
 
-        dfs(1)
+        dfs(1, 0)
         sizes[m] = best
-    return sizes
-
-
-def _ap_free_exact(n: int) -> tuple[int, ...]:
-    """A maximum 3-AP-free subset of 1..n (lexicographically first optimum)."""
-    sizes = _max_ap_free_prefix_sizes(n)
-    target = sizes[n]
-    chosen: list[int] = []
-
-    def dfs(v: int) -> bool:
-        if len(chosen) == target:
-            return True
-        if v > n or len(chosen) + sizes[n - v + 1] < target:
-            return False
-        cs = set(chosen)
-        if all(2 * b - v not in cs for b in chosen):
-            chosen.append(v)
-            if dfs(v + 1):
-                return True
-            chosen.pop()
-        return dfs(v + 1)
-
-    if not dfs(1):
-        raise AssertionError("exact search must reach its own optimum")
-    return tuple(chosen)
+    return tuple(found)
 
 
 def _ap_free_behrend(n: int) -> tuple[int, ...]:
@@ -278,7 +255,7 @@ def rs_graph(k: int, s: ApFreeSet) -> GadgetBundle:
     cert = WitnessPacking("triangle", tuple(sorted(planted)), n).verified_in(g)
     return GadgetBundle(
         graph=g, labeling=labeling, certificate=cert,
-        farness=farness_lower_bound(cert, n),
+        farness=farness_lower_bound(cert),
         provenance={"construction": "rs", "k": k, "s": list(s.elements)})
 
 
@@ -355,7 +332,7 @@ def build_c5_gadget(f: Graph, labeling: PartLabeling,
     cert = greedy_c5_packing(g, parts, packing)
     return GadgetBundle(
         graph=g, labeling=parts, certificate=cert,
-        farness=farness_lower_bound(cert, big_n),
+        farness=farness_lower_bound(cert),
         provenance={"construction": "c5-gadget", "inner_n": n,
                     "planted": len(packing)})
 
@@ -414,6 +391,6 @@ def build_poset_gadget(t: Graph, labeling: PartLabeling,
     d = Digraph(t.n, rows)
     return GadgetBundle(
         graph=d, labeling=labeling, certificate=packing,
-        farness=farness_lower_bound(packing, t.n),
+        farness=farness_lower_bound(packing),
         provenance={"construction": "poset-gadget", "n": t.n,
                     "packing": len(packing)})

@@ -308,15 +308,13 @@ def greedy_c5_packing(gadget: Graph, labeling: PartLabeling,
     return WitnessPacking("inducedC5", tuples, gadget.n).verified_in(gadget)
 
 
-def farness_lower_bound(packing: WitnessPacking, n: int) -> Fraction:
-    """|tuples| / n^2: a certified lower bound on the normalized edit
+def farness_lower_bound(packing: WitnessPacking) -> Fraction:
+    """|tuples| / host_n^2: a certified lower bound on the normalized edit
     distance to the matching freeness property (each pair edit destroys at
     most one tuple under the overlap rule)."""
     if not packing.verified:
         raise PackingError("farness bound requires a verified packing")
-    if n != packing.host_n:
-        raise ValueError(f"n={n} does not match packing host_n={packing.host_n}")
-    return Fraction(len(packing.tuples), n * n)
+    return Fraction(len(packing.tuples), packing.host_n ** 2)
 
 
 def _apply_tripartition(g: Graph, assign: Sequence[int],
@@ -344,21 +342,15 @@ def random_tripartite_extract(g: Graph, packing: WitnessPacking, rng: Stream,
     if parts is not None:
         if len(parts.parts) != 3:
             raise ValueError("forced assignment needs exactly three parts")
-        assign = parts.part_index_of()
-        best = _apply_tripartition(g, assign, packing)
-        best_assign = assign
+        assigns = [parts.part_index_of()]
     else:
         if retries < 1:
             raise ValueError("retries must be >= 1")
-        best = None
-        best_assign = None
-        for r in range(retries):
-            assign = [int(a) for a in rng.child(r).gen.integers(0, 3, size=g.n)]
-            cand = _apply_tripartition(g, assign, packing)
-            if best is None or len(cand[1]) > len(best[1]):
-                best = cand
-                best_assign = assign
-    f_graph, retained = best
+        assigns = ([int(a) for a in rng.child(r).gen.integers(0, 3, size=g.n)]
+                   for r in range(retries))
+    # the first assignment keeping the most packing triangles wins
+    best_assign, f_graph, retained = max(
+        ((a, *_apply_tripartition(g, a, packing)) for a in assigns), key=lambda c: len(c[2]))
     names = ("X", "Y", "Z")
     labeling = PartLabeling(
         g.n, [(names[i], [v for v in range(g.n) if best_assign[v] == i])

@@ -10,16 +10,15 @@ farness lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .decomposition import AboveCap, distance_to_property
+from .decomposition import DISTANCE_CAP_BOUND, distance_to_property
 from .gadgets import ap3_free_set, build_c5_gadget, rs_graph
-from .graphs import Graph, _induces_c5, flip_pairs, gnp, random_cograph, sample_vertices
-from .packing import PackingError, WitnessPacking
+from .graphs import Graph, _induces_c5, flip_pairs, gnp, random_cograph
+from .packing import PackingError, WitnessPacking, farness_lower_bound
 from .recognizers import _find_triangle, _later_masks, _order_hit, is_cograph
-from .rng import Stream, _trial_streams
-from .testers import TesterConfig, estimate_detection, wilson95
+from .rng import Stream
+from .testers import TesterConfig, _sample_masks, estimate_detection, wilson95
 
 __all__ = [
     "HardnessRow",
@@ -111,26 +110,22 @@ def pipeline_hardness(ks: Sequence[int], d: int, trials: int, rng: Stream,
         rows.append(HardnessRow(k, "gadget", "induced-c5-free", far, d, trials,
                                 rep.rejection_rate, rep.wilson_lo, rep.wilson_hi))
 
-        offset = 4 * f.n
         later = _later_masks(gb.labeling)
         rejections = trifree = passed = 0
-        for sample in _trial_streams(kstream.child(2), 0, trials):
-            pick = sample_vertices(gadget.n, d, sample)
-            ok = _order_hit(gadget.rows, sum(1 << v for v in pick), later) is None
-            if not ok:
-                rejections += 1
-            fmask = sum(1 << (v - offset) for v in pick if v >= offset)
-            if _find_triangle(f.rows, fmask) is None:
+        for mask in _sample_masks(gadget.n, d, trials, kstream.child(2)):
+            ok = _order_hit(gadget.rows, mask, later) is None
+            rejections += not ok
+            # the inner graph f sits at the gadget's top f.n indices
+            if _find_triangle(f.rows, mask >> 4 * f.n) is None:
                 trifree += 1
-                if ok:
-                    passed += 1
+                passed += ok
         lo, hi = wilson95(rejections, trials)
         rows.append(HardnessRow(k, "gadget", "comparability-order", far, d, trials,
                                 rejections / trials, lo, hi))
         mechanism[str(k)] = {"trifree_samples": trifree, "trifree_pass": passed}
 
         control, cpack = match_gnp_control(gadget.n, len(gb.certificate), kstream.child(4))
-        cfar = float(Fraction(len(cpack), control.n ** 2))
+        cfar = float(farness_lower_bound(cpack))
         rep = estimate_detection(
             control, TesterConfig("universal", d=d, property_name="induced-c5-free"),
             trials, kstream.child(5), threads)
@@ -154,21 +149,21 @@ def pipeline_easy(n: int, distances: Sequence[int], budgets: Sequence[int],
     distance from cograph-hood, plus an always-accepted cograph control."""
     if n > 10:
         raise ValueError("easy pipeline needs the exact distance oracle (n <= 10)")
+    if not all(0 <= want <= DISTANCE_CAP_BOUND for want in distances):
+        raise ValueError(
+            f"distances must lie in 0..{DISTANCE_CAP_BOUND}, the oracle's cap, got {list(distances)}")
     rows: list[list] = []
     base = random_cograph(n, rng.child(0))
     for di, want in enumerate(distances):
-        found = None
         for attempt in range(400):
             # fresh cograph per attempt: dense cographs absorb small flips
             start = random_cograph(n, rng.child(1, di, attempt, 0))
-            cand = flip_pairs(start, want + attempt % 3, rng.child(1, di, attempt, 1))
-            dist = distance_to_property(cand, is_cograph)
-            if not isinstance(dist, AboveCap) and dist == want:
-                found = (cand, dist)
+            g = flip_pairs(start, want + attempt % 3, rng.child(1, di, attempt, 1))
+            dist = distance_to_property(g, is_cograph)
+            if dist == want:  # never an AboveCap: want is within the cap
                 break
-        if found is None:
+        else:
             raise ValueError(f"no graph at certified distance {want} found")
-        g, dist = found
         eps = dist / (n * n)
         for t in budgets:
             rep = estimate_detection(g, TesterConfig("quadruple-density", t=t),

@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import jsonschema
@@ -100,22 +100,23 @@ def validate_report(report: dict) -> None:
     jsonschema.validate(report, REPORT_SCHEMA)
 
 
+def open_target(target):
+    """A context manager for writing to the file `target`, or to stdout
+    (left open) for None or "-"."""
+    if target is None or target == "-":
+        return nullcontext(sys.stdout)
+    return open(target, "w", newline="")
+
+
 def write_report(report: dict, target) -> None:
     validate_report(report)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if target is None or target == "-":
-        sys.stdout.write(text)
-    else:
-        Path(target).write_text(text)
+    with open_target(target) as out:
+        out.write(text)
 
 
 def write_csv(rows: Iterable[Sequence], header: Sequence[str], target) -> None:
-    out = sys.stdout if target is None or target == "-" else open(target, "w", newline="")
-    try:
+    with open_target(target) as out:
         writer = csv.writer(out)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        writer.writerows(rows)

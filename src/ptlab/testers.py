@@ -22,6 +22,7 @@ adjacency rows directly, with no induced subgraph built.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -203,6 +204,13 @@ def run_tester(g: Graph, config: TesterConfig, rng: Stream) -> Verdict:
     return induced_p3_tester(g, config.t, rng)
 
 
+def _sample_masks(n: int, d: int, trials: int, rng: Stream) -> Iterator[int]:
+    """Trial i's uniform d-subset of 0..n-1, as a bitmask, for the trials of
+    the batch on `rng`: the sample the universal tester decides."""
+    for trial in _trial_streams(rng, 0, trials):
+        yield sum(1 << v for v in sample_vertices(n, d, trial))
+
+
 def _count_rejections(g: Graph, config: TesterConfig, rng: Stream,
                       lo: int, hi: int) -> int:
     return sum(not run_tester(g, config, trial).accepted
@@ -220,7 +228,9 @@ def estimate_detection(g: Graph, config: TesterConfig, trials: int,
 
     Trial i always draws from counter block i of the batch generator keyed
     by (rng.seed, rng.path), so the report is bit-identical for a fixed seed
-    regardless of `threads`. At most 2**64 - 1 trials fit the layout.
+    regardless of `threads`. With `threads` > 1 (and at least 4 trials per
+    thread) the trials are split into `threads` chunks, run by at most
+    os.cpu_count() worker processes. At most 2**64 - 1 trials fit the layout.
     """
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"need 1 <= trials <= {_MAX_TRIALS}, got {trials}")
@@ -233,7 +243,8 @@ def estimate_detection(g: Graph, config: TesterConfig, trials: int,
         # imported here: the process pool's modules cost every other caller
         # about 1.3 MB of resident memory and some import time
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # the pool starts all its workers at once: no more than the CPUs
+        with ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
             rejections = sum(pool.map(_rejection_chunk, jobs))
     lo, hi = wilson95(rejections, trials)
     return TesterReport(config, trials, rejections, rejections / trials,

@@ -58,7 +58,7 @@ from .recognizers import (
     is_triangle_free,
 )
 from .rng import Stream
-from .testers import TesterConfig, estimate_detection
+from .testers import TesterConfig, _sample_masks, estimate_detection
 
 __all__ = ["CheckResult", "SUITE_NAMES", "all_graphs", "run_suite"]
 
@@ -328,7 +328,7 @@ def distance_equals_nu(stream: Stream, draws: int) -> str | None:
                 return f"draw {i}: oracle AboveCap but nu={nu}"
         elif d != nu:
             return f"draw {i}: distance {d} != nu {nu}"
-        elif farness_lower_bound(triangle_packing(g, "exact"), 7) > Fraction(d, 49):
+        elif farness_lower_bound(triangle_packing(g, "exact")) > Fraction(d, 49):
             return f"draw {i}: packing farness above distance {d}/49"
     return None
 
@@ -472,20 +472,18 @@ def rs_exact_triangles(max_k: int) -> str | None:
 
 def c5_gadget_rules_and_samples(stream: Stream, k: int, d: int, trials: int) -> str | None:
     """d-vertex samples of the five-part gadget over rs(k) with a triangle-free
-    inner part are comparability graphs; some sample must be triangle-free."""
+    inner part are comparability graphs; some sample must be triangle-free.
+    Trial i samples from counter block i of the batch on `stream`."""
     rb = rs_graph(k, ap3_free_set(k, "exact"))
     f = rb.graph
     gb = build_c5_gadget(f, rb.labeling.relabel(("V2", "V3", "V5")),
                          rb.certificate)  # construction re-audits the 9 rules
     later = _later_masks(gb.labeling)
     trifree = 0
-    for i in range(trials):
-        pick = sample_vertices(gb.graph.n, d, stream.child(i))
-        inner = sum(1 << (v - 4 * f.n) for v in pick if v >= 4 * f.n)
-        if _find_triangle(f.rows, inner) is not None:
+    for i, mask in enumerate(_sample_masks(gb.graph.n, d, trials, stream)):
+        if _find_triangle(f.rows, mask >> 4 * f.n) is not None:
             continue
         trifree += 1
-        mask = sum(1 << v for v in pick)
         if _order_hit(gb.graph.rows, mask, later) is not None:
             return f"trial {i}: triangle-free portion fails order transitivity"
         if _comparability_hit(gb.graph.rows, mask) is not None:
@@ -496,13 +494,12 @@ def c5_gadget_rules_and_samples(stream: Stream, k: int, d: int, trials: int) -> 
 
 
 def poset_gadget_samples(stream: Stream, k: int, d: int, trials: int) -> str | None:
-    """d-vertex samples of the poset gadget over rs(k) are posets iff triangle-free."""
+    """d-vertex samples of the poset gadget over rs(k) are posets iff
+    triangle-free; trial i samples from counter block i of the batch on `stream`."""
     rb = rs_graph(k, ap3_free_set(k, "exact"))
     t = rb.graph
     pb = build_poset_gadget(t, rb.labeling.relabel(("V1", "V2", "V3")), rb.certificate)
-    for i in range(trials):
-        pick = sample_vertices(t.n, d, stream.child(i))
-        mask = sum(1 << v for v in pick)
+    for i, mask in enumerate(_sample_masks(t.n, d, trials, stream)):
         tri_free = _find_triangle(t.rows, mask) is None
         ok = _poset_hit(pb.graph.rows, mask) is None
         if ok != tri_free:

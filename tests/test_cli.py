@@ -3,6 +3,7 @@ import json
 import pytest
 
 import ptlab.cli as cli
+import ptlab.pipelines
 from ptlab.cli import main
 from ptlab.graph_io import read_digraph, read_graph, write_graph
 from ptlab.graphs import cycle_graph
@@ -175,6 +176,28 @@ def test_threads_below_one_is_usage_error(threads):
     with pytest.raises(SystemExit) as err:
         run(["verify-suite", "gadgets", "--threads", threads])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("cap", [-1, 6])
+def test_distance_cap_outside_range_is_usage_error(tmp_path, capsys, cap):
+    g = tmp_path / "cg.el"
+    assert run(["--seed", 4, "gen", "cograph", "--n", 6, "--out", g]) == 0
+    out = tmp_path / "dist.json"
+    assert run(["distance", "--in", g, "--property", "cograph", "--cap", cap,
+                "--out", out]) == 2
+    assert "cap limited to 0..5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_easy_distance_above_cap_is_usage_error(tmp_path, capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the distances were checked")
+
+    monkeypatch.setattr(ptlab.pipelines, "random_cograph", no_work)
+    out = tmp_path / "easy.json"
+    assert run(["pipeline-easy", "--n", 9, "--distances", "1,6", "--out", out]) == 2
+    assert "distances must lie in 0..5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _rs_with_sidecar(tmp_path):

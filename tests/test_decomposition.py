@@ -290,6 +290,9 @@ def test_distance_guards():
         distance_to_property(gnp(11, 0.5, Stream(1)), is_cograph)
     with pytest.raises(ValueError):
         distance_to_property(cycle_graph(5), is_cograph, cap=6)
+    # a negative cap is refused too, even for a member (distance 0)
+    with pytest.raises(ValueError, match="cap limited to 0..5"):
+        distance_to_property(cycle_graph(4), is_cograph, cap=-1)
 
 
 def test_refine_heuristic_mode_runs():

@@ -120,12 +120,12 @@ def test_packing_verification_catches_lies():
 
 def test_farness_lower_bound():
     pk = triangle_packing(complete_graph(4))
-    assert farness_lower_bound(pk, 4) == Fraction(1, 16)
+    assert farness_lower_bound(pk) == Fraction(1, 16)
     unverified = WitnessPacking("triangle", ((0, 1, 2),), 4)
     with pytest.raises(PackingError):
-        farness_lower_bound(unverified, 4)
+        farness_lower_bound(unverified)
     empty = WitnessPacking("triangle", (), 4).verified_in(complete_graph(4))
-    assert farness_lower_bound(empty, 4) == 0
+    assert farness_lower_bound(empty) == 0
 
 
 def test_greedy_c5_packing_single_triangle():

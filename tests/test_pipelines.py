@@ -1,3 +1,6 @@
+import pytest
+
+import ptlab.pipelines
 from ptlab.graphs import complete_graph, gnp
 from ptlab.pipelines import (
     EASY_HEADER,
@@ -64,3 +67,13 @@ def test_pipeline_easy_small():
     assert all(r[6] == 0.0 for r in control)  # one-sided: never rejected
     far_big_budget = [r for r in rows if r[3] == "far" and r[4] == 8]
     assert all(r[6] > 0 for r in far_big_budget)
+
+
+@pytest.mark.parametrize("distances", [[1, 6], [-1]])
+def test_pipeline_easy_refuses_uncertifiable_distances_first(monkeypatch, distances):
+    def no_work(*args):
+        raise AssertionError("work started before the distances were checked")
+
+    monkeypatch.setattr(ptlab.pipelines, "random_cograph", no_work)
+    with pytest.raises(ValueError, match="distances must lie in 0..5"):
+        pipeline_easy(9, distances, [1], 10, Stream(43))

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 from collections import Counter
 from fractions import Fraction
 
@@ -217,6 +219,40 @@ def test_reports_identical_for_one_two_and_three_threads():
                                            threads=th)
                   for th in (1, 2, 3)]
         assert curves[0] == curves[1] == curves[2]
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records its worker count and the
+    chunks it is given, and maps them in this process."""
+
+    seen: dict = {}
+
+    def __init__(self, max_workers):
+        SerialPool.seen["max_workers"] = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        jobs = list(jobs)
+        SerialPool.seen["chunks"] = len(jobs)
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("cpus, threads, workers", [(2, 8, 2), (16, 3, 3), (None, 5, 1)])
+def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch, cpus, threads, workers):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    SerialPool.seen.clear()
+    g = gnp(12, 0.5, Stream(3))
+    cfg = TesterConfig("triple-density", t=3)
+    rep = estimate_detection(g, cfg, 64, Stream(5), threads=threads)
+    # the trials still go out in `threads` chunks, and the report is unchanged
+    assert SerialPool.seen == {"max_workers": workers, "chunks": threads}
+    assert rep == estimate_detection(g, cfg, 64, Stream(5))
 
 
 def test_estimate_detection_deterministic_and_thread_invariant():
