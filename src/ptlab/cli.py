@@ -24,7 +24,7 @@ from .pipelines import (
     pipeline_easy,
     pipeline_hardness,
 )
-from .recognizers import is_poset, property_recognizer
+from .recognizers import _PROPERTIES, is_poset, property_recognizer
 from .reports import ExperimentSpec, make_report, open_target, write_csv, write_report
 from .rng import Stream
 from .testers import TesterConfig, estimate_detection
@@ -49,8 +49,10 @@ def _positive_int(text: str) -> int:
 
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     kw = {"default": argparse.SUPPRESS} if suppress else {}
+    # a string default goes through `type` only when --seed is absent, so a
+    # malformed $PTLAB_SEED is a usage error and an explicit --seed wins
     parser.add_argument("--seed", type=int,
-                        **(kw or {"default": int(os.environ.get("PTLAB_SEED", "0"))}),
+                        **(kw or {"default": os.environ.get("PTLAB_SEED", "0")}),
                         help="master seed (default: $PTLAB_SEED or 0)")
     parser.add_argument("--threads", type=_positive_int, **(kw or {"default": 1}),
                         help="trial-loop chunks, run by at most as many worker processes "
@@ -88,9 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recognize", help="run an exact property recognizer")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--property", required=True,
-                   choices=("triangle-free", "cograph", "comparability", "perfect",
-                            "poset", "induced-h-free", "induced-c5-free",
-                            "induced-p3-free"))
+                   choices=(*_PROPERTIES, "poset", "induced-h-free"))
     p.add_argument("--h", help="graph token for induced-h-free, e.g. cycle:5")
 
     p = sub.add_parser("test", help="estimate a tester's rejection rate")

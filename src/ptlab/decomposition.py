@@ -77,21 +77,14 @@ def _cut(n: int, mask1: int, kind: str, cross: int, prod: int) -> Cut:
                Fraction(cross, prod), cross if kind == "sparse" else prod - cross)
 
 
-def _cut_from_mask(g: Graph, mask1: int, beta: Fraction) -> Cut | None:
-    """Classify the bipartition (mask1, rest) against beta, or None; side1 is
-    whichever side holds vertex 0."""
-    full = (1 << g.n) - 1
-    if not mask1 & 1:
-        mask1 ^= full
-    s1 = mask1.bit_count()
-    prod = s1 * (g.n - s1)
-    cross = _crossing_edges(g, mask1, full ^ mask1)
-    density = Fraction(cross, prod)
-    if density <= beta:
-        return _cut(g.n, mask1, "sparse", cross, prod)
-    if density >= 1 - beta:
-        return _cut(g.n, mask1, "dense", cross, prod)
-    return None
+def _cut_thresholds(n: int, beta: Fraction) -> list[list[int]]:
+    """Per side1 size s < n: the largest sparse crossing count, the smallest
+    dense one and the pair count prod = s(n-s). In exact integers, cross/prod
+    <= beta iff cross <= floor(beta*prod), and cross/prod >= 1-beta iff cross
+    >= ceil((1-beta)*prod)."""
+    num, den = beta.numerator, beta.denominator
+    prods = [s * (n - s) for s in range(n)]
+    return [[num * p // den for p in prods], [-(-(den - num) * p // den) for p in prods], prods]
 
 
 def find_cut(g: Graph) -> Cut | None:
@@ -174,12 +167,7 @@ def _beta_cut_exact(g: Graph, beta: Fraction) -> Cut | None:
         cross[h:2 * h] += rows[v].bit_count() - 2 * (rows[v] & 1)
     # the last index puts every vertex in side1: not a bipartition
     cross, size = cross[:-1], minus2pop[:-1] // -2 + 1
-    num, den = beta.numerator, beta.denominator
-    prods = [s * (n - s) for s in range(n)]
-    # sparse: cross/prod <= beta; dense: cross/prod >= 1-beta
-    sparse_max, dense_min, prod = np.array(
-        [[num * p // den for p in prods], [-(-(den - num) * p // den) for p in prods], prods],
-        dtype=np.int16)[:, size]
+    sparse_max, dense_min, prod = np.array(_cut_thresholds(n, beta), dtype=np.int16)[:, size]
     unfit = n * n  # above every edit count
     edits = np.where(cross <= sparse_max, cross,
                      np.where(cross >= dense_min, prod - cross, unfit))
@@ -206,41 +194,42 @@ def _beta_cut_heuristic(g: Graph, beta: Fraction, rng: Stream, restarts: int
                         ) -> Union[Cut, NotFound]:
     n = g.n
     full = (1 << n) - 1
+    sparse_max, dense_min, prods = _cut_thresholds(n, beta)
     for attempt in range(restarts):
         gen = rng.child(attempt).gen
         mask1 = sum(int(b) << v for v, b in enumerate(gen.integers(0, 2, size=n)))
         if mask1 in (0, full):
             mask1 ^= 1  # both sides nonempty
+        cross = _crossing_edges(g, mask1, full ^ mask1)
         for _ in range(4 * n * n):  # flip budget per restart
-            cut = _cut_from_mask(g, mask1, beta)
-            if cut is not None:
-                return cut
+            s1 = mask1.bit_count()
+            prod = prods[s1]
+            kind = ("sparse" if cross <= sparse_max[s1] else
+                    "dense" if cross >= dense_min[s1] else None)
+            if kind is not None:
+                return _cut(n, mask1 if mask1 & 1 else full ^ mask1, kind, cross, prod)
             # objective (float guidance only): crossing density's distance
-            # from {0, 1}; the final classification above is exact
-            mask2 = full ^ mask1
-            cross = _crossing_edges(g, mask1, mask2)
-            prod = mask1.bit_count() * mask2.bit_count()
+            # from {0, 1}; the classification above is exact
             score = min(cross / prod, 1 - cross / prod)
+            mask2 = full ^ mask1
             moves = []
             for v in range(n):
                 vm = 1 << v
                 new1 = mask1 ^ vm
                 if new1 == 0 or new1 == full:
                     continue
-                s1 = new1.bit_count()
-                nprod = s1 * (n - s1)
+                nprod = prods[new1.bit_count()]
                 # v's edges into its own side start crossing, those across stop
                 across = (g.rows[v] & (mask2 if vm & mask1 else mask1)).bit_count()
                 ncross = cross + g.rows[v].bit_count() - 2 * across
                 nscore = min(ncross / nprod, 1 - ncross / nprod)
                 if nscore < score:
-                    moves.append((nscore, v))
+                    moves.append((nscore, v, ncross))
             if not moves:
                 break
             moves.sort()
-            best_score = moves[0][0]
-            tied = [v for sc, v in moves if sc == best_score]
-            pick = tied[int(gen.integers(0, len(tied)))]
+            tied = [(v, nc) for sc, v, nc in moves if sc == moves[0][0]]
+            pick, cross = tied[int(gen.integers(0, len(tied)))]
             mask1 ^= 1 << pick
     return NotFound(restarts)
 

@@ -68,14 +68,17 @@ def sampled_c5_packing(g: Graph, target: int, budget: int, rng: Stream) -> Witne
     return WitnessPacking("inducedC5", tuple(sorted(chosen)), g.n).verified_in(g)
 
 
-def match_gnp_control(n: int, target: int, rng: Stream,
-                      ps: Sequence[float] = (0.5, 0.4, 0.6, 0.3, 0.7),
-                      budget: int = 60_000) -> tuple[Graph, WitnessPacking]:
+# the control's edge densities, in the order tried, and its 5-subset draws per density
+_CONTROL_PS = (0.5, 0.4, 0.6, 0.3, 0.7)
+_CONTROL_BUDGET = 60_000
+
+
+def match_gnp_control(n: int, target: int, rng: Stream) -> tuple[Graph, WitnessPacking]:
     """First random graph over the density grid whose sampled 5-cycle packing
     certifies at least `target` witnesses."""
-    for j, p in enumerate(ps):
+    for j, p in enumerate(_CONTROL_PS):
         g = gnp(n, p, rng.child(j, 0))
-        packing = sampled_c5_packing(g, target, budget, rng.child(j, 1))
+        packing = sampled_c5_packing(g, target, _CONTROL_BUDGET, rng.child(j, 1))
         if len(packing) >= target:
             return g, packing
     raise PackingError(

@@ -5,14 +5,14 @@ witness (a forbidden induced structure, or a violating arc pattern for
 posets) that re-verifies independently of the decision path. Each
 structure scan is a core on (rows, mask): it sees only the vertices of
 `mask`, in host indexing, and returns its first hit or None. Recognizers
-pass all of g; the universal tester passes a sample's mask (`_core`), and
+pass all of g; the universal tester passes a sample's mask (`_resolve`), and
 so do the gadgets' part-order and poset checks (`_order_hit`, `_poset_hit`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -415,15 +415,16 @@ def check_order_transitivity(g: Graph, labeling: PartLabeling) -> RecognitionRes
 
 # --- property registry -------------------------------------------------------
 
-# each named property's scan core, for callers that need only the decision
-_CORES = {"triangle-free": _find_triangle, "cograph": _cograph_p4,
-          "comparability": _comparability_hit, "perfect": _odd_hole_or_antihole,
-          "induced-c5-free": _find_induced_c5, "induced-p3-free": _find_induced_p4}
-
-_RECOGNIZERS = {"triangle-free": is_triangle_free, "cograph": is_cograph,
-                "comparability": is_comparability, "perfect": is_perfect,
-                "induced-c5-free": partial(is_induced_h_free, h=cycle_graph(5)),
-                "induced-p3-free": partial(is_induced_h_free, h=path_graph(4))}
+# each named property's (scan core, recognizer): the core for callers that
+# need only the decision, the recognizer for a witness
+_PROPERTIES: dict[str, tuple[_Core, Callable[[Graph], RecognitionResult]]] = {
+    "triangle-free": (_find_triangle, is_triangle_free),
+    "cograph": (_cograph_p4, is_cograph),
+    "comparability": (_comparability_hit, is_comparability),
+    "perfect": (_odd_hole_or_antihole, is_perfect),
+    "induced-c5-free": (_find_induced_c5, partial(is_induced_h_free, h=cycle_graph(5))),
+    "induced-p3-free": (_find_induced_p4, partial(is_induced_h_free, h=path_graph(4))),
+}
 
 _NAMED = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph,
           "empty": empty_graph}
@@ -444,6 +445,19 @@ def named_graph(token: str) -> Graph:
     return _NAMED[kind](k)
 
 
+@lru_cache(maxsize=64)
+def _resolve(name: str) -> tuple[_Core, Callable[[Graph], RecognitionResult]]:
+    """A property name's (scan core, recognizer), resolved once per name
+    (names as in `property_recognizer`). The core decides on (rows, mask):
+    None means the vertices of the mask induce a member."""
+    if name.startswith("induced-h-free:"):
+        h = named_graph(name.split(":", 1)[1])
+        return _h_core(h)[0], partial(is_induced_h_free, h=h)
+    if name not in _PROPERTIES:
+        raise ValueError(f"unknown property {name!r}")
+    return _PROPERTIES[name]
+
+
 def property_recognizer(name: str) -> Callable[[Graph], RecognitionResult]:
     """Resolve a property name to its recognizer.
 
@@ -451,18 +465,4 @@ def property_recognizer(name: str) -> Callable[[Graph], RecognitionResult]:
     induced-c5-free, induced-p3-free (the 4-vertex path, edge-count
     naming), or induced-h-free:<kind>:<count>.
     """
-    if name.startswith("induced-h-free:"):
-        return partial(is_induced_h_free, h=named_graph(name.split(":", 1)[1]))
-    if name not in _RECOGNIZERS:
-        raise ValueError(f"unknown property {name!r}")
-    return _RECOGNIZERS[name]
-
-
-def _core(name: str) -> _Core:
-    """Resolve a property name to the scan core that decides it on (rows,
-    mask): None means the vertices of the mask induce a member."""
-    if name.startswith("induced-h-free:"):
-        return _h_core(named_graph(name.split(":", 1)[1]))[0]
-    if name not in _CORES:
-        raise ValueError(f"unknown property {name!r}")
-    return _CORES[name]
+    return _resolve(name)[1]

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .graphs import Graph, sample_vertices
-from .recognizers import _core
+from .recognizers import _resolve
 from .rng import _MAX_TRIALS, Stream, _trial_streams
 
 __all__ = [
@@ -144,7 +144,7 @@ def universal_tester(g: Graph, d: int, property_name: str, rng: Stream) -> Verdi
     if d > g.n:
         raise ValueError(f"cannot sample d={d} from n={g.n}")
     sample = sample_vertices(g.n, d, rng)
-    member = _core(property_name)(g.rows, sum(1 << v for v in sample)) is None
+    member = _resolve(property_name)[0](g.rows, sum(1 << v for v in sample)) is None
     return _ACCEPTED if member else Verdict(False, sample)
 
 

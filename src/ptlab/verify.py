@@ -2,12 +2,14 @@
 
 Each check is a module-level function that takes its stream, sizes and draw
 count and returns None on pass or a detail string naming the falsifying
-instance. The acceptance criteria and unit tests call these functions at
-their own pinned streams and sizes; `run_suite(name)` runs one suite's checks
-at the default (spec-level) sizes and returns one timed CheckResult each.
-Checks look up recognizers, counters and packings through this module's
-globals, so a test can monkeypatch one (say `ptlab.verify.is_comparability`)
-to show that a check can fail.
+instance. `SUITES` is the one table of checks: per suite, its stream index
+and its ordered (label, check) entries at the spec-level sizes, each entry a
+function of the suite's stream Stream(seed, (index,)). `run_suite(name,
+seed)` runs one suite's entries and returns one timed CheckResult each. The
+acceptance criteria and unit tests call the check functions directly, at
+their own pinned streams and sizes. Checks look up recognizers, counters
+and packings through this module's globals, so a test can monkeypatch one
+(say `ptlab.verify.is_comparability`) to show that a check can fail.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
@@ -60,10 +63,7 @@ from .recognizers import (
 from .rng import Stream
 from .testers import TesterConfig, _sample_masks, estimate_detection
 
-__all__ = ["CheckResult", "SUITE_NAMES", "all_graphs", "run_suite"]
-
-SUITE_NAMES = ("graph-core", "recognizers", "decomposition", "packing",
-               "gadgets", "testers")
+__all__ = ["CheckResult", "SUITES", "SUITE_NAMES", "all_graphs", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -103,11 +103,19 @@ def all_graphs(n: int) -> Iterator[Graph]:
             n, [pair_from_index(n, i) for i in range(pairs) if (mask >> i) & 1])
 
 
+@cache
+def _p4_census(n: int) -> tuple[tuple[Graph, int], ...]:
+    """Every n-vertex graph, in `all_graphs` order, with its brute-force
+    induced 4-path count: built once per process and n, and read by each
+    exhaustive check, which compares its own subject on every graph."""
+    return tuple((g, naive_induced_count(g, is_path_4, 4)) for g in all_graphs(n))
+
+
 # --- graph-core ---------------------------------------------------------------
 
 def counting_vs_naive(n: int) -> str | None:
-    for g in all_graphs(n):
-        if count_induced_p3(g) != naive_induced_count(g, is_path_4, 4):
+    for g, p4 in _p4_census(n):
+        if count_induced_p3(g) != p4:
             return f"p3 mismatch at rows={g.rows}"
         if count_induced_c5(g) != naive_induced_count(g, is_cycle_5, 5):
             return f"c5 mismatch at rows={g.rows}"
@@ -171,26 +179,11 @@ def sampling_uniform(stream: Stream) -> str | None:
     return None
 
 
-def suite_graph_core(seed: int = 0, exhaustive_n: int = 6, draws: int = 200) -> list[CheckResult]:
-    rng = Stream(seed, (1,))
-    return _check("graph-core", [
-        (f"induced counts match enumeration on all {exhaustive_n}-vertex graphs",
-         lambda: counting_vs_naive(exhaustive_n)),
-        ("induced subgraph commutes with complement", lambda: complement_commutes(rng, draws)),
-        ("edge deletion drops exactly the triangles through it",
-         lambda: triangle_incremental(rng.child(20), draws)),
-        ("construction rejects asymmetric and self-looped rows", construction_rejects),
-        ("random cographs always pass the recognizer", lambda: cograph_generator(rng.child(30))),
-        ("2-subset sampling uniform within 3 standard errors",
-         lambda: sampling_uniform(rng.child(40))),
-    ])
-
-
 # --- recognizers --------------------------------------------------------------
 
 def seinsche_equivalence(n: int) -> str | None:
-    for g in all_graphs(n):
-        if is_cograph(g).member != (naive_induced_count(g, is_path_4, 4) == 0):
+    for g, p4 in _p4_census(n):
+        if is_cograph(g).member != (p4 == 0):
             return f"rows={g.rows}"
     return None
 
@@ -262,30 +255,14 @@ def _is_odd_hole_or_antihole(g: Graph, w: tuple[int, ...]) -> bool:
     return False
 
 
-def suite_recognizers(seed: int = 0, chain_draws: int = 10_000,
-                      forcing_draws: int = 10_000) -> list[CheckResult]:
-    rng = Stream(seed, (2,))
-    return _check("recognizers", [
-        ("cograph recognizer matches induced-4-path-freeness on all 6-vertex graphs",
-         lambda: seinsche_equivalence(6)),
-        (f"forcing agrees with exhaustive orientation (all 5-vertex graphs + "
-         f"{forcing_draws} random 7-vertex)",
-         lambda: forcing_vs_exhaustive(rng.child(1), forcing_draws)),
-        (f"containment chain cograph => comparability => perfect ({chain_draws} draws, n <= 8)",
-         lambda: containment_chain(rng.child(2), chain_draws)),
-        ("known-member generators always accepted", lambda: generators_in_property(rng)),
-        ("every negative answer's witness re-verifies", lambda: witnesses_reverify(rng.child(6))),
-    ])
-
-
 # --- decomposition ------------------------------------------------------------
 
 def no_cut_implies_p4(n: int) -> str | None:
     # Seinsche: a graph with no exact cut contains an induced 4-path. The
     # converse fails (a 4-path plus an isolated vertex has a cut), so only
     # this direction is checked.
-    for g in all_graphs(n):
-        if find_cut(g) is None and naive_induced_count(g, is_path_4, 4) == 0:
+    for g, p4 in _p4_census(n):
+        if find_cut(g) is None and p4 == 0:
             return f"cut-free without induced 4-path: rows={g.rows}"
     return None
 
@@ -350,24 +327,6 @@ def far_graphs_have_p3(stream: Stream, draws: int) -> str | None:
         if max(len(p) for p in ref.parts) < eps * n:
             return f"draw {i}: largest part below eps*n"
     return None
-
-
-def suite_decomposition(seed: int = 0, nu_draws: int = 1000,
-                        far_draws: int = 300) -> list[CheckResult]:
-    rng = Stream(seed, (3,))
-    return _check("decomposition", [
-        ("no exact cut implies an induced 4-path (all 6-vertex graphs)",
-         lambda: no_cut_implies_p4(6)),
-        ("zero-beta refinement parts of size >= 2 contain an induced 4-path",
-         lambda: refinement_parts(rng.child(1), 9, 100)),
-        ("refinement edits bounded by beta * C(n,2) and equal Hamming distance",
-         lambda: edit_budget(rng.child(2))),
-        (f"edit distance to triangle-freeness equals the exact cover number and bounds "
-         f"packing farness ({nu_draws} draws, n=7)",
-         lambda: distance_equals_nu(rng.child(3), nu_draws)),
-        ("far-from-cograph graphs have induced 4-paths and a refinement part of at "
-         "least eps*n vertices", lambda: far_graphs_have_p3(rng.child(4), far_draws)),
-    ])
 
 
 # --- packing ------------------------------------------------------------------
@@ -441,22 +400,6 @@ def retention_mean(stream: Stream, samples: int) -> str | None:
     return None
 
 
-def suite_packing(seed: int = 0, chain_draws: int = 200) -> list[CheckResult]:
-    rng = Stream(seed, (4,))
-    return _check("packing", [
-        (f"tau <= nu <= 3*tau and a maximum packing is maximal over {chain_draws} draws "
-         "(n <= 12)",
-         lambda: tau_nu_chain(rng.child(1), chain_draws)),
-        ("packings re-verify; greedy never beats exact", lambda: packings_reverify(rng)),
-        ("greedy 5-cycle packing size equals the planted count", c5_packing_size),
-        ("edit distance to triangle-freeness is at least tau",
-         lambda: distance_dominates_tau(rng.child(4), 200)),
-        ("tripartite tau bounded by the two smallest parts' product", tripartite_tau_bound),
-        ("tripartition retention mean within 3 SE of 2/9",
-         lambda: retention_mean(rng.child(5), 100_000)),
-    ])
-
-
 # --- gadgets ------------------------------------------------------------------
 
 def rs_exact_triangles(max_k: int) -> str | None:
@@ -525,21 +468,6 @@ def incidental_c5_census() -> str | None:
     if total < len(gb.certificate):
         return f"census {total} below certificate {len(gb.certificate)}"
     return None
-
-
-def suite_gadgets(seed: int = 0, sample_trials: int = 1000,
-                  rs_max_k: int = 30) -> list[CheckResult]:
-    rng = Stream(seed, (5,))
-    return _check("gadgets", [
-        (f"rs triangle count exactly k|S| for k <= {rs_max_k} (naive-checked to k=6)",
-         lambda: rs_exact_triangles(rs_max_k)),
-        ("five-part gadget: triangle-free samples are comparability graphs",
-         lambda: c5_gadget_rules_and_samples(rng.child(1), 5, 12, sample_trials)),
-        ("poset gadget samples are posets exactly when triangle-free",
-         lambda: poset_gadget_samples(rng.child(2), 4, 8, sample_trials)),
-        ("bundle farness below exact edit distance at oracle scale", farness_below_distance),
-        ("induced 5-cycle census at small n covers the certificate", incidental_c5_census),
-    ])
 
 
 # --- testers ------------------------------------------------------------------
@@ -611,34 +539,98 @@ def deterministic_reports(stream: Stream) -> str | None:
     return None
 
 
-def suite_testers(seed: int = 0, one_sided_trials: int = 10_000,
-                  consistency_trials: int = 10_000) -> list[CheckResult]:
-    rng = Stream(seed, (6,))
-    return _check("testers", [
-        (f"one-sidedness: zero rejections across {one_sided_trials} member trials",
-         lambda: one_sided(rng, one_sided_trials // 4)),
-        ("query accounting: C(d,2), 3t, 6t", budget_accounting),
+# --- the table ----------------------------------------------------------------
+
+# suite name -> (stream index, ordered (label, check) entries); each entry
+# takes the suite's stream and runs its check at the spec-level sizes, looked
+# up in this module's globals at call time so that a test can stub it
+SUITES: dict[str, tuple[int, list[tuple[str, Callable[[Stream], str | None]]]]] = {
+    "graph-core": (1, [
+        ("induced counts match enumeration on all 6-vertex graphs",
+         lambda rng: counting_vs_naive(6)),
+        ("induced subgraph commutes with complement",
+         lambda rng: complement_commutes(rng, 200)),
+        ("edge deletion drops exactly the triangles through it",
+         lambda rng: triangle_incremental(rng.child(20), 200)),
+        ("construction rejects asymmetric and self-looped rows",
+         lambda rng: construction_rejects()),
+        ("random cographs always pass the recognizer",
+         lambda rng: cograph_generator(rng.child(30))),
+        ("2-subset sampling uniform within 3 standard errors",
+         lambda rng: sampling_uniform(rng.child(40))),
+    ]),
+    "recognizers": (2, [
+        ("cograph recognizer matches induced-4-path-freeness on all 6-vertex graphs",
+         lambda rng: seinsche_equivalence(6)),
+        ("forcing agrees with exhaustive orientation (all 5-vertex graphs + "
+         "10000 random 7-vertex)",
+         lambda rng: forcing_vs_exhaustive(rng.child(1), 10_000)),
+        ("containment chain cograph => comparability => perfect (10000 draws, n <= 8)",
+         lambda rng: containment_chain(rng.child(2), 10_000)),
+        ("known-member generators always accepted",
+         lambda rng: generators_in_property(rng)),
+        ("every negative answer's witness re-verifies",
+         lambda rng: witnesses_reverify(rng.child(6))),
+    ]),
+    "decomposition": (3, [
+        ("no exact cut implies an induced 4-path (all 6-vertex graphs)",
+         lambda rng: no_cut_implies_p4(6)),
+        ("zero-beta refinement parts of size >= 2 contain an induced 4-path",
+         lambda rng: refinement_parts(rng.child(1), 9, 100)),
+        ("refinement edits bounded by beta * C(n,2) and equal Hamming distance",
+         lambda rng: edit_budget(rng.child(2))),
+        ("edit distance to triangle-freeness equals the exact cover number and bounds "
+         "packing farness (1000 draws, n=7)",
+         lambda rng: distance_equals_nu(rng.child(3), 1000)),
+        ("far-from-cograph graphs have induced 4-paths and a refinement part of at "
+         "least eps*n vertices", lambda rng: far_graphs_have_p3(rng.child(4), 300)),
+    ]),
+    "packing": (4, [
+        ("tau <= nu <= 3*tau and a maximum packing is maximal over 200 draws (n <= 12)",
+         lambda rng: tau_nu_chain(rng.child(1), 200)),
+        ("packings re-verify; greedy never beats exact",
+         lambda rng: packings_reverify(rng)),
+        ("greedy 5-cycle packing size equals the planted count",
+         lambda rng: c5_packing_size()),
+        ("edit distance to triangle-freeness is at least tau",
+         lambda rng: distance_dominates_tau(rng.child(4), 200)),
+        ("tripartite tau bounded by the two smallest parts' product",
+         lambda rng: tripartite_tau_bound()),
+        ("tripartition retention mean within 3 SE of 2/9",
+         lambda rng: retention_mean(rng.child(5), 100_000)),
+    ]),
+    "gadgets": (5, [
+        ("rs triangle count exactly k|S| for k <= 30 (naive-checked to k=6)",
+         lambda rng: rs_exact_triangles(30)),
+        ("five-part gadget: triangle-free samples are comparability graphs",
+         lambda rng: c5_gadget_rules_and_samples(rng.child(1), 5, 12, 1000)),
+        ("poset gadget samples are posets exactly when triangle-free",
+         lambda rng: poset_gadget_samples(rng.child(2), 4, 8, 1000)),
+        ("bundle farness below exact edit distance at oracle scale",
+         lambda rng: farness_below_distance()),
+        ("induced 5-cycle census at small n covers the certificate",
+         lambda rng: incidental_c5_census()),
+    ]),
+    "testers": (6, [
+        ("one-sidedness: zero rejections across 10000 member trials",
+         lambda rng: one_sided(rng, 2500)),
+        ("query accounting: C(d,2), 3t, 6t", lambda rng: budget_accounting()),
         ("density-tester rates match the binomial model within Wilson 95%",
-         lambda: binomial_consistency(rs_graph(12, ap3_free_set(12, "exact")).graph,
-                                      "triple-density", consistency_trials, rng.child(6))),
+         lambda rng: binomial_consistency(rs_graph(12, ap3_free_set(12, "exact")).graph,
+                                          "triple-density", 10_000, rng.child(6))),
         ("rejection rate non-decreasing in budget (within intervals)",
-         lambda: monotone_in_budget(rng)),
+         lambda rng: monotone_in_budget(rng)),
         ("identical seed gives identical reports, independent of threads",
-         lambda: deterministic_reports(rng)),
-    ])
-
-
-SUITES = {
-    "graph-core": suite_graph_core,
-    "recognizers": suite_recognizers,
-    "decomposition": suite_decomposition,
-    "packing": suite_packing,
-    "gadgets": suite_gadgets,
-    "testers": suite_testers,
+         lambda rng: deterministic_reports(rng)),
+    ]),
 }
+SUITE_NAMES = tuple(SUITES)
 
 
-def run_suite(name: str, seed: int = 0, **kwargs) -> list[CheckResult]:
+def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
+    """Run one suite's table entries on its stream, each timed."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](seed=seed, **kwargs)
+    index, checks = SUITES[name]
+    rng = Stream(seed, (index,))
+    return _check(name, [(label, partial(check, rng)) for label, check in checks])

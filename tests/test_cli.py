@@ -264,6 +264,23 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert a.read_text() == b.read_text()
 
 
+
+def test_malformed_seed_env_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PTLAB_SEED", "abc")
+    c4 = tmp_path / "c4.el"
+    write_graph(cycle_graph(4), c4)
+    with pytest.raises(SystemExit) as err:
+        run(["recognize", "--property", "cograph", "--in", c4])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "--seed: invalid int value: 'abc'" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    # an explicit --seed wins, before or after the subcommand
+    for args in (["--seed", 3, "recognize"], ["recognize", "--seed", 3]):
+        out = tmp_path / "rec.json"
+        assert run([*args, "--property", "cograph", "--in", c4, "--out", out]) == 0
+        assert json.loads(out.read_text())["spec"]["seed"] == 3
+
 def test_global_flags_after_subcommand(tmp_path):
     a = tmp_path / "a.el"
     assert run(["gen", "gnp", "--n", 6, "--p", "1.0", "--seed", 3, "--out", a]) == 0

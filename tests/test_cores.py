@@ -141,8 +141,8 @@ def _poset_core(rows, mask, extra):
 
 # every core under test, as (rows, mask, (labeling, arcs)) -> hit or None;
 # the general induced-H scan is covered through cycle:4 and path:5
-CORES = {name: _host_only(core) for name, core in R._CORES.items()}
-CORES.update({name: _host_only(R._core(name))
+CORES = {name: _host_only(core) for name, (core, _) in R._PROPERTIES.items()}
+CORES.update({name: _host_only(R._resolve(name)[0])
               for name in ("induced-h-free:cycle:4", "induced-h-free:path:5")})
 CORES["order"] = _order_core
 CORES["poset"] = _poset_core
@@ -173,7 +173,7 @@ def test_cores_match_brute_force():
 
 def test_general_induced_h_cores_take_the_subset_scan():
     for name in ("induced-h-free:cycle:4", "induced-h-free:path:5"):
-        assert R._core(name).func is R._find_induced_h
+        assert R._resolve(name)[0].func is R._find_induced_h
 
 
 @pytest.mark.parametrize("name", sorted(CORES))
@@ -198,8 +198,8 @@ def test_forcing_agrees_with_exhaustive_on_all_graphs(n):
 def test_perfect_core_keeps_the_exact_bound():
     rows = [0] * (R.PERFECT_EXACT_BOUND + 1)
     with pytest.raises(ValueError, match="exact perfectness limited"):
-        R._CORES["perfect"](rows, (1 << len(rows)) - 1)
-    assert R._CORES["perfect"](rows, (1 << R.PERFECT_EXACT_BOUND) - 1) is None
+        R._resolve("perfect")[0](rows, (1 << len(rows)) - 1)
+    assert R._resolve("perfect")[0](rows, (1 << R.PERFECT_EXACT_BOUND) - 1) is None
     g = cycle_graph(R.PERFECT_EXACT_BOUND + 2)
     assert universal_tester(g, R.PERFECT_EXACT_BOUND, "perfect", Stream(3)).accepted
     with pytest.raises(ValueError, match="exact perfectness limited"):

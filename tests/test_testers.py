@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import ptlab.recognizers as R
 from ptlab.gadgets import ap3_free_set, build_c5_gadget, rs_graph
 from ptlab.graphs import (
     Graph,
@@ -353,3 +354,14 @@ def test_universal_reports_pinned():
                     hosts[host], TesterConfig("universal", d=d, property_name=prop), 300,
                     Stream(1701, (j, d)))
                 assert rep.rejections == expected[j], (host, d, prop)
+
+
+def test_universal_batch_resolves_its_property_once(monkeypatch):
+    tokens = []
+    real = R.named_graph
+    monkeypatch.setattr(R, "named_graph", lambda token: tokens.append(token) or real(token))
+    R._resolve.cache_clear()
+    config = TesterConfig("universal", d=6, property_name="induced-h-free:cycle:4")
+    rep = estimate_detection(gnp(20, 0.5, Stream(3)), config, 200, Stream(4))
+    assert rep.rejections > 0
+    assert tokens == ["cycle:4"]

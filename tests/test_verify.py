@@ -1,32 +1,77 @@
+import argparse
 from dataclasses import replace
 
 import pytest
 
 import ptlab.verify as verify
+from ptlab.cli import build_parser
 from ptlab.packing import WitnessPacking, triangle_packing
 from ptlab.recognizers import RecognitionResult, is_comparability
-from ptlab.verify import SUITE_NAMES, run_suite
+from ptlab.rng import Stream
+from ptlab.verify import SUITE_NAMES, SUITES, run_suite
+
+# direct calls at small sizes, on the suites' own streams, of the checks no
+# other test module calls; `ptlab verify-suite` runs them at full size
+SMALL = {
+    "counting_vs_naive": lambda: verify.counting_vs_naive(5),
+    "complement_commutes": lambda: verify.complement_commutes(Stream(0, (1,)), 40),
+    "triangle_incremental": lambda: verify.triangle_incremental(Stream(0, (1,)).child(20), 40),
+    "construction_rejects": lambda: verify.construction_rejects(),
+    "containment_chain": lambda: verify.containment_chain(Stream(0, (2,)).child(2), 200),
+    "generators_in_property": lambda: verify.generators_in_property(Stream(0, (2,))),
+    "witnesses_reverify": lambda: verify.witnesses_reverify(Stream(0, (2,)).child(6)),
+    "edit_budget": lambda: verify.edit_budget(Stream(0, (3,)).child(2)),
+    "far_graphs_have_p3": lambda: verify.far_graphs_have_p3(Stream(0, (3,)).child(4), 25),
+    "packings_reverify": lambda: verify.packings_reverify(Stream(0, (4,))),
+    "c5_packing_size": lambda: verify.c5_packing_size(),
+    "tripartite_tau_bound": lambda: verify.tripartite_tau_bound(),
+    "rs_exact_triangles": lambda: verify.rs_exact_triangles(8),
+    "incidental_c5_census": lambda: verify.incidental_c5_census(),
+    "monotone_in_budget": lambda: verify.monotone_in_budget(Stream(0, (6,))),
+    "deterministic_reports": lambda: verify.deterministic_reports(Stream(0, (6,))),
+}
+
+# the checks the acceptance criteria and the other unit tests call directly
+CALLED_ELSEWHERE = {
+    "cograph_generator", "sampling_uniform", "seinsche_equivalence",
+    "forcing_vs_exhaustive", "no_cut_implies_p4", "refinement_parts",
+    "distance_equals_nu", "tau_nu_chain", "distance_dominates_tau", "retention_mean",
+    "c5_gadget_rules_and_samples", "poset_gadget_samples", "farness_below_distance",
+    "one_sided", "budget_accounting", "binomial_consistency",
+}
 
 
 def _failed(results):
     return {r.name: r.detail for r in results if not r.passed}
 
 
-def test_scaled_suites_pass():
-    scaled = {
-        "graph-core": (dict(exhaustive_n=5, draws=40), 6),
-        "recognizers": (dict(chain_draws=200, forcing_draws=150), 5),
-        "decomposition": (dict(nu_draws=60, far_draws=25), 5),
-        "packing": (dict(chain_draws=30), 6),
-        "gadgets": (dict(sample_trials=120, rs_max_k=8), 5),
-        "testers": (dict(one_sided_trials=800, consistency_trials=1500), 5),
-    }
-    assert set(scaled) == set(SUITE_NAMES)
-    for name, (kwargs, count) in scaled.items():
-        results = run_suite(name, **kwargs)
-        assert len(results) == count, name
-        for res in results:
-            assert res.passed, res.line()
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_check_passes_at_small_sizes(name):
+    assert SMALL[name]() is None
+
+
+def test_table_holds_32_uniquely_labelled_checks_in_six_suites():
+    assert SUITE_NAMES == ("graph-core", "recognizers", "decomposition", "packing",
+                           "gadgets", "testers")
+    assert [index for index, _ in SUITES.values()] == [1, 2, 3, 4, 5, 6]
+    labels = [label for _, checks in SUITES.values() for label, _ in checks]
+    assert len(labels) == 32 and len(set(labels)) == 32
+
+
+def test_cli_suite_choices_follow_the_table():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in commands.choices["verify-suite"]._actions if a.dest == "suite")
+    assert tuple(suite.choices) == ("all",) + SUITE_NAMES
+
+
+def test_every_table_entry_calls_a_directly_tested_check(monkeypatch):
+    called = []
+    for name in SMALL.keys() | CALLED_ELSEWHERE:
+        monkeypatch.setattr(verify, name, lambda *a, _name=name, **kw: called.append(_name))
+    results = [res for name in SUITE_NAMES for res in run_suite(name)]
+    assert len(results) == 32 and all(res.passed for res in results)
+    assert len(called) == 32 and set(called) == SMALL.keys() | CALLED_ELSEWHERE
 
 
 def test_fault_injection_breaks_containment_chain(monkeypatch):
@@ -39,12 +84,10 @@ def test_fault_injection_breaks_containment_chain(monkeypatch):
         return res
 
     monkeypatch.setattr(verify, "is_comparability", broken_comparability)
-    results = run_suite("recognizers", chain_draws=300, forcing_draws=50)
-    failed = [r for r in results if not r.passed]
-    assert failed, "broken recognizer must trip at least one check"
-    assert any("chain" in r.name or "forcing" in r.name for r in failed)
-    # the failure carries a falsifying instance
-    assert any(r.detail for r in failed)
+    detail = verify.containment_chain(Stream(0, (2,)).child(2), 300)
+    assert detail and detail.startswith("cograph not comparability: draw")
+    detail = verify.forcing_vs_exhaustive(Stream(0, (2,)).child(1), 0)
+    assert detail and detail.startswith("rows=")
 
 
 def test_fault_injection_breaks_distance_dominates_tau(monkeypatch):
@@ -53,8 +96,7 @@ def test_fault_injection_breaks_distance_dominates_tau(monkeypatch):
         return WitnessPacking(p.kind, p.tuples + ((0, 1, 2),), g.n)
 
     monkeypatch.setattr(verify, "triangle_packing", over_reporting_packing)
-    detail = _failed(run_suite("packing", chain_draws=5)).get(
-        "edit distance to triangle-freeness is at least tau")
+    detail = verify.distance_dominates_tau(Stream(0, (4,)).child(4), 200)
     assert detail and "< tau" in detail
 
 
@@ -66,16 +108,13 @@ def test_fault_injection_breaks_tau_nu_chain(monkeypatch):
         return replace(p, tuples=p.tuples[1:]) if len(p) > 1 else p
 
     monkeypatch.setattr(verify, "triangle_packing", dropping_packing)
-    detail = _failed(run_suite("packing", chain_draws=30)).get(
-        "tau <= nu <= 3*tau and a maximum packing is maximal over 30 draws (n <= 12)")
+    detail = verify.tau_nu_chain(Stream(0, (4,)).child(1), 30)
     assert detail and "deleting the packing's edges leaves a triangle" in detail
 
 
 def test_fault_injection_breaks_far_graphs_have_p3(monkeypatch):
     monkeypatch.setattr(verify, "count_induced_p3", lambda g: 0)
-    results = run_suite("decomposition", nu_draws=2, far_draws=25)
-    detail = _failed(results).get("far-from-cograph graphs have induced 4-paths "
-                                  "and a refinement part of at least eps*n vertices")
+    detail = verify.far_graphs_have_p3(Stream(0, (3,)).child(4), 25)
     assert detail and "zero induced 4-paths" in detail
 
 
@@ -83,9 +122,7 @@ def test_fault_injection_breaks_gadget_mechanism(monkeypatch):
     # with every sample counted as holding a triangle, the mechanism check
     # has nothing to test and must say so instead of passing
     monkeypatch.setattr(verify, "_find_triangle", lambda rows, mask: (0, 1, 2))
-    results = run_suite("gadgets", sample_trials=20, rs_max_k=2)
-    detail = _failed(results).get(
-        "five-part gadget: triangle-free samples are comparability graphs")
+    detail = verify.c5_gadget_rules_and_samples(Stream(0, (5,)).child(1), 5, 12, 20)
     assert detail and "no triangle-free sample" in detail
 
 
