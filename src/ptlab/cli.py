@@ -205,7 +205,7 @@ def _load_sidecar(path: str, n: int, names: tuple[str, ...]
         labeling = PartLabeling(n, list(zip(names, parts.values())), allow_empty=True)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed parts ({type(exc).__name__}: {exc})") from None
-    if not data.get("packing"):
+    if data.get("packing") is None:
         return labeling, None
     try:
         return labeling, WitnessPacking.from_json(data["packing"])

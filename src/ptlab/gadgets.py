@@ -1,19 +1,26 @@
 """Hard-instance constructions with machine-checkable certificates.
 
 Each construction returns a GadgetBundle: the graph (or digraph), the part
-labeling, a verified witness packing certifying a farness lower bound, and
-the parameters it was built from. Structural invariants are audited at
+labeling, and a verified witness packing; the bundle derives its farness
+lower bound from that packing. Structural invariants are audited at
 construction time; a bundle that exists is a bundle that checked out.
+
+Both gadgets start from a triangle packing of their inner tripartite graph,
+decided in one place: a supplied packing must be a triangle packing and is
+re-verified in the inner graph; without one, the inner graph's exact
+packing is used where the exact search is affordable, else its greedy one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Sequence, Union
 
 from .graphs import Digraph, Graph, PartLabeling, count_triangles, iter_bits
 from .packing import (
+    PackingError,
     WitnessPacking,
     exact_affordable,
     farness_lower_bound,
@@ -124,7 +131,7 @@ def _ap_free_behrend(n: int) -> tuple[int, ...]:
         if d * (q ** k) > BEHREND_SCAN_BOUND:
             break
         spheres: dict[int, list[int]] = {}
-        for digits in _digit_vectors(d, k):
+        for digits in product(range(d), repeat=k):
             val = 0
             for c in digits:
                 val = val * q + c
@@ -137,29 +144,13 @@ def _ap_free_behrend(n: int) -> tuple[int, ...]:
             if len(cand) > len(best):
                 best = cand
         d += 1
-    out = sorted(best)
+    out = list(best)
     present = set(out)
     for v in range(1, n + 1):
-        if v in present:
-            continue
-        if _fits_ap_free(v, out, present):
+        if v not in present and _fits_ap_free(v, out, present):
             out.append(v)
-            out.sort()
             present.add(v)
-    return tuple(out)
-
-
-def _digit_vectors(d: int, k: int):
-    digits = [0] * k
-    while True:
-        yield digits
-        i = k - 1
-        while i >= 0 and digits[i] == d - 1:
-            digits[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        digits[i] += 1
+    return tuple(sorted(out))
 
 
 def _fits_ap_free(v: int, elems: list[int], present: set[int]) -> bool:
@@ -193,22 +184,22 @@ def ap3_free_set(n: int, mode: str = "behrend") -> ApFreeSet:
 class GadgetBundle:
     """A constructed hard instance plus its certificate.
 
-    farness is |certificate| / n^2, a verified lower bound on the normalized
-    edit distance to the property the construction is far from.
+    farness is derived, not passed: |certificate| / n^2 by
+    farness_lower_bound, which refuses an unverified certificate. It is a
+    lower bound on the normalized edit distance to the property the
+    construction is far from.
     """
 
     graph: Union[Graph, Digraph]
     labeling: PartLabeling
     certificate: WitnessPacking
-    farness: Fraction
-    provenance: dict
+    farness: Fraction = field(init=False)
 
     def __post_init__(self):
-        if not self.certificate.verified:
-            raise ValueError("bundle certificate must be verified")
-        expect = Fraction(len(self.certificate), self.graph.n ** 2)
-        if self.farness != expect:
-            raise ValueError(f"farness {self.farness} != |certificate|/n^2 = {expect}")
+        if self.certificate.host_n != self.graph.n:
+            raise PackingError(f"certificate lives on {self.certificate.host_n} "
+                               f"vertices, graph has {self.graph.n}")
+        object.__setattr__(self, "farness", farness_lower_bound(self.certificate))
 
 
 def rs_graph(k: int, s: ApFreeSet) -> GadgetBundle:
@@ -227,21 +218,12 @@ def rs_graph(k: int, s: ApFreeSet) -> GadgetBundle:
     if max(s.elements) > k:
         raise ValueError(f"difference set must lie in 1..{k}")
     n = 6 * k
-
-    def x_vertex(x: int) -> int:
-        return x - 1
-
-    def y_vertex(y: int) -> int:
-        return k + y - 1
-
-    def z_vertex(z: int) -> int:
-        return 3 * k + z - 1
-
     edges = []
     planted = []
     for x in range(1, k + 1):
         for a in s.elements:
-            xv, yv, zv = x_vertex(x), y_vertex(x + a), z_vertex(x + 2 * a)
+            # X_x, Y_y and Z_z are vertices x - 1, k + y - 1 and 3k + z - 1
+            xv, yv, zv = x - 1, k + x + a - 1, 3 * k + x + 2 * a - 1
             edges.extend([(xv, yv), (yv, zv), (xv, zv)])
             planted.append((xv, yv, zv))
     g = Graph.from_edges(n, edges)
@@ -253,10 +235,7 @@ def rs_graph(k: int, s: ApFreeSet) -> GadgetBundle:
     labeling = PartLabeling(n, [
         ("X", range(k)), ("Y", range(k, 3 * k)), ("Z", range(3 * k, 6 * k))])
     cert = WitnessPacking("triangle", tuple(sorted(planted)), n).verified_in(g)
-    return GadgetBundle(
-        graph=g, labeling=labeling, certificate=cert,
-        farness=farness_lower_bound(cert),
-        provenance={"construction": "rs", "k": k, "s": list(s.elements)})
+    return GadgetBundle(g, labeling, cert)
 
 
 def _check_tripartite(g: Graph, labeling: PartLabeling, names: Sequence[str]) -> None:
@@ -271,6 +250,21 @@ def _check_tripartite(g: Graph, labeling: PartLabeling, names: Sequence[str]) ->
                 raise ValueError(f"part {name} is not independent (edge inside at {v})")
 
 
+def _inner_packing(f: Graph, packing: WitnessPacking | None) -> WitnessPacking:
+    """The verified triangle packing of a gadget's inner graph f, which needs
+    a vertex: a supplied packing must be a triangle packing and is
+    re-verified in f; without one, f's exact packing where affordable, else
+    its greedy one."""
+    if f.n < 1:
+        raise ValueError("inner graph must have at least one vertex")
+    if packing is None:
+        mode = "exact" if exact_affordable(f, triangles_of(f)) else "greedy"
+        return triangle_packing(f, mode)
+    if packing.kind != "triangle":
+        raise PackingError(f"inner packing must be triangles, got {packing.kind!r}")
+    return packing.verified_in(f)
+
+
 def build_c5_gadget(f: Graph, labeling: PartLabeling,
                     packing: WitnessPacking | None = None) -> GadgetBundle:
     """Five-part graph on 5n vertices far from induced-C5-freeness but whose
@@ -282,14 +276,12 @@ def build_c5_gadget(f: Graph, labeling: PartLabeling,
     empty; V1-V4, V1-V5, V2-V4 complete; V2-V3 and V3-V5 copy f's edges;
     V2-V5 is the bipartite complement of f's. Each triangle of f plus one
     vertex from V1 and one from V4 induces a 5-cycle, and the certificate
-    packs those greedily from f's triangle packing (by default its exact
-    one, so an f beyond the exact guard needs a packing supplied).
+    packs those greedily from f's triangle packing (a supplied one, else
+    the exact one where affordable and the greedy one beyond the guard).
     """
     _check_tripartite(f, labeling, ("V2", "V3", "V5"))
+    packing = _inner_packing(f, packing)
     n = f.n
-    if n < 1:
-        raise ValueError("inner graph must have at least one vertex")
-    packing = triangle_packing(f, "exact") if packing is None else packing.verified_in(f)
     offset = 4 * n
     big_n = 5 * n
     mask = {
@@ -329,12 +321,7 @@ def build_c5_gadget(f: Graph, labeling: PartLabeling,
         ("V5", (offset + v for v in iter_bits(m5))),
     ], allow_empty=True)
     _audit_c5_gadget(g, parts, f, offset)
-    cert = greedy_c5_packing(g, parts, packing)
-    return GadgetBundle(
-        graph=g, labeling=parts, certificate=cert,
-        farness=farness_lower_bound(cert),
-        provenance={"construction": "c5-gadget", "inner_n": n,
-                    "planted": len(packing)})
+    return GadgetBundle(g, parts, greedy_c5_packing(g, parts, packing))
 
 
 def _audit_c5_gadget(g: Graph, parts: PartLabeling, f: Graph, offset: int) -> None:
@@ -373,14 +360,11 @@ def build_poset_gadget(t: Graph, labeling: PartLabeling,
     edges, V1->V3 arcs are t's non-edges, nothing else. A vertex set induces
     a poset exactly when it spans no triangle of t, and every triangle of t
     forces at least one pair edit, so a triangle packing certifies farness
-    (by default t's exact one where affordable, else its greedy one).
+    (a supplied one, else t's exact one where affordable, else its greedy
+    one).
     """
     _check_tripartite(t, labeling, ("V1", "V2", "V3"))
-    if packing is None:
-        mode = "exact" if exact_affordable(t, triangles_of(t)) else "greedy"
-        packing = triangle_packing(t, mode)
-    else:
-        packing = packing.verified_in(t)
+    packing = _inner_packing(t, packing)
     m1, m2, m3 = (labeling.part_mask(p) for p in ("V1", "V2", "V3"))
     rows = [0] * t.n
     for u in iter_bits(m1):
@@ -388,9 +372,4 @@ def build_poset_gadget(t: Graph, labeling: PartLabeling,
         rows[u] |= m3 & ~t.rows[u]
     for u in iter_bits(m2):
         rows[u] |= t.rows[u] & m3
-    d = Digraph(t.n, rows)
-    return GadgetBundle(
-        graph=d, labeling=labeling, certificate=packing,
-        farness=farness_lower_bound(packing),
-        provenance={"construction": "poset-gadget", "n": t.n,
-                    "packing": len(packing)})
+    return GadgetBundle(Digraph(t.n, rows), labeling, packing)

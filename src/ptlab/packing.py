@@ -8,8 +8,10 @@ one tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 from typing import Sequence
 
 from .graphs import Graph, PartLabeling, _induces_c5, _trusted_graph, _triangle_fans, iter_bits
@@ -44,16 +46,21 @@ class WitnessPacking:
 
     kind "triangle": 3-tuples, pairwise edge-disjoint.
     kind "inducedC5": 5-tuples, pairwise sharing at most one vertex.
+    Vertices and host_n must be integers (numpy ints included). `verified`
+    is no constructor argument: only `verified_in` sets it, on the copy it
+    returns, so a packing that says it is verified was checked in a host.
     """
 
     kind: str
     tuples: tuple[tuple[int, ...], ...]
     host_n: int
-    verified: bool = False
+    verified: bool = field(default=False, init=False)
 
     def __post_init__(self):
         if self.kind not in ("triangle", "inducedC5"):
             raise ValueError(f"unknown packing kind {self.kind!r}")
+        object.__setattr__(self, "host_n", index(self.host_n))
+        object.__setattr__(self, "tuples", tuple(tuple(map(index, t)) for t in self.tuples))
         size = 3 if self.kind == "triangle" else 5
         for t in self.tuples:
             if len(t) != size or len(set(t)) != size:
@@ -86,7 +93,9 @@ class WitnessPacking:
             for j in range(i + 1, len(masks)):
                 if (mask & masks[j]).bit_count() > limit:
                     raise PackingError(f"tuples {i} and {j} share {shared}")
-        return replace(self, verified=True)
+        checked = copy(self)
+        object.__setattr__(checked, "verified", True)
+        return checked
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "tuples": [list(t) for t in self.tuples],
@@ -94,8 +103,9 @@ class WitnessPacking:
 
     @classmethod
     def from_json(cls, data: dict) -> "WitnessPacking":
-        return cls(data["kind"], tuple(tuple(t) for t in data["tuples"]),
-                   data["host_n"], data.get("verified", False))
+        """The packing a sidecar describes, unverified whatever the file
+        claims: only `verified_in` a host makes it a certificate."""
+        return cls(data["kind"], data["tuples"], data["host_n"])
 
 
 def triangles_of(g: Graph) -> list[tuple[int, int, int]]:
@@ -261,19 +271,24 @@ def triangle_cover(g: Graph, mode: str = "exact") -> tuple[tuple[int, int], ...]
     return tuple(sorted(edge_of_bit[e] for e in best))
 
 
+def _require_verified_triangles(packing: WitnessPacking) -> None:
+    if packing.kind != "triangle" or not packing.verified:
+        raise PackingError("need a verified triangle packing of the host")
+
+
 def greedy_c5_packing(gadget: Graph, labeling: PartLabeling,
                       planted: WitnessPacking) -> WitnessPacking:
-    """Extend each planted triangle of the inner tripartite graph to an
-    induced 5-cycle using one fresh vertex from each of the two outer parts.
+    """Extend each planted triangle (a verified triangle packing of the inner
+    tripartite graph) to an induced 5-cycle using one fresh vertex from each
+    of the two outer parts.
 
     For triangle i, vertices of the outer parts already used by an earlier
     5-tuple whose triangle meets triangle i are banned, and the chosen
     (outer1, outer2) pair must be unused; the lexicographically least
     eligible pair is taken. Fails loudly if the pool runs dry, which signals
-    inconsistent inputs (e.g. planted triangles that are not edge-disjoint).
+    inconsistent inputs (e.g. a packing of another inner graph).
     """
-    if planted.kind != "triangle":
-        raise PackingError("planted packing must be triangles")
+    _require_verified_triangles(planted)
     if gadget.n % 5:
         raise PackingError(f"gadget must have 5n vertices, got {gadget.n}")
     n = gadget.n // 5
@@ -317,6 +332,12 @@ def farness_lower_bound(packing: WitnessPacking) -> Fraction:
     return Fraction(len(packing.tuples), packing.host_n ** 2)
 
 
+def _retained(assign: Sequence[int], tri: tuple[int, int, int]) -> bool:
+    """Whether a tripartition keeps the triangle: one vertex in each part."""
+    a, b, c = assign[tri[0]], assign[tri[1]], assign[tri[2]]
+    return a != b != c != a
+
+
 def _apply_tripartition(g: Graph, assign: Sequence[int],
                         packing: WitnessPacking) -> tuple[Graph, list]:
     rows = [0] * g.n
@@ -324,8 +345,7 @@ def _apply_tripartition(g: Graph, assign: Sequence[int],
         for v in iter_bits(g.rows[u]):
             if assign[u] != assign[v]:
                 rows[u] |= 1 << v
-    retained = [t for t in packing.tuples
-                if {assign[t[0]], assign[t[1]], assign[t[2]]} == {0, 1, 2}]
+    retained = [t for t in packing.tuples if _retained(assign, t)]
     return _trusted_graph(g.n, rows), retained
 
 
@@ -337,8 +357,7 @@ def random_tripartite_extract(g: Graph, packing: WitnessPacking, rng: Stream,
     with one vertex per part; the best of `retries` uniform draws is
     returned. Supplying `parts` forces the assignment (retention is then
     deterministic, e.g. 1 for an aligned tripartite input)."""
-    if packing.kind != "triangle" or not packing.verified:
-        raise PackingError("need a verified triangle packing of the host")
+    _require_verified_triangles(packing)
     if parts is not None:
         if len(parts.parts) != 3:
             raise ValueError("forced assignment needs exactly three parts")
@@ -363,17 +382,14 @@ def tripartition_retention_samples(g: Graph, packing: WitnessPacking,
                                    trials: int, rng: Stream) -> list[float]:
     """Retained fraction of the packing for `trials` independent uniform
     tripartitions (statistical probe; expectation is 2/9 per triangle)."""
-    if packing.kind != "triangle" or not packing.verified:
-        raise PackingError("need a verified triangle packing of the host")
+    _require_verified_triangles(packing)
     if not packing.tuples:
         raise ValueError("retention fraction undefined for an empty packing")
     gen = rng.gen
     total = len(packing.tuples)
     out = []
     for _ in range(trials):
-        assign = gen.integers(0, 3, size=g.n)
-        kept = sum(1 for a, b, c in packing.tuples
-                   if assign[a] != assign[b] and assign[b] != assign[c]
-                   and assign[a] != assign[c])
+        assign = gen.integers(0, 3, size=g.n).tolist()
+        kept = sum(_retained(assign, t) for t in packing.tuples)
         out.append(kept / total)
     return out

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .decomposition import DISTANCE_CAP_BOUND, distance_to_property
-from .gadgets import ap3_free_set, build_c5_gadget, rs_graph
+from .decomposition import DISTANCE_CAP_BOUND, DISTANCE_N_BOUND, distance_to_property
+from .gadgets import AP_EXACT_BOUND, ap3_free_set, build_c5_gadget, rs_graph
 from .graphs import Graph, _induces_c5, flip_pairs, gnp, random_cograph
-from .packing import PackingError, WitnessPacking, farness_lower_bound
+from .packing import PackingError, WitnessPacking, farness_lower_bound, random_tripartite_extract
 from .recognizers import _find_triangle, _later_masks, _order_hit, is_cograph
 from .rng import Stream
 from .testers import TesterConfig, _sample_masks, estimate_detection, wilson95
@@ -93,13 +93,11 @@ def pipeline_hardness(ks: Sequence[int], d: int, trials: int, rng: Stream,
     the order-check samples (trial i of the batch on the planted size's
     stream child(2)): samples whose inner portion is triangle-free must pass
     the ordered comparability check, every time."""
-    from .packing import random_tripartite_extract
-
     rows: list[HardnessRow] = []
     mechanism: dict[str, dict] = {}
     for idx, k in enumerate(ks):
         kstream = rng.child(idx)
-        s = ap3_free_set(k, "exact" if k <= 40 else "behrend")
+        s = ap3_free_set(k, "exact" if k <= AP_EXACT_BOUND else "behrend")
         rb = rs_graph(k, s)
         f, labeling, retained = random_tripartite_extract(
             rb.graph, rb.certificate, kstream.child(0), retries=retries)
@@ -150,8 +148,8 @@ def pipeline_easy(n: int, distances: Sequence[int], budgets: Sequence[int],
                   trials: int, rng: Stream, threads: int = 1) -> list[list]:
     """Quadruple-tester rejection curves on graphs at oracle-certified edit
     distance from cograph-hood, plus an always-accepted cograph control."""
-    if n > 10:
-        raise ValueError("easy pipeline needs the exact distance oracle (n <= 10)")
+    if n > DISTANCE_N_BOUND:
+        raise ValueError(f"easy pipeline needs the exact distance oracle (n <= {DISTANCE_N_BOUND})")
     if not all(0 <= want <= DISTANCE_CAP_BOUND for want in distances):
         raise ValueError(
             f"distances must lie in 0..{DISTANCE_CAP_BOUND}, the oracle's cap, got {list(distances)}")

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 from .decomposition import AboveCap, distance_to_property, find_cut, refine_along_cuts
-from .gadgets import ap3_free_set, build_c5_gadget, build_poset_gadget, rs_graph
+from .gadgets import AP_EXACT_BOUND, ap3_free_set, build_c5_gadget, build_poset_gadget, rs_graph
 from .graphs import (
     Graph,
     PartLabeling,
@@ -404,7 +404,7 @@ def retention_mean(stream: Stream, samples: int) -> str | None:
 
 def rs_exact_triangles(max_k: int) -> str | None:
     for k in range(1, max_k + 1):
-        s = ap3_free_set(k, "exact" if k <= 40 else "behrend")
+        s = ap3_free_set(k, "exact" if k <= AP_EXACT_BOUND else "behrend")
         rb = rs_graph(k, s)  # constructor audits count == k|S| and disjointness
         if k <= 6:
             naive = naive_induced_count(rb.graph, lambda h: h.m == 3, 3)

@@ -207,13 +207,21 @@ def _rs_with_sidecar(tmp_path):
     return rs, side, json.loads(side.read_text())
 
 
-@pytest.mark.parametrize("breakage", ["no host_n", "short tuple"])
+@pytest.mark.parametrize("breakage", ["no host_n", "short tuple", "float vertex", "float host_n",
+                                      "empty object"])
 def test_malformed_sidecar_packing_is_io_error(tmp_path, capsys, breakage):
     rs, side, data = _rs_with_sidecar(tmp_path)
-    if breakage == "no host_n":
-        del data["packing"]["host_n"]
+    packing = data["packing"]
+    if breakage == "empty object":
+        packing.clear()
+    elif breakage == "no host_n":
+        del packing["host_n"]
+    elif breakage == "short tuple":
+        packing["tuples"][0] = [0, 1]
+    elif breakage == "float vertex":
+        packing["tuples"][0] = [float(v) for v in packing["tuples"][0]]
     else:
-        data["packing"]["tuples"][0] = [0, 1]
+        packing["host_n"] = float(packing["host_n"])
     side.write_text(json.dumps(data))
     capsys.readouterr()
     assert run(["gen", "c5-gadget", "--from", rs, "--out", tmp_path / "g.el"]) == 3
@@ -253,6 +261,23 @@ def test_sidecar_non_triangle_is_invariant_failure(tmp_path, capsys):
     capsys.readouterr()
     assert run(["gen", "c5-gadget", "--from", rs, "--out", tmp_path / "g.el"]) == 1
     assert "not a triangle" in capsys.readouterr().err
+
+
+def test_sidecar_c5_packing_is_no_gadget_certificate(tmp_path, capsys):
+    # a 5-cycle plus a lone vertex: no triangle, so the poset gadget over it
+    # is a poset and no packing of it may certify farness
+    inner = tmp_path / "t.el"
+    inner.write_text("6 5\n0 3\n0 2\n1 3\n1 4\n2 4\n")
+    side = {"parts": {"a": [0, 1], "b": [3, 4, 5], "c": [2]},
+            "packing": {"kind": "inducedC5", "tuples": [[0, 1, 2, 3, 4]], "host_n": 6,
+                        "verified": True}}
+    (tmp_path / "t.el.json").write_text(json.dumps(side))
+    capsys.readouterr()
+    for kind in ("poset-gadget", "c5-gadget"):
+        out = tmp_path / f"{kind}.el"
+        assert run(["gen", kind, "--from", inner, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("ptlab: inner packing must be triangles")
+        assert not out.exists()
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

@@ -6,12 +6,14 @@ import pytest
 from ptlab.gadgets import (
     AP_EXACT_BOUND,
     ApFreeSet,
+    GadgetBundle,
     ap3_free_set,
     build_c5_gadget,
     build_poset_gadget,
     rs_graph,
 )
 from ptlab.graphs import (
+    Graph,
     PartLabeling,
     complete_graph,
     count_induced_c5,
@@ -22,6 +24,7 @@ from ptlab.graphs import (
     is_cycle_5,
     naive_induced_count,
 )
+from ptlab.packing import PackingError, WitnessPacking, triangle_packing
 from ptlab.recognizers import is_poset
 from ptlab.rng import Stream
 from ptlab.verify import (
@@ -92,6 +95,12 @@ def test_ap_free_exact_sets_pinned(digest):
     sets = [ap3_free_set(n, "exact").elements for n in range(1, AP_EXACT_BOUND + 1)]
     assert [len(s) for s in sets] == AP_EXACT_SIZES
     assert digest(sets) == "361c56e408ae9d2a"
+
+
+def test_ap_free_behrend_sets_pinned(digest):
+    sets = [ap3_free_set(n, "behrend").elements for n in (1, 7, 40, 300, 1000, 2500)]
+    assert [len(s) for s in sets] == [1, 4, 15, 48, 105, 176]
+    assert digest(sets) == "01c0cebd7b0bb15b"
 
 
 def test_ap_free_behrend_verified_and_reasonable():
@@ -189,3 +198,46 @@ def test_poset_gadget_samples():
 def test_bundle_farness_below_exact_distance():
     detail = farness_below_distance()
     assert detail is None, detail
+
+
+# each gadget builder with the names of its inner graph's three parts
+BUILDERS = [(build_c5_gadget, ("V2", "V3", "V5")), (build_poset_gadget, ("V1", "V2", "V3"))]
+
+
+@pytest.mark.parametrize("build, names", BUILDERS)
+def test_builders_refuse_a_packing_that_is_not_triangles(build, names):
+    # a 5-cycle plus a lone vertex is tripartite and triangle-free, so its
+    # verified 5-cycle packing certifies nothing about either gadget
+    g = Graph.from_edges(6, [(0, 3), (0, 2), (1, 3), (1, 4), (2, 4)])
+    lab = PartLabeling(6, [(names[0], [0, 1]), (names[1], [3, 4, 5]), (names[2], [2])])
+    c5 = WitnessPacking("inducedC5", ((0, 1, 2, 3, 4),), 6).verified_in(g)
+    with pytest.raises(PackingError, match="inner packing must be triangles"):
+        build(g, lab, c5)
+    assert len(build(g, lab).certificate) == 0
+
+
+@pytest.mark.parametrize("build, names", BUILDERS)
+def test_builders_refuse_an_empty_inner_graph(build, names):
+    lab = PartLabeling(0, [(name, []) for name in names], allow_empty=True)
+    with pytest.raises(ValueError, match="at least one vertex"):
+        build(empty_graph(0), lab)
+
+
+def test_c5_gadget_falls_back_to_greedy_beyond_the_exact_guard():
+    rb = rs_graph(3, ap3_free_set(3, "exact"))  # 18 vertices: beyond the exact guard
+    lab = rb.labeling.relabel(("V2", "V3", "V5"))
+    gb = build_c5_gadget(rb.graph, lab)
+    assert len(gb.certificate) == len(triangle_packing(rb.graph, "greedy"))
+    assert gb == build_c5_gadget(rb.graph, lab, rb.certificate)
+
+
+def test_bundle_derives_farness_from_a_verified_certificate():
+    rb = rs_graph(2, ap3_free_set(2, "exact"))
+    assert rb.farness == Fraction(len(rb.certificate), 12 ** 2)
+    with pytest.raises(TypeError):
+        GadgetBundle(rb.graph, rb.labeling, rb.certificate, rb.farness)
+    with pytest.raises(PackingError, match="verified"):
+        GadgetBundle(rb.graph, rb.labeling, WitnessPacking("triangle", rb.certificate.tuples, 12))
+    other = rs_graph(1, ap3_free_set(1, "exact"))
+    with pytest.raises(PackingError, match="graph has 6"):
+        GadgetBundle(other.graph, other.labeling, rb.certificate)

@@ -1,7 +1,10 @@
-"""Every module-level import of a ptlab module is used by that module."""
+"""Every module-level import of a ptlab module is used by that module, and
+every name a module exports in `__all__` exists."""
 
 import ast
+import importlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,3 +34,16 @@ def test_no_unused_imports(path):
 def test_unused_import_is_caught():
     assert unused_imports("import os\nfrom typing import Iterable, Sequence\n"
                           "x: Sequence[int] = []\n") == ["os", "Iterable"]
+
+
+def stale_exports(module) -> list[str]:
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_stale_exports(path):
+    assert stale_exports(importlib.import_module(f"ptlab.{path.stem}")) == []
+
+
+def test_stale_export_is_caught():
+    assert stale_exports(SimpleNamespace(__all__=["here", "gone"], here=1)) == ["gone"]

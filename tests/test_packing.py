@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from ptlab.gadgets import ap3_free_set, rs_graph
@@ -126,6 +127,30 @@ def test_farness_lower_bound():
         farness_lower_bound(unverified)
     empty = WitnessPacking("triangle", (), 4).verified_in(complete_graph(4))
     assert farness_lower_bound(empty) == 0
+
+
+def test_only_verified_in_marks_a_packing_verified():
+    with pytest.raises(TypeError):
+        WitnessPacking("triangle", ((0, 1, 2),), 3, True)
+    with pytest.raises(TypeError):
+        WitnessPacking("triangle", ((0, 1, 2),), 3, verified=True)
+    claim = {"kind": "triangle", "tuples": [[0, 1, 2]], "host_n": 3, "verified": True}
+    p = WitnessPacking.from_json(claim)
+    assert not p.verified
+    with pytest.raises(PackingError):
+        farness_lower_bound(p)
+    q = p.verified_in(complete_graph(3))
+    assert q.verified and not p.verified and q.to_json() == claim
+
+
+def test_packing_vertices_and_host_n_must_be_integers():
+    p = WitnessPacking("triangle", ((np.int64(0), 1, np.int32(2)),), np.int64(3))
+    assert p.tuples == ((0, 1, 2),) and p.host_n == 3
+    assert type(p.host_n) is int and all(type(v) is int for v in p.tuples[0])
+    for tuples, host_n in ((((0.0, 1.0, 2.0),), 3), (((0, 1, 2),), 3.0),
+                           (((0, 1, 2),), "3"), ((("0", 1, 2),), 3)):
+        with pytest.raises(TypeError):
+            WitnessPacking("triangle", tuples, host_n)
 
 
 def test_greedy_c5_packing_single_triangle():
