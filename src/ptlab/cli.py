@@ -202,7 +202,7 @@ def _load_sidecar(path: str, n: int, names: tuple[str, ...]
     if len(parts) != len(names):
         raise ParseError(f"{path}: need {len(names)} parts, found {len(parts)}")
     try:
-        labeling = PartLabeling(n, list(zip(names, parts.values())), allow_empty=True)
+        labeling = PartLabeling(n, list(zip(names, parts.values())))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed parts ({type(exc).__name__}: {exc})") from None
     if data.get("packing") is None:

@@ -34,6 +34,7 @@ __all__ = [
 BETA_EXACT_BOUND = 22
 DISTANCE_N_BOUND = 10
 DISTANCE_CAP_BOUND = 5
+_HEURISTIC_RESTARTS = 20
 
 
 @dataclass(frozen=True)
@@ -112,16 +113,15 @@ def _validate_beta(beta) -> Fraction:
 
 
 def find_beta_cut(g: Graph, beta, mode: str = "exact",
-                  rng: Stream | None = None,
-                  restarts: int = 20) -> Union[Cut, None, NotFound]:
+                  rng: Stream | None = None) -> Union[Cut, None, NotFound]:
     """Find a beta-cut.
 
     Exact mode (n <= 22) classifies all 2^(n-1) bipartitions in one numpy
     pass over their crossing counts: the answer is a minimum-edit cut (ties
     broken by lexicographically least side1, which always contains vertex 0)
     or a definitive None. Heuristic mode runs randomized local search over
-    vertex flips and returns a cut or NotFound(effort), which does NOT
-    certify nonexistence.
+    vertex flips from 20 random starts and returns a cut or NotFound(20),
+    which does NOT certify nonexistence.
     """
     b = _validate_beta(beta)
     if g.n < 2:
@@ -136,7 +136,7 @@ def find_beta_cut(g: Graph, beta, mode: str = "exact",
     if mode == "heuristic":
         if rng is None:
             raise ValueError("heuristic mode needs an rng stream")
-        return _beta_cut_heuristic(g, b, rng, restarts)
+        return _beta_cut_heuristic(g, b, rng)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -190,12 +190,11 @@ def _beta_cut_exact(g: Graph, beta: Fraction) -> Cut | None:
     return _cut(n, 1 | (r << 1), kind, int(cross[r]), int(prod[r]))
 
 
-def _beta_cut_heuristic(g: Graph, beta: Fraction, rng: Stream, restarts: int
-                        ) -> Union[Cut, NotFound]:
+def _beta_cut_heuristic(g: Graph, beta: Fraction, rng: Stream) -> Union[Cut, NotFound]:
     n = g.n
     full = (1 << n) - 1
     sparse_max, dense_min, prods = _cut_thresholds(n, beta)
-    for attempt in range(restarts):
+    for attempt in range(_HEURISTIC_RESTARTS):
         gen = rng.child(attempt).gen
         mask1 = sum(int(b) << v for v, b in enumerate(gen.integers(0, 2, size=n)))
         if mask1 in (0, full):
@@ -231,7 +230,7 @@ def _beta_cut_heuristic(g: Graph, beta: Fraction, rng: Stream, restarts: int
             tied = [(v, nc) for sc, v, nc in moves if sc == moves[0][0]]
             pick, cross = tied[int(gen.integers(0, len(tied)))]
             mask1 ^= 1 << pick
-    return NotFound(restarts)
+    return NotFound(_HEURISTIC_RESTARTS)
 
 
 @dataclass(frozen=True)

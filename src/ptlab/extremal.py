@@ -9,7 +9,7 @@ implementation, not the guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -37,16 +37,14 @@ class ExtremalRecord:
     n: int
     graph: Graph
     p3_count: int
-    p3_density: Fraction
-    certified: bool
     beta: Optional[Fraction] = None
     epsilon: Optional[Fraction] = None
     provenance: dict | None = None
+    p3_density: Fraction = field(init=False)  # p3_count / n^4
+    certified: bool = field(default=True, init=False)  # both searches certify or refuse
 
     def __post_init__(self):
-        expect = Fraction(self.p3_count, self.n ** 4)
-        if self.p3_density != expect:
-            raise ValueError(f"density {self.p3_density} != count/n^4 = {expect}")
+        object.__setattr__(self, "p3_density", Fraction(self.p3_count, self.n ** 4))
         floor = self.density_floor()
         if self.p3_density < floor:
             raise AssertionError(
@@ -120,9 +118,8 @@ def _hill_climb(n: int, qualifies: Callable[[Graph], bool], effort: int,
         raise ValueError(
             f"no qualifying graph found in {effort} restarts at n={n}")
     return ExtremalRecord(
-        n=n, graph=best[2], p3_count=best[0], p3_density=Fraction(best[0], n ** 4),
-        certified=True, provenance={"seed": rng.seed, "path": list(rng.path), "effort": effort},
-        **family)
+        n=n, graph=best[2], p3_count=best[0],
+        provenance={"seed": rng.seed, "path": list(rng.path), "effort": effort}, **family)
 
 
 def search_min_p3_density(n: int, beta, effort: int, rng: Stream) -> ExtremalRecord:

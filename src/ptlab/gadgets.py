@@ -319,7 +319,7 @@ def build_c5_gadget(f: Graph, labeling: PartLabeling,
         ("V3", (offset + v for v in iter_bits(m3))),
         ("V4", range(2 * n, 4 * n)),
         ("V5", (offset + v for v in iter_bits(m5))),
-    ], allow_empty=True)
+    ])
     _audit_c5_gadget(g, parts, f, offset)
     return GadgetBundle(g, parts, greedy_c5_packing(g, parts, packing))
 

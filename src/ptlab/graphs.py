@@ -49,6 +49,13 @@ __all__ = [
 C5_EXACT_BOUND = 64
 
 
+def _as_int(x) -> int:
+    """`x` as a plain int; bools, which `operator.index` reads as 0 and 1, are refused."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return operator.index(x)
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of `mask` in increasing order."""
     while mask:
@@ -215,7 +222,8 @@ class Digraph:
 
 @dataclass(frozen=True)
 class PartLabeling:
-    """Named, disjoint vertex parts covering 0..n-1, in a fixed order.
+    """Named, disjoint, possibly empty vertex parts covering 0..n-1, in a
+    fixed order. `n` and the vertices are stored as plain ints (bools refused).
 
     The part order is meaningful: it defines the linear order used by
     order-transitivity checks (all of part i before all of part j for i<j).
@@ -225,16 +233,14 @@ class PartLabeling:
     names: tuple[str, ...]
     parts: tuple[tuple[int, ...], ...]
 
-    def __init__(self, n: int, named_parts: Sequence[tuple[str, Iterable[int]]],
-                 allow_empty: bool = False):
+    def __init__(self, n: int, named_parts: Sequence[tuple[str, Iterable[int]]]):
+        n = _as_int(n)
         names = tuple(name for name, _ in named_parts)
-        parts = tuple(tuple(sorted(set(vs))) for _, vs in named_parts)
+        parts = tuple(tuple(sorted(set(map(_as_int, vs)))) for _, vs in named_parts)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate part names in {names}")
         seen = 0
         for name, part in zip(names, parts):
-            if not part and not allow_empty:
-                raise ValueError(f"part {name} is empty")
             for v in part:
                 if not 0 <= v < n:
                     raise ValueError(f"vertex {v} out of range in part {name}")
@@ -254,19 +260,11 @@ class PartLabeling:
     def part_mask(self, name: str) -> int:
         return sum(1 << v for v in self.part(name))
 
-    def part_index_of(self) -> list[int]:
-        """Array mapping vertex -> index of its part in the part order."""
-        idx = [0] * self.n
-        for i, part in enumerate(self.parts):
-            for v in part:
-                idx[v] = i
-        return idx
-
     def relabel(self, names: Sequence[str]) -> "PartLabeling":
         """Same parts under new names (e.g. X,Y,Z -> V2,V3,V5)."""
         if len(names) != len(self.parts):
             raise ValueError(f"need {len(self.parts)} names, got {len(names)}")
-        return PartLabeling(self.n, list(zip(names, self.parts)), allow_empty=True)
+        return PartLabeling(self.n, list(zip(names, self.parts)))
 
 
 def _co_rows(rows: Sequence[int], mask: int) -> dict[int, int]:

@@ -11,10 +11,10 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import index
 from typing import Sequence
 
-from .graphs import Graph, PartLabeling, _induces_c5, _trusted_graph, _triangle_fans, iter_bits
+from .graphs import (Graph, PartLabeling, _as_int, _induces_c5, _trusted_graph, _triangle_fans,
+                     iter_bits)
 from .rng import Stream
 
 __all__ = [
@@ -46,9 +46,10 @@ class WitnessPacking:
 
     kind "triangle": 3-tuples, pairwise edge-disjoint.
     kind "inducedC5": 5-tuples, pairwise sharing at most one vertex.
-    Vertices and host_n must be integers (numpy ints included). `verified`
-    is no constructor argument: only `verified_in` sets it, on the copy it
-    returns, so a packing that says it is verified was checked in a host.
+    Vertices and host_n must be integers (numpy ints included, bools
+    refused). `verified` is no constructor argument: only `verified_in` sets
+    it, on the copy it returns, so a packing that says it is verified was
+    checked in a host.
     """
 
     kind: str
@@ -59,8 +60,8 @@ class WitnessPacking:
     def __post_init__(self):
         if self.kind not in ("triangle", "inducedC5"):
             raise ValueError(f"unknown packing kind {self.kind!r}")
-        object.__setattr__(self, "host_n", index(self.host_n))
-        object.__setattr__(self, "tuples", tuple(tuple(map(index, t)) for t in self.tuples))
+        object.__setattr__(self, "host_n", _as_int(self.host_n))
+        object.__setattr__(self, "tuples", tuple(tuple(map(_as_int, t)) for t in self.tuples))
         size = 3 if self.kind == "triangle" else 5
         for t in self.tuples:
             if len(t) != size or len(set(t)) != size:
@@ -329,6 +330,8 @@ def farness_lower_bound(packing: WitnessPacking) -> Fraction:
     most one tuple under the overlap rule)."""
     if not packing.verified:
         raise PackingError("farness bound requires a verified packing")
+    if not packing.tuples:
+        return Fraction(0)  # certifies nothing, on any host including n = 0
     return Fraction(len(packing.tuples), packing.host_n ** 2)
 
 
@@ -350,30 +353,21 @@ def _apply_tripartition(g: Graph, assign: Sequence[int],
 
 
 def random_tripartite_extract(g: Graph, packing: WitnessPacking, rng: Stream,
-                              retries: int = 1,
-                              parts: PartLabeling | None = None
-                              ) -> tuple[Graph, PartLabeling, WitnessPacking]:
+                              retries: int = 1) -> tuple[Graph, PartLabeling, WitnessPacking]:
     """Drop intra-part edges of a tripartition, keeping the packing triangles
-    with one vertex per part; the best of `retries` uniform draws is
-    returned. Supplying `parts` forces the assignment (retention is then
-    deterministic, e.g. 1 for an aligned tripartite input)."""
+    with one vertex per part; the best of `retries` uniform draws (each on
+    its own child stream of `rng`) is returned, with parts X, Y, Z, any of
+    which may be empty."""
     _require_verified_triangles(packing)
-    if parts is not None:
-        if len(parts.parts) != 3:
-            raise ValueError("forced assignment needs exactly three parts")
-        assigns = [parts.part_index_of()]
-    else:
-        if retries < 1:
-            raise ValueError("retries must be >= 1")
-        assigns = ([int(a) for a in rng.child(r).gen.integers(0, 3, size=g.n)]
-                   for r in range(retries))
+    if retries < 1:
+        raise ValueError("retries must be >= 1")
+    assigns = ([int(a) for a in rng.child(r).gen.integers(0, 3, size=g.n)]
+               for r in range(retries))
     # the first assignment keeping the most packing triangles wins
     best_assign, f_graph, retained = max(
         ((a, *_apply_tripartition(g, a, packing)) for a in assigns), key=lambda c: len(c[2]))
-    names = ("X", "Y", "Z")
-    labeling = PartLabeling(
-        g.n, [(names[i], [v for v in range(g.n) if best_assign[v] == i])
-              for i in range(3)], allow_empty=True)
+    labeling = PartLabeling(g.n, [(name, [v for v in range(g.n) if best_assign[v] == i])
+                                  for i, name in enumerate("XYZ")])
     kept = WitnessPacking("triangle", tuple(retained), g.n).verified_in(f_graph)
     return f_graph, labeling, kept
 

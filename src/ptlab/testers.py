@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .graphs import Graph, sample_vertices
+from .graphs import Graph, count_triangles, sample_vertices
 from .recognizers import _resolve
 from .rng import _MAX_TRIALS, Stream, _trial_streams
 
@@ -51,6 +51,8 @@ DEFAULT_BUDGET_CAP = 1 << 14
 _DESK_BUDGET = 10 ** 9
 # most tuples one draw makes for a density tester
 _BLOCK = 256
+# the detection probability the minimal-budget search asks for
+_TARGET = 2 / 3
 
 
 @dataclass(frozen=True)
@@ -274,26 +276,26 @@ class MinBudgetResult:
                 "analytic_floor": self.analytic_floor}
 
 
-def min_budget_for_detection(g: Graph, kind: str, rng: Stream,
-                             target: float = 2 / 3, trials: int = 300,
+def min_budget_for_detection(g: Graph, kind: str, rng: Stream, trials: int = 300,
                              property_name: str | None = None,
                              cap: int = DEFAULT_BUDGET_CAP,
-                             triangle_delta: float | None = None,
                              threads: int = 1) -> MinBudgetResult:
     """Doubling-then-binary search for the least budget (d for the universal
-    tester, t for density testers) whose measured rejection rate meets
-    `target` with its Wilson lower bound. The doubling stops at the cap
+    tester, t for density testers) whose measured rejection rate meets the
+    target 2/3 with its Wilson lower bound. The doubling stops at the cap
     (for the universal tester, the smaller of the cap and n), which is
     probed itself.
 
     Each budget value is measured on its own substream, so probes are
-    reproducible and independent of the search path. When a triangle
-    density delta = triangles/n^3 is supplied, the analytic sample-size
-    floor (3*delta)^(-1/3) is reported alongside.
+    reproducible and independent of the search path. When the tester looks
+    for triangles (triple-density, or universal on triangle-free) and g has
+    some, the analytic sample-size floor (3*delta)^(-1/3) for the triangle
+    density delta = triangles/n^3 is reported alongside.
     """
-    if not 0 < target < 1:
-        raise ValueError("target must be in (0,1)")
-    floor = (3 * triangle_delta) ** (-1 / 3) if triangle_delta else None
+    seeks_triangles = kind == "triple-density" or (
+        kind == "universal" and property_name == "triangle-free")
+    triangles = count_triangles(g) if seeks_triangles else 0
+    floor = (3 * (triangles / g.n ** 3)) ** (-1 / 3) if triangles else None
     cap_eff = min(cap, g.n) if kind == "universal" else cap
     probes: dict[int, TesterReport] = {}
 
@@ -308,7 +310,7 @@ def min_budget_for_detection(g: Graph, kind: str, rng: Stream,
         return probes[budget]
 
     def ok(budget: int) -> bool:
-        return measure(budget).wilson_lo >= target
+        return measure(budget).wilson_lo >= _TARGET
 
     failed, budget = 0, 1
     while budget < cap_eff and not ok(budget):
@@ -327,7 +329,7 @@ def min_budget_for_detection(g: Graph, kind: str, rng: Stream,
         found = hi
     curve = tuple((b, r.rejection_rate, r.wilson_lo, r.wilson_hi)
                   for b, r in sorted(probes.items()))
-    return MinBudgetResult(kind, target, found, found is None, curve, floor)
+    return MinBudgetResult(kind, _TARGET, found, found is None, curve, floor)
 
 
 def theoretical_sample_counts(epsilon) -> dict:

@@ -187,8 +187,7 @@ def test_criterion_09_bound_sanity():
         # the 5-cycle qualifies and its record reports density 0.008
         c5 = cycle_graph(5)
         assert find_beta_cut(c5, beta, "exact") is None
-        rec_c5 = ExtremalRecord(n=5, graph=c5, p3_count=count_induced_p3(c5),
-                                p3_density=Fraction(5, 625), certified=True, beta=beta)
+        rec_c5 = ExtremalRecord(n=5, graph=c5, p3_count=count_induced_p3(c5), beta=beta)
         assert float(rec_c5.p3_density) == 0.008
 
         eps = Fraction(1, 32)
@@ -204,7 +203,6 @@ def test_criterion_10_hardness_gap():
         rs = rb.graph
         n = rs.n
         target = len(rb.certificate)
-        rs_delta = count_triangles(rs) / n ** 3
         assert count_triangles(rs) == target
 
         control = None
@@ -218,16 +216,15 @@ def test_criterion_10_hardness_gap():
         assert control is not None, "no control reached the target farness"
         assert farness_lower_bound(triangle_packing(control, "greedy")) >= \
             farness_lower_bound(rb.certificate)
-        ctrl_delta = count_triangles(control) / n ** 3
 
         for seed_idx in range(5):
             stream = Stream(1310, (1, seed_idx))
             res_rs = min_budget_for_detection(
                 rs, "universal", stream.child(0), trials=300,
-                property_name="triangle-free", cap=n, triangle_delta=rs_delta)
+                property_name="triangle-free", cap=n)
             res_ctrl = min_budget_for_detection(
                 control, "universal", stream.child(1), trials=300,
-                property_name="triangle-free", cap=n, triangle_delta=ctrl_delta)
+                property_name="triangle-free", cap=n)
             assert res_rs.budget is not None and res_ctrl.budget is not None
             assert res_rs.budget > res_ctrl.budget, \
                 (seed_idx, res_rs.budget, res_ctrl.budget)

@@ -208,7 +208,7 @@ def _rs_with_sidecar(tmp_path):
 
 
 @pytest.mark.parametrize("breakage", ["no host_n", "short tuple", "float vertex", "float host_n",
-                                      "empty object"])
+                                      "empty object", "bool vertex"])
 def test_malformed_sidecar_packing_is_io_error(tmp_path, capsys, breakage):
     rs, side, data = _rs_with_sidecar(tmp_path)
     packing = data["packing"]
@@ -220,6 +220,9 @@ def test_malformed_sidecar_packing_is_io_error(tmp_path, capsys, breakage):
         packing["tuples"][0] = [0, 1]
     elif breakage == "float vertex":
         packing["tuples"][0] = [float(v) for v in packing["tuples"][0]]
+    elif breakage == "bool vertex":
+        assert packing["tuples"][0][0] == 0
+        packing["tuples"][0][0] = False  # would read as vertex 0
     else:
         packing["host_n"] = float(packing["host_n"])
     side.write_text(json.dumps(data))
@@ -234,6 +237,7 @@ def test_malformed_sidecar_packing_is_io_error(tmp_path, capsys, breakage):
     ("sidecar a list", "no 'parts' object"),
     ("two parts", "need 3 parts"),
     ("part not a list", "malformed parts"),
+    ("bool vertex", "malformed parts"),
     ("not JSON", "not JSON"),
 ])
 def test_malformed_sidecar_parts_is_io_error(tmp_path, capsys, breakage, message):
@@ -246,6 +250,9 @@ def test_malformed_sidecar_parts_is_io_error(tmp_path, capsys, breakage, message
         del data["parts"]["Z"]
     elif breakage == "part not a list":
         data["parts"]["X"] = 5
+    elif breakage == "bool vertex":
+        assert data["parts"]["X"][0] == 0
+        data["parts"]["X"][0] = False  # would read as vertex 0
     side.write_text("{" if breakage == "not JSON" else json.dumps(data))
     capsys.readouterr()
     assert run(["gen", "c5-gadget", "--from", rs, "--out", tmp_path / "g.el"]) == 3

@@ -155,8 +155,7 @@ def core_mismatches():
     for rows, vs, part, arcs in CASES:
         mask = sum(1 << v for v in vs)
         labeling = PartLabeling(len(rows), [(str(j), [v for v in range(len(rows))
-                                                      if part[v] == j]) for j in range(4)],
-                                allow_empty=True)
+                                                      if part[v] == j]) for j in range(4)])
         for name, core in CORES.items():
             hit = core(rows, mask, (labeling, arcs))
             if (hit is not None) != _oracle(name, rows, vs, part, arcs):

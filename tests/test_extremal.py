@@ -4,7 +4,7 @@ import pytest
 
 from ptlab.decomposition import distance_to_property, find_beta_cut
 from ptlab.extremal import ExtremalRecord, estimate_f, search_min_p3_density
-from ptlab.graphs import count_induced_p3, cycle_graph
+from ptlab.graphs import count_induced_p3, cycle_graph, empty_graph
 from ptlab.recognizers import is_cograph
 from ptlab.rng import Stream
 
@@ -26,18 +26,16 @@ def test_search_n5_finds_exhaustive_optimum():
 def test_c5_record_reports_its_density():
     c5 = cycle_graph(5)
     assert find_beta_cut(c5, Fraction(1, 5)) is None  # C5 qualifies
-    rec = ExtremalRecord(n=5, graph=c5, p3_count=count_induced_p3(c5),
-                         p3_density=Fraction(5, 625), certified=True,
-                         beta=Fraction(1, 5))
-    assert float(rec.p3_density) == 0.008
+    rec = ExtremalRecord(n=5, graph=c5, p3_count=count_induced_p3(c5), beta=Fraction(1, 5))
+    assert rec.p3_density == Fraction(5, 625) and float(rec.p3_density) == 0.008
     assert rec.p3_density >= rec.density_floor()
+    assert rec.certified
 
 
-def test_record_validation():
-    c5 = cycle_graph(5)
-    with pytest.raises(ValueError):
-        ExtremalRecord(n=5, graph=c5, p3_count=5, p3_density=Fraction(1, 2),
-                       certified=True, beta=Fraction(1, 5))
+def test_record_below_its_floor_is_refused():
+    # a density of 0 is the only one below the (beta/100)^12 floor
+    with pytest.raises(AssertionError, match="below guaranteed floor"):
+        ExtremalRecord(n=5, graph=empty_graph(5), p3_count=0, beta=Fraction(1, 5))
 
 
 def test_estimate_f_certifies_farness():

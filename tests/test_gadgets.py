@@ -167,8 +167,7 @@ def test_c5_gadget_triangle_free_inner():
 
 
 def test_c5_gadget_rejects_bad_inner():
-    lab = PartLabeling(3, [("V2", [0, 1]), ("V3", [2]), ("V5", [])],
-                       allow_empty=True)
+    lab = PartLabeling(3, [("V2", [0, 1]), ("V3", [2]), ("V5", [])])
     bad = complete_graph(3)  # edge inside V2
     with pytest.raises(ValueError):
         build_c5_gadget(bad, lab)
@@ -218,7 +217,7 @@ def test_builders_refuse_a_packing_that_is_not_triangles(build, names):
 
 @pytest.mark.parametrize("build, names", BUILDERS)
 def test_builders_refuse_an_empty_inner_graph(build, names):
-    lab = PartLabeling(0, [(name, []) for name in names], allow_empty=True)
+    lab = PartLabeling(0, [(name, []) for name in names])
     with pytest.raises(ValueError, match="at least one vertex"):
         build(empty_graph(0), lab)
 

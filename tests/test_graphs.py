@@ -176,9 +176,14 @@ def test_pair_indexing_roundtrip():
 def test_part_labeling():
     lab = PartLabeling(5, [("X", [0, 1]), ("Y", [2]), ("Z", [3, 4])])
     assert lab.part("Y") == (2,)
-    assert lab.part_index_of() == [0, 0, 1, 2, 2]
     renamed = lab.relabel(("V2", "V3", "V5"))
     assert renamed.part("V2") == (0, 1)
+    empty_part = PartLabeling(np.int64(2), [("A", [np.int64(1), 0]), ("B", [])])
+    assert empty_part.parts == ((0, 1), ()) and type(empty_part.n) is int
+    assert all(type(v) is int for v in empty_part.parts[0])
+    for n, part in ((3, [False, 1, 2]), (3, [0.0, 1, 2]), (True, [0])):
+        with pytest.raises(TypeError):
+            PartLabeling(n, [("A", part)])
     with pytest.raises(ValueError):
         PartLabeling(4, [("A", [0, 1]), ("B", [1, 2, 3])])  # overlap
     with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
-"""Every module-level import of a ptlab module is used by that module, and
-every name a module exports in `__all__` exists."""
+"""Every module-level import of a ptlab module is used by that module,
+every name a module exports in `__all__` exists, and ptlab imports nothing
+at run time but the standard library, numpy and jsonschema."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -47,3 +49,31 @@ def test_no_stale_exports(path):
 
 def test_stale_export_is_caught():
     assert stale_exports(SimpleNamespace(__all__=["here", "gone"], here=1)) == ["gone"]
+
+
+RUNTIME_IMPORTS = sys.stdlib_module_names | {"numpy", "jsonschema", "ptlab"}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Modules imported anywhere in `source` (function bodies included) that
+    are neither in the standard library nor a runtime dependency; relative
+    imports are ptlab's own."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] not in RUNTIME_IMPORTS]
+
+
+@pytest.mark.parametrize("path", sorted(Path(ptlab.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_runtime_dependencies_are_numpy_and_jsonschema(path):
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_foreign_import_is_caught():
+    source = ("import os, numpy.linalg\nfrom . import graphs\n"
+              "def f():\n    import networkx as nx\n    from scipy import sparse\n")
+    assert foreign_imports(source) == ["networkx", "scipy"]

@@ -10,6 +10,7 @@ from ptlab.graphs import (
     complete_graph,
     count_triangles,
     cycle_graph,
+    empty_graph,
     gnp,
     induced_subgraph,
     is_cycle_5,
@@ -127,6 +128,9 @@ def test_farness_lower_bound():
         farness_lower_bound(unverified)
     empty = WitnessPacking("triangle", (), 4).verified_in(complete_graph(4))
     assert farness_lower_bound(empty) == 0
+    # no tuples certify nothing, even on no vertices (no 0/0)
+    nothing = WitnessPacking("triangle", (), 0).verified_in(empty_graph(0))
+    assert farness_lower_bound(nothing) == 0
 
 
 def test_only_verified_in_marks_a_packing_verified():
@@ -147,7 +151,9 @@ def test_packing_vertices_and_host_n_must_be_integers():
     p = WitnessPacking("triangle", ((np.int64(0), 1, np.int32(2)),), np.int64(3))
     assert p.tuples == ((0, 1, 2),) and p.host_n == 3
     assert type(p.host_n) is int and all(type(v) is int for v in p.tuples[0])
+    # JSON booleans are no vertices, though operator.index reads them as 0 and 1
     for tuples, host_n in ((((0.0, 1.0, 2.0),), 3), (((0, 1, 2),), 3.0),
+                           (((False, 1, 2),), 3), (((0, 1, 2),), True),
                            (((0, 1, 2),), "3"), ((("0", 1, 2),), 3)):
         with pytest.raises(TypeError):
             WitnessPacking("triangle", tuples, host_n)
@@ -185,15 +191,6 @@ def test_greedy_c5_packing_empty():
     assert len(gb.certificate) == 0 and gb.farness == 0
 
 
-def test_tripartite_extract_forced_alignment():
-    g = complete_graph(3)
-    packing = triangle_packing(g)
-    lab = PartLabeling(3, [("X", [0]), ("Y", [1]), ("Z", [2])])
-    f, labeling, kept = random_tripartite_extract(g, packing, Stream(1), parts=lab)
-    assert len(kept) == 1 and f.m == 3
-    assert labeling.part("X") == (0,)
-
-
 def test_tripartite_extract_random_draws():
     rng = Stream(7)
     g = complete_graph(6)
@@ -213,16 +210,9 @@ def test_tripartite_extract_pinned(digest):
     hosts = ((rb.graph, rb.certificate), (k6, triangle_packing(k6)))
     runs = [random_tripartite_extract(g, pk, Stream(67, (g.n, r)), retries=r)
             for g, pk in hosts for r in (1, 4, 12)]
-    # forced: rs's own parts keep every planted triangle; on K6 the parts
-    # {0,3}, {1,4}, {2,5} keep the two packing triangles with one vertex in each
-    runs.append(random_tripartite_extract(rb.graph, rb.certificate, Stream(0),
-                                          parts=rb.labeling))
-    scrambled = PartLabeling(6, [("A", [0, 3]), ("B", [1, 4]), ("C", [2, 5])])
-    runs.append(random_tripartite_extract(k6, triangle_packing(k6), Stream(0),
-                                          parts=scrambled))
-    assert [len(kept) for _, _, kept in runs] == [4, 8, 6, 1, 1, 2, 20, 2]
+    assert [len(kept) for _, _, kept in runs] == [4, 8, 6, 1, 1, 2]
     assert digest([(f.rows, lab.parts, kept.tuples) for f, lab, kept in runs]) \
-        == "036a31e85509379a"
+        == "b46096489a715e5c"
 
 
 def test_tripartite_extract_empty_packing():

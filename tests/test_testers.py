@@ -287,9 +287,10 @@ def test_binomial_consistency_small():
 
 def test_min_budget_examples():
     res = min_budget_for_detection(complete_graph(12), "triple-density",
-                                   Stream(13), trials=200, triangle_delta=1 / 3000)
+                                   Stream(13), trials=200)
     assert res.budget == 1 and not res.capped
-    assert abs(res.analytic_floor - 1000 ** (1 / 3)) < 1e-9
+    # delta = C(12, 3) / 12^3 = 220 / 1728
+    assert res.analytic_floor == (3 * (220 / 12 ** 3)) ** (-1 / 3)
     assert res.curve[0][0] == 1 and res.curve[0][1] == 1.0
 
 
@@ -298,6 +299,11 @@ def test_min_budget_capped():
     res = min_budget_for_detection(g, "triple-density", Stream(17), trials=50, cap=8)
     assert res.capped and res.budget is None
     assert all(rate == 0.0 for _, rate, _, _ in res.curve)
+    assert res.analytic_floor is None  # no triangles, so no floor
+    # the quadruple tester looks for induced 4-paths: no triangle floor either
+    res = min_budget_for_detection(complete_graph(6), "quadruple-density", Stream(17),
+                                   trials=20, cap=2)
+    assert res.capped and res.analytic_floor is None
 
 
 def test_min_budget_meets_target_at_cap():
@@ -317,6 +323,7 @@ def test_min_budget_universal():
     res = min_budget_for_detection(g, "universal", Stream(19), trials=100,
                                    property_name="triangle-free")
     assert res.budget == 3  # the least d whose samples contain a triangle
+    assert res.analytic_floor == (3 * (9880 / 40 ** 3)) ** (-1 / 3)  # C(40, 3) triangles
 
 
 def test_theoretical_sample_counts():
