@@ -92,3 +92,21 @@ def test_records_pinned(digest):
             estimate_f(7, Fraction(2, 49), 4, Stream(71, (2,)))]
     assert [r.p3_count for r in recs] == [8, 10, 3]
     assert digest([(r.to_json(), r.graph.rows) for r in recs]) == "33f1efcad1f6c3fd"
+
+
+def test_climb_records_pinned():
+    # (graph.rows, p3_count) of beta = 1/5 climbs at n = 5, 8, 10, 12 and of
+    # estimate_f(8, 1/32), pinned before the count-first climb replaced the
+    # qualify-then-recount one: the tie coin and the permutations must be
+    # drawn exactly as before, so the records may not move
+    beta = Fraction(1, 5)
+    recs = [search_min_p3_density(n, beta, effort, Stream(1601, (i,)))
+            for i, (n, effort) in enumerate([(5, 30), (8, 20), (10, 8), (12, 4)])]
+    recs.append(estimate_f(8, Fraction(1, 32), 6, Stream(1601, (4,))))
+    assert [(r.graph.rows, r.p3_count) for r in recs] == [
+        ((2, 13, 10, 22, 8), 1),
+        ((18, 241, 40, 52, 11, 206, 162, 98), 10),
+        ((40, 768, 1000, 885, 1000, 861, 828, 20, 638, 382), 12),
+        ((3390, 385, 3545, 1973, 1453, 3417, 1060, 1566, 1599, 392, 509, 37), 54),
+        ((246, 37, 235, 36, 33, 95, 37, 5), 3),
+    ]
