@@ -140,8 +140,11 @@ def find_beta_cut(g: Graph, beta, mode: str = "exact",
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _beta_cut_exact(g: Graph, beta: Fraction) -> Cut | None:
-    """Minimum-edit beta-cut by one numpy pass over all 2^(n-1) bipartitions.
+def _crossings(g: Graph, beta: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Crossing counts of all 2^(n-1) - 1 bipartitions, and per bipartition
+    the thresholds of its side1 size: (cross, sparse_max, dense_min, prod).
+    A bipartition is a sparse beta-cut iff cross <= sparse_max and a dense
+    one iff cross >= dense_min; prod is its pair count.
 
     Index r stands for side1 = {0} | {v : bit v-1 of r}, in the numeric order
     of r. Crossing counts double over vertices 1..n-1: adding v to side1
@@ -168,6 +171,14 @@ def _beta_cut_exact(g: Graph, beta: Fraction) -> Cut | None:
     # the last index puts every vertex in side1: not a bipartition
     cross, size = cross[:-1], minus2pop[:-1] // -2 + 1
     sparse_max, dense_min, prod = np.array(_cut_thresholds(n, beta), dtype=np.int16)[:, size]
+    return cross, sparse_max, dense_min, prod
+
+
+def _beta_cut_exact(g: Graph, beta: Fraction) -> Cut | None:
+    """Minimum-edit beta-cut over the `_crossings` of all bipartitions, ties
+    broken by lexicographically least side1."""
+    n = g.n
+    cross, sparse_max, dense_min, prod = _crossings(g, beta)
     unfit = n * n  # above every edit count
     edits = np.where(cross <= sparse_max, cross,
                      np.where(cross >= dense_min, prod - cross, unfit))

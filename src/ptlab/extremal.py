@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .decomposition import AboveCap, DISTANCE_CAP_BOUND, distance_to_property, find_beta_cut
-from .graphs import Graph, count_induced_p3, gnp, pair_count, pair_from_index
+from .decomposition import (AboveCap, DISTANCE_CAP_BOUND, _crossings, _validate_beta,
+                            distance_to_property)
+from .graphs import Graph, _p4_delta, count_induced_p3, gnp, pair_count, pair_from_index
 from .recognizers import is_cograph
 from .rng import Stream
 
@@ -79,7 +80,11 @@ def _hill_climb(n: int, qualifies: Callable[[Graph], bool], effort: int,
 
     Equal-count moves are accepted with probability 1/2 to drift across
     plateaus; ties in the final reduction go to the lexicographically least
-    adjacency encoding, so the result is restart-order independent.
+    adjacency encoding, so the result is restart-order independent. A
+    candidate's count comes first, from the induced 4-paths through the
+    toggled pair: one that would raise it is dropped before its graph is
+    built or `qualifies` is asked, and the tie coin is drawn only for a
+    qualifying equal count.
     """
     if effort < 1:
         raise ValueError("effort must be >= 1")
@@ -101,12 +106,14 @@ def _hill_climb(n: int, qualifies: Callable[[Graph], bool], effort: int,
             order = gen.permutation(total_pairs)
             moved = False
             for idx in order:
-                pair = pair_from_index(n, int(idx))
-                cand = g.with_toggled([pair])
+                u, v = pair_from_index(n, int(idx))
+                c2 = count + _p4_delta(g.rows, u, v)
+                if c2 > count:
+                    continue
+                cand = g.with_toggled([(u, v)])
                 if not qualifies(cand):
                     continue
-                c2 = count_induced_p3(cand)
-                if c2 < count or (c2 == count and int(gen.integers(0, 2)) == 0):
+                if c2 < count or int(gen.integers(0, 2)) == 0:
                     g, count = cand, c2
                     moved = True
                     break
@@ -122,6 +129,13 @@ def _hill_climb(n: int, qualifies: Callable[[Graph], bool], effort: int,
         provenance={"seed": rng.seed, "path": list(rng.path), "effort": effort}, **family)
 
 
+def _no_beta_cut(g: Graph, beta: Fraction) -> bool:
+    """Is no bipartition of g a beta-cut? The exact scan's crossing counts,
+    asked only whether any is sparse or dense (beta already validated)."""
+    cross, sparse_max, dense_min, _ = _crossings(g, beta)
+    return not ((cross <= sparse_max) | (cross >= dense_min)).any()
+
+
 def search_min_p3_density(n: int, beta, effort: int, rng: Stream) -> ExtremalRecord:
     """Hill-climb for a graph with no beta-cut and few induced 4-paths.
 
@@ -130,12 +144,10 @@ def search_min_p3_density(n: int, beta, effort: int, rng: Stream) -> ExtremalRec
     """
     if n > SEARCH_CERTIFIED_BOUND:
         raise ValueError(f"certified search limited to n <= {SEARCH_CERTIFIED_BOUND}")
-    b = Fraction(beta)
-
-    def qualifies(g: Graph) -> bool:
-        return find_beta_cut(g, b, mode="exact") is None
-
-    return _hill_climb(n, qualifies, effort, rng, beta=b)
+    b = _validate_beta(beta)
+    if n < 2:
+        raise ValueError(f"cuts need n >= 2, got {n}")
+    return _hill_climb(n, lambda g: _no_beta_cut(g, b), effort, rng, beta=b)
 
 
 def estimate_f(n: int, epsilon, effort: int, rng: Stream) -> ExtremalRecord:

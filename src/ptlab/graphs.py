@@ -128,7 +128,7 @@ class Graph:
         n = self.n
         rows = list(self.rows)
         for u, v in pairs:
-            u, v = operator.index(u), operator.index(v)
+            u, v = _as_int(u), _as_int(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"cannot toggle pair ({u},{v}): out of range for n={n}")
             if u == v:
@@ -280,8 +280,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph induced on `vertices`, reindexed in ascending vertex order.
 
     Numpy integers are taken as ints (so `1 << v` cannot overflow); floats
-    are refused."""
-    vs = sorted(set(map(operator.index, vertices)))
+    and booleans are refused."""
+    vs = sorted(set(map(_as_int, vertices)))
     if vs and (vs[0] < 0 or vs[-1] >= g.n):
         raise ValueError(f"vertex set {vs[:8]}... out of range for n={g.n}")
     bit = {1 << v: 1 << i for i, v in enumerate(vs)}  # host bit -> new bit
@@ -354,6 +354,35 @@ def count_induced_p3(g: Graph) -> int:
             for a in iter_bits(a_side):
                 total += d_count - (d_side & g.rows[a]).bit_count()
     return total
+
+
+def _p4_delta(rows: Sequence[int], u: int, v: int) -> int:
+    """Change in the induced-P4 count when the pair (u, v) is toggled.
+
+    Only 4-sets holding both u and v change. With A = N(u) minus N(v),
+    B = N(v) minus N(u), C = N(u) & N(v) and R the vertices adjacent to
+    neither (u and v left out of all four), those 4-sets induce:
+    - with u~v: x-u-v-y for x in A, y in B, x !~ y (uv the middle edge), or
+      u-v-x-y / v-u-x-y for x in B resp. A and y in N(x) & R (uv an end edge);
+    - with u !~ v: u-x-y-v for x in A, y in B, x ~ y (u and v the ends), or
+      y-u-x-v / u-x-v-y for x in C and y in A resp. B outside N(x) (u and v
+      at distance two).
+    The toggle trades one family for the other.
+    """
+    ru, rv = rows[u], rows[v]
+    others = ((1 << len(rows)) - 1) ^ (1 << u) ^ (1 << v)
+    a, b = ru & ~rv & others, rv & ~ru & others
+    ab = a | b
+    rest = others & ~ru & ~rv
+    # P4s through the edge uv minus those through the non-edge
+    gain = a.bit_count() * b.bit_count()
+    for x in iter_bits(ab):
+        gain += (rows[x] & rest).bit_count()
+    for x in iter_bits(a):
+        gain -= 2 * (rows[x] & b).bit_count()
+    for x in iter_bits(ru & rv):
+        gain -= (ab & ~rows[x]).bit_count()
+    return -gain if (ru >> v) & 1 else gain
 
 
 def count_induced_c5(g: Graph) -> int:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .graphs import Graph, count_triangles, sample_vertices
-from .recognizers import _resolve
+from .graphs import Graph, complete_graph, count_triangles, sample_vertices
+from .recognizers import _resolve, is_triangle_free
 from .rng import _MAX_TRIALS, Stream, _trial_streams
 
 __all__ = [
@@ -53,6 +53,7 @@ _DESK_BUDGET = 10 ** 9
 _BLOCK = 256
 # the detection probability the minimal-budget search asks for
 _TARGET = 2 / 3
+_K3 = complete_graph(3)
 
 
 @dataclass(frozen=True)
@@ -288,14 +289,11 @@ def min_budget_for_detection(g: Graph, kind: str, rng: Stream, trials: int = 300
 
     Each budget value is measured on its own substream, so probes are
     reproducible and independent of the search path. When the tester looks
-    for triangles (triple-density, or universal on triangle-free) and g has
+    for triangles (triple-density, or universal on a property that forbids
+    exactly a triangle: triangle-free, induced-h-free with H = K3) and g has
     some, the analytic sample-size floor (3*delta)^(-1/3) for the triangle
     density delta = triangles/n^3 is reported alongside.
     """
-    seeks_triangles = kind == "triple-density" or (
-        kind == "universal" and property_name == "triangle-free")
-    triangles = count_triangles(g) if seeks_triangles else 0
-    floor = (3 * (triangles / g.n ** 3)) ** (-1 / 3) if triangles else None
     cap_eff = min(cap, g.n) if kind == "universal" else cap
     probes: dict[int, TesterReport] = {}
 
@@ -329,6 +327,14 @@ def min_budget_for_detection(g: Graph, kind: str, rng: Stream, trials: int = 300
         found = hi
     curve = tuple((b, r.rejection_rate, r.wilson_lo, r.wilson_hi)
                   for b, r in sorted(probes.items()))
+    if kind == "universal":  # the probes have validated property_name
+        recognizer = _resolve(property_name)[1]
+        seeks_triangles = (recognizer is is_triangle_free
+                           or getattr(recognizer, "keywords", {}).get("h") == _K3)
+    else:
+        seeks_triangles = kind == "triple-density"
+    triangles = count_triangles(g) if seeks_triangles else 0
+    floor = (3 * (triangles / g.n ** 3)) ** (-1 / 3) if triangles else None
     return MinBudgetResult(kind, _TARGET, found, found is None, curve, floor)
 
 

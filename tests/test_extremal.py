@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from ptlab.decomposition import distance_to_property, find_beta_cut
-from ptlab.extremal import ExtremalRecord, estimate_f, search_min_p3_density
-from ptlab.graphs import count_induced_p3, cycle_graph, empty_graph
+from ptlab.extremal import ExtremalRecord, _no_beta_cut, estimate_f, search_min_p3_density
+from ptlab.graphs import (complete_graph, count_induced_p3, cycle_graph, empty_graph, gnp,
+                          path_graph)
 from ptlab.recognizers import is_cograph
 from ptlab.rng import Stream
 
@@ -61,6 +62,10 @@ def test_estimate_f_refuses_uncertifiable_threshold():
 def test_guards():
     with pytest.raises(ValueError):
         search_min_p3_density(23, 0.1, 5, Stream(4))
+    with pytest.raises(ValueError, match="0 <= beta < 1/2"):
+        search_min_p3_density(8, Fraction(1, 2), 5, Stream(4))
+    with pytest.raises(ValueError, match="cuts need n >= 2, got 1"):
+        search_min_p3_density(1, Fraction(1, 5), 5, Stream(4))
     with pytest.raises(ValueError):
         estimate_f(11, 0.01, 5, Stream(4))
 
@@ -110,3 +115,32 @@ def test_climb_records_pinned():
         ((3390, 385, 3545, 1973, 1453, 3417, 1060, 1566, 1599, 392, 509, 37), 54),
         ((246, 37, 235, 36, 33, 95, 37, 5), 3),
     ]
+
+
+def brute_force_has_beta_cut(g, beta):
+    """Does some bipartition have crossing density <= beta or >= 1 - beta?
+    Every side1 holding vertex 0, edges counted pair by pair."""
+    for side1 in range(1, 1 << g.n, 2):
+        if side1 == (1 << g.n) - 1:
+            continue
+        ones = [v for v in range(g.n) if side1 >> v & 1]
+        others = [v for v in range(g.n) if not side1 >> v & 1]
+        density = Fraction(sum(g.has_edge(a, b) for a in ones for b in others),
+                           len(ones) * len(others))
+        if density <= beta or density >= 1 - beta:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("beta", [Fraction(0), Fraction(1, 5), Fraction(2, 5)])
+def test_no_beta_cut_matches_find_beta_cut_and_brute_force(beta):
+    rng = Stream(1703)
+    graphs = [cycle_graph(5), path_graph(4), complete_graph(7), empty_graph(6)]
+    graphs += [gnp(n, p, rng.child(n, i)) for n in range(2, 9)
+               for i, p in enumerate((0.2, 0.4, 0.5, 0.6, 0.8) * 3)]
+    for g in graphs:
+        assert _no_beta_cut(g, beta) == (find_beta_cut(g, beta) is None), g.rows
+        assert _no_beta_cut(g, beta) != brute_force_has_beta_cut(g, beta), g.rows
+    # both answers occur below 2/5; at 2/5 small graphs all have a cut (so
+    # did 300 G(n, 1/2) at each n = 9..16)
+    assert len({_no_beta_cut(g, beta) for g in graphs}) == (1 if beta == Fraction(2, 5) else 2)

@@ -5,6 +5,7 @@ from ptlab.graphs import (
     Graph,
     Digraph,
     PartLabeling,
+    _p4_delta,
     complement,
     complete_graph,
     components,
@@ -251,3 +252,85 @@ def test_induced_subgraph_takes_numpy_integers():
     assert sub == induced_subgraph(g, vs) and all(type(r) is int for r in sub.rows)
     with pytest.raises(TypeError):
         induced_subgraph(g, [3, 65.0])
+
+
+def test_booleans_are_not_vertices():
+    with pytest.raises(TypeError):
+        complete_graph(3).with_toggled([(False, True)])
+    with pytest.raises(TypeError):
+        complete_graph(3).with_toggled([(0, True)])
+    with pytest.raises(TypeError):
+        induced_subgraph(complete_graph(3), [False, True])
+    with pytest.raises(TypeError):
+        induced_subgraph(complete_graph(3), [0, 2, True])
+
+
+def _toggles(seed, sizes, per_size):
+    """(g, u, v) over seeded G(n, p) hosts and pairs, half of them edges of
+    g and half non-edges wherever g has both."""
+    rng = Stream(seed)
+    for n in sizes:
+        for i in range(per_size):
+            g = gnp(n, (0.15, 0.35, 0.5, 0.65, 0.85)[i % 5], rng.child(n, i))
+            pairs = [pair_from_index(n, k) for k in range(pair_count(n))]
+            edges = [p for p in pairs if g.has_edge(*p)]
+            non_edges = [p for p in pairs if not g.has_edge(*p)]
+            pick = rng.child(n, i, 1).gen
+            for j in range(4):
+                side = (edges, non_edges)[j % 2] or edges or non_edges
+                yield (g, *side[int(pick.integers(0, len(side)))])
+
+
+def _delta_mismatches(delta, cases, count):
+    """(rows, pair, delta, recount) wherever `delta` disagrees with the
+    change of `count` across the toggle."""
+    found = []
+    for g, u, v in cases:
+        got, want = delta(g.rows, u, v), count(g.with_toggled([(u, v)])) - count(g)
+        if got != want:
+            found.append((g.rows, (u, v), got, want))
+    return found
+
+
+def _naive_p4_count(g):
+    return naive_induced_count(g, is_path_4, 4)
+
+
+# 10 sizes x 80 hosts x 4 toggles = 3,200 toggles, half edges, half non-edges
+_RECOUNT_CASES = list(_toggles(1701, range(2, 12), 80))
+
+
+def test_p4_delta_matches_full_recount():
+    assert len(_RECOUNT_CASES) >= 3000
+    assert {g.has_edge(u, v) for g, u, v in _RECOUNT_CASES} == {True, False}
+    assert _delta_mismatches(_p4_delta, _RECOUNT_CASES, count_induced_p3) == []
+
+
+def test_p4_delta_matches_naive_enumeration():
+    cases = list(_toggles(1702, range(4, 9), 12))
+    # and every pair of the 4-path and of its complement
+    cases += [(g, *pair_from_index(4, k)) for g in (path_graph(4), complement(path_graph(4)))
+              for k in range(6)]
+    assert _delta_mismatches(_p4_delta, cases, _naive_p4_count) == []
+
+
+def _distance_two_p4s(g, u, v):
+    """Induced 4-paths through u and v at distance two once (u, v) is a
+    non-edge of g, by brute force over the other two vertices."""
+    if g.has_edge(u, v):
+        g = g.with_toggled([(u, v)])
+    rest = [w for w in range(g.n) if w not in (u, v)]
+    return sum(1 for i, x in enumerate(rest) for y in rest[i + 1:]
+               if is_path_4(induced_subgraph(g, (u, v, x, y)))
+               and any(g.has_edge(u, w) and g.has_edge(v, w) for w in (x, y)))
+
+
+def test_fault_injection_p4_delta_without_distance_two_case():
+    # the delta as it would read without the u-x-v family: the non-edge
+    # side undercounts by the induced 4-paths with u, v at distance two
+    def broken(rows, u, v):
+        g = Graph(len(rows), rows)
+        missed = _distance_two_p4s(g, u, v)
+        return _p4_delta(rows, u, v) + (-missed if g.has_edge(u, v) else missed)
+
+    assert _delta_mismatches(broken, _RECOUNT_CASES, count_induced_p3)

@@ -294,6 +294,16 @@ def test_min_budget_examples():
     assert res.curve[0][0] == 1 and res.curve[0][1] == 1.0
 
 
+def test_triangle_floor_follows_the_property_not_its_name():
+    # induced-h-free:complete:3 is triangle-freeness under another name
+    floors = [min_budget_for_detection(complete_graph(10), "universal", Stream(1), trials=50,
+                                       property_name=name).analytic_floor
+              for name in ("triangle-free", "induced-h-free:complete:3",
+                           "induced-h-free:cycle:3", "induced-h-free:path:3")]
+    assert floors[0] == floors[1] == floors[2] == (3 * (120 / 10 ** 3)) ** (-1 / 3)
+    assert floors[3] is None
+
+
 def test_min_budget_capped():
     g = cycle_graph(30)  # triangle-free: never detected
     res = min_budget_for_detection(g, "triple-density", Stream(17), trials=50, cap=8)
