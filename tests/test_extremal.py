@@ -144,3 +144,28 @@ def test_no_beta_cut_matches_find_beta_cut_and_brute_force(beta):
     # both answers occur below 2/5; at 2/5 small graphs all have a cut (so
     # did 300 G(n, 1/2) at each n = 9..16)
     assert len({_no_beta_cut(g, beta) for g in graphs}) == (1 if beta == Fraction(2, 5) else 2)
+
+
+def test_climb_records_pinned_across_beta():
+    # (graph.rows, p3_count) of climbs at beta = 1/7 (n = 6, 9, 11), beta = 0
+    # (n = 7) and beta = 1/4 (n = 11), pinned before the toggle decision
+    # moved from a full crossing scan to the near-cut lists
+    cases = [(Fraction(1, 7), 6, 20), (Fraction(1, 7), 9, 20), (Fraction(1, 7), 11, 10),
+             (Fraction(0), 7, 12), (Fraction(1, 4), 11, 10)]
+    recs = [search_min_p3_density(n, beta, effort, Stream(1701, (i,)))
+            for i, (beta, n, effort) in enumerate(cases)]
+    assert [(r.graph.rows, r.p3_count) for r in recs] == [
+        ((2, 57, 8, 54, 10, 10), 1),
+        ((72, 152, 192, 67, 130, 448, 429, 374, 224), 12),
+        ((490, 509, 130, 1011, 490, 1243, 955, 383, 1243, 72, 288), 12),
+        ((34, 117, 98, 32, 2, 79, 38), 1),
+        ((1158, 869, 131, 464, 552, 2002, 1962, 877, 1770, 498, 353), 46),
+    ]
+
+
+@pytest.mark.parametrize("n", [6, 9, 11])
+def test_beta_one_third_climbs_find_no_start(n):
+    # no G(n, 1/2) start at n <= 11 is free of 1/3-cuts (none of 2,000 seeded
+    # draws at each of these n), so the pinned outcome is the refusal
+    with pytest.raises(ValueError, match=f"no qualifying graph found in 2 restarts at n={n}"):
+        search_min_p3_density(n, Fraction(1, 3), 2, Stream(1701, (n,)))
