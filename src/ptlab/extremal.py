@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
+
+import numpy as np
 
 from .decomposition import (AboveCap, DISTANCE_CAP_BOUND, _crossings, _validate_beta,
                             distance_to_property)
@@ -72,19 +74,22 @@ class ExtremalRecord:
         }
 
 
-def _hill_climb(n: int, qualifies: Callable[[Graph], bool], effort: int,
-                rng: Stream, **family: Fraction) -> ExtremalRecord:
+def _hill_climb(n: int, qualifier, effort: int, rng: Stream,
+                **family: Fraction) -> ExtremalRecord:
     """The record of the best graph over `effort` restarts of
     first-improvement hill-climbing on single-pair toggles, staying inside
-    `qualifies`; `family` is the record's beta=... or epsilon=....
+    `qualifier`; `family` is the record's beta=... or epsilon=....
+
+    The qualifier answers three calls: `start(g)`, does the start graph g
+    qualify; `toggled(g, u, v)`, g with the pair toggled if that qualifies,
+    else None (g always qualifies); and `moved(g)`, the climb now stands on g.
 
     Equal-count moves are accepted with probability 1/2 to drift across
     plateaus; ties in the final reduction go to the lexicographically least
     adjacency encoding, so the result is restart-order independent. A
     candidate's count comes first, from the induced 4-paths through the
-    toggled pair: one that would raise it is dropped before its graph is
-    built or `qualifies` is asked, and the tie coin is drawn only for a
-    qualifying equal count.
+    toggled pair: one that would raise it is dropped before the qualifier
+    is asked, and the tie coin is drawn only for a qualifying equal count.
     """
     if effort < 1:
         raise ValueError("effort must be >= 1")
@@ -96,7 +101,7 @@ def _hill_climb(n: int, qualifies: Callable[[Graph], bool], effort: int,
         g = None
         for attempt in range(40):
             cand = gnp(n, 0.5, child.child(attempt))
-            if qualifies(cand):
+            if qualifier.start(cand):
                 g = cand
                 break
         if g is None:
@@ -110,11 +115,12 @@ def _hill_climb(n: int, qualifies: Callable[[Graph], bool], effort: int,
                 c2 = count + _p4_delta(g.rows, u, v)
                 if c2 > count:
                     continue
-                cand = g.with_toggled([(u, v)])
-                if not qualifies(cand):
+                cand = qualifier.toggled(g, u, v)
+                if cand is None:
                     continue
                 if c2 < count or int(gen.integers(0, 2)) == 0:
                     g, count = cand, c2
+                    qualifier.moved(g)
                     moved = True
                     break
             if not moved:
@@ -129,25 +135,75 @@ def _hill_climb(n: int, qualifies: Callable[[Graph], bool], effort: int,
         provenance={"seed": rng.seed, "path": list(rng.path), "effort": effort}, **family)
 
 
-def _no_beta_cut(g: Graph, beta: Fraction) -> bool:
-    """Is no bipartition of g a beta-cut? The exact scan's crossing counts,
-    asked only whether any is sparse or dense (beta already validated)."""
-    cross, sparse_max, dense_min, _ = _crossings(g, beta)
-    return not ((cross <= sparse_max) | (cross >= dense_min)).any()
+class _CutFree:
+    """Qualifier of the beta search: no bipartition is a beta-cut.
+
+    Toggling the pair (u, v) changes the crossing count by one on exactly
+    the bipartitions that separate u and v. So on a cut-free graph, adding
+    the edge makes a cut iff a separating bipartition sits one below its
+    dense threshold, and removing it iff one sits one above its sparse
+    threshold. `near[e]` lists those side1 masks (vertex 0 in side1) for
+    e = 0 (adding) and e = 1 (removing), from one `_crossings` scan of the
+    graph the climb stands on (beta already validated).
+    """
+
+    def __init__(self, beta: Fraction):
+        self.beta = beta
+        self.near: tuple[list[int], list[int]] = ([], [])
+
+    def start(self, g: Graph) -> bool:
+        cross, sparse_max, dense_min, _ = _crossings(g, self.beta)
+        if ((cross <= sparse_max) | (cross >= dense_min)).any():
+            return False
+        # index r of the scan stands for side1 mask 2r + 1
+        self.near = tuple((2 * np.flatnonzero(cross == near) + 1).tolist()
+                          for near in (dense_min - 1, sparse_max + 1))
+        return True
+
+    moved = start
+
+    def toggled(self, g: Graph, u: int, v: int) -> Graph | None:
+        for m in self.near[g.rows[u] >> v & 1]:
+            if ((m >> u) ^ (m >> v)) & 1:
+                return None
+        return g.with_toggled([(u, v)])
+
+
+class _FarFromCograph:
+    """Qualifier of the farness search: the exact edit distance to the
+    nearest cograph is at least `threshold`, asked afresh of each graph."""
+
+    def __init__(self, threshold: Fraction):
+        self.threshold = threshold
+
+    def start(self, g: Graph) -> bool:
+        d = distance_to_property(g, is_cograph)
+        if isinstance(d, AboveCap):
+            return Fraction(d.cap + 1) >= self.threshold
+        return Fraction(d) >= self.threshold
+
+    def toggled(self, g: Graph, u: int, v: int) -> Graph | None:
+        cand = g.with_toggled([(u, v)])
+        return cand if self.start(cand) else None
+
+    def moved(self, g: Graph) -> None:
+        pass
 
 
 def search_min_p3_density(n: int, beta, effort: int, rng: Stream) -> ExtremalRecord:
     """Hill-climb for a graph with no beta-cut and few induced 4-paths.
 
-    The no-cut constraint is re-checked exactly at every accepted step
-    (certified for n <= 22, where exact enumeration is allowed).
+    The no-cut constraint is exact at every step (certified for n <= 22,
+    where exact enumeration is allowed): the start graph and each accepted
+    one get a full crossing scan, and a toggle is decided from the
+    bipartitions one crossing away from a cut.
     """
     if n > SEARCH_CERTIFIED_BOUND:
         raise ValueError(f"certified search limited to n <= {SEARCH_CERTIFIED_BOUND}")
     b = _validate_beta(beta)
     if n < 2:
         raise ValueError(f"cuts need n >= 2, got {n}")
-    return _hill_climb(n, lambda g: _no_beta_cut(g, b), effort, rng, beta=b)
+    return _hill_climb(n, _CutFree(b), effort, rng, beta=b)
 
 
 def estimate_f(n: int, epsilon, effort: int, rng: Stream) -> ExtremalRecord:
@@ -160,6 +216,8 @@ def estimate_f(n: int, epsilon, effort: int, rng: Stream) -> ExtremalRecord:
     """
     if n > FARNESS_N_BOUND:
         raise ValueError(f"certified farness limited to n <= {FARNESS_N_BOUND}")
+    if n < 1:
+        raise ValueError(f"farness needs n >= 1, got {n}")
     eps = Fraction(epsilon)
     if eps < 0:
         raise ValueError("epsilon must be >= 0")
@@ -169,10 +227,4 @@ def estimate_f(n: int, epsilon, effort: int, rng: Stream) -> ExtremalRecord:
             f"farness threshold {threshold} exceeds what the distance oracle "
             f"(cap {DISTANCE_CAP_BOUND}) can certify")
 
-    def qualifies(g: Graph) -> bool:
-        d = distance_to_property(g, is_cograph)
-        if isinstance(d, AboveCap):
-            return Fraction(d.cap + 1) >= threshold
-        return Fraction(d) >= threshold
-
-    return _hill_climb(n, qualifies, effort, rng, epsilon=eps)
+    return _hill_climb(n, _FarFromCograph(threshold), effort, rng, epsilon=eps)

@@ -127,6 +127,13 @@ def test_search_extremal_effort_below_one_is_usage_error(tmp_path, capsys, famil
     assert not (tmp_path / "ext.json").exists()
 
 
+def test_search_extremal_without_vertices_is_usage_error(tmp_path, capsys):
+    assert run(["search-extremal", "--n", 0, "--epsilon", "1/2",
+                "--out", tmp_path / "ext.json"]) == 2
+    assert "ptlab: farness needs n >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "ext.json").exists()
+
+
 def test_exit_codes(tmp_path):
     assert run(["recognize", "--property", "cograph", "--in",
                 tmp_path / "missing.el"]) == 3

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+import ptlab.extremal as extremal
 from ptlab.decomposition import distance_to_property, find_beta_cut
-from ptlab.extremal import ExtremalRecord, _no_beta_cut, estimate_f, search_min_p3_density
-from ptlab.graphs import (complete_graph, count_induced_p3, cycle_graph, empty_graph, gnp,
-                          path_graph)
+from ptlab.extremal import ExtremalRecord, _CutFree, estimate_f, search_min_p3_density
+from ptlab.graphs import (Graph, complete_graph, count_induced_p3, cycle_graph, empty_graph,
+                          gnp, path_graph)
 from ptlab.recognizers import is_cograph
 from ptlab.rng import Stream
 
@@ -62,6 +63,8 @@ def test_estimate_f_refuses_uncertifiable_threshold():
 def test_guards():
     with pytest.raises(ValueError):
         search_min_p3_density(23, 0.1, 5, Stream(4))
+    with pytest.raises(ValueError, match="farness needs n >= 1, got 0"):
+        estimate_f(0, Fraction(1, 2), 5, Stream(4))
     with pytest.raises(ValueError, match="0 <= beta < 1/2"):
         search_min_p3_density(8, Fraction(1, 2), 5, Stream(4))
     with pytest.raises(ValueError, match="cuts need n >= 2, got 1"):
@@ -138,12 +141,11 @@ def test_no_beta_cut_matches_find_beta_cut_and_brute_force(beta):
     graphs = [cycle_graph(5), path_graph(4), complete_graph(7), empty_graph(6)]
     graphs += [gnp(n, p, rng.child(n, i)) for n in range(2, 9)
                for i, p in enumerate((0.2, 0.4, 0.5, 0.6, 0.8) * 3)]
-    for g in graphs:
-        assert _no_beta_cut(g, beta) == (find_beta_cut(g, beta) is None), g.rows
-        assert _no_beta_cut(g, beta) != brute_force_has_beta_cut(g, beta), g.rows
-    # both answers occur below 2/5; at 2/5 small graphs all have a cut (so
-    # did 300 G(n, 1/2) at each n = 9..16)
-    assert len({_no_beta_cut(g, beta) for g in graphs}) == (1 if beta == Fraction(2, 5) else 2)
+    starts = [_CutFree(beta).start(g) for g in graphs]
+    for g, cut_free in zip(graphs, starts):
+        assert cut_free == (find_beta_cut(g, beta) is None), g.rows
+        assert cut_free != brute_force_has_beta_cut(g, beta), g.rows
+    assert len(set(starts)) == (1 if beta == Fraction(2, 5) else 2)
 
 
 def test_climb_records_pinned_across_beta():
@@ -169,3 +171,130 @@ def test_beta_one_third_climbs_find_no_start(n):
     # draws at each of these n), so the pinned outcome is the refusal
     with pytest.raises(ValueError, match=f"no qualifying graph found in 2 restarts at n={n}"):
         search_min_p3_density(n, Fraction(1, 3), 2, Stream(1701, (n,)))
+
+
+def brute_force_near_cuts(g, beta):
+    """Side1 masks (vertex 0 in side1, ascending) of the bipartitions one added
+    crossing edge from a dense cut, and of those one removed edge from a sparse
+    cut, edges counted pair by pair."""
+    adding, removing = [], []
+    for side1 in range(1, (1 << g.n) - 1, 2):
+        ones = [v for v in range(g.n) if side1 >> v & 1]
+        others = [v for v in range(g.n) if not side1 >> v & 1]
+        cross = sum(g.has_edge(a, b) for a in ones for b in others)
+        prod = len(ones) * len(others)
+        if Fraction(cross + 1, prod) >= 1 - beta:
+            adding.append(side1)
+        if Fraction(cross - 1, prod) <= beta:
+            removing.append(side1)
+    return adding, removing
+
+
+def near_cut_decisions(beta, swap=False):
+    """(toggles checked, toggles making a cut, disagreements) of the cut-free
+    qualifier's toggle decision against the brute force on every pair of up to four seeded
+    cut-free G(n, 1/2), n = 3..9; `swap` exchanges its two near-cut lists."""
+    checked = cuts = wrong = 0
+    for n in range(3, 10):
+        kept = 0
+        for i in range(40):
+            g = gnp(n, 0.5, Stream(1705, (n, i)))
+            q = _CutFree(beta)
+            assert q.start(g) != brute_force_has_beta_cut(g, beta), g.rows
+            if brute_force_has_beta_cut(g, beta):
+                continue
+            if swap:
+                q.near = q.near[::-1]
+            for u in range(n):
+                for v in range(u + 1, n):
+                    toggled = g.with_toggled([(u, v)])
+                    cand = q.toggled(g, u, v)
+                    assert cand is None or cand == toggled
+                    cut = brute_force_has_beta_cut(toggled, beta)
+                    checked += 1
+                    cuts += cut
+                    wrong += (cand is None) != cut
+            kept += 1
+            if kept == 4:
+                break
+    return checked, cuts, wrong
+
+
+@pytest.mark.parametrize("beta", [Fraction(0), Fraction(1, 7), Fraction(1, 5)])
+def test_near_cut_decision_matches_brute_force(beta):
+    checked, cuts, wrong = near_cut_decisions(beta)
+    assert checked > 300 and 0 < cuts < checked and wrong == 0
+
+
+def test_near_cut_decision_has_no_start_at_one_third():
+    # none of the seeded G(n, 1/2), n = 3..9, is free of 1/3-cuts, so at
+    # beta = 1/3 only the start answers are compared
+    assert near_cut_decisions(Fraction(1, 3)) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("beta", [Fraction(0), Fraction(1, 7), Fraction(1, 5)])
+def test_near_cut_decision_with_swapped_lists_fails_the_oracle(beta):
+    assert near_cut_decisions(beta, swap=True)[2] > 0
+
+
+def test_near_cut_lists_follow_the_climb(monkeypatch):
+    beta = Fraction(1, 5)
+    seen = []
+    real = _CutFree.toggled
+
+    def checked(self, g, u, v):
+        assert not brute_force_has_beta_cut(g, beta)
+        assert self.near == brute_force_near_cuts(g, beta), g.rows
+        if g.rows not in seen:
+            seen.append(g.rows)
+        return real(self, g, u, v)
+
+    monkeypatch.setattr(_CutFree, "toggled", checked)
+    search_min_p3_density(8, beta, 2, Stream(1706))
+    assert len(seen) > 5  # the lists were checked on the start and after moves
+
+
+def test_climb_scans_crossings_once_per_start_and_per_accepted_move(monkeypatch):
+    events = []
+    real_crossings, real_gnp, real_toggled = extremal._crossings, extremal.gnp, Graph.with_toggled
+
+    def crossings(g, beta):
+        events.append(("scan", g.rows))
+        return real_crossings(g, beta)
+
+    def start(n, p, rng):
+        g = real_gnp(n, p, rng)
+        events.append(("start", g.rows))
+        return g
+
+    def with_toggled(g, pairs):
+        cand = real_toggled(g, pairs)
+        events.append(("toggle", g.rows, cand.rows))
+        return cand
+
+    monkeypatch.setattr(extremal, "_crossings", crossings)
+    monkeypatch.setattr(extremal, "gnp", start)
+    monkeypatch.setattr(Graph, "with_toggled", with_toggled)
+    rec = search_min_p3_density(8, Fraction(1, 5), 3, Stream(1707))
+
+    scans = starts = moves = rejected = 0
+    at = None  # the graph the climb stands on
+    for i, event in enumerate(events):
+        after = events[i + 1] if i + 1 < len(events) else None
+        if event[0] == "start":
+            starts += 1
+            assert after == ("scan", event[1])  # every start attempt is scanned once
+            at = event[1]
+        elif event[0] == "toggle":
+            assert event[1] == at  # candidates toggle the current graph
+            if after == ("scan", event[2]):
+                moves += 1
+                at = event[2]
+            else:
+                rejected += 1
+        else:
+            scans += 1
+            assert events[i - 1][-1] == event[1]  # scanned right after its start or move
+    assert scans == starts + moves
+    assert moves > 0 and rejected > 0  # the coin refused some candidates, unscanned
+    assert rec.graph.rows in {e[1] for e in events if e[0] == "scan"}
