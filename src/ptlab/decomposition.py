@@ -91,8 +91,9 @@ def _cut_thresholds(n: int, beta: Fraction) -> list[list[int]]:
 def find_cut(g: Graph) -> Cut | None:
     """Exact (beta = 0) cut: exists iff g or its complement is disconnected.
 
-    Returns the cut splitting the component of vertex 0 from the rest, which
-    is also the minimum-edit, lexicographically-least exact cut.
+    Returns the sparse cut off vertex 0's component, or, when g is connected,
+    the dense cut off its co-component: no edits, but its side1 need not be
+    the least (edge 0-2 plus isolated 1, 3 gives (0, 2), not (0, 1, 2)).
     """
     if g.n < 2:
         raise ValueError(f"cuts need n >= 2, got {g.n}")
@@ -121,7 +122,8 @@ def find_beta_cut(g: Graph, beta, mode: str = "exact",
     broken by lexicographically least side1, which always contains vertex 0)
     or a definitive None. Heuristic mode runs randomized local search over
     vertex flips from 20 random starts and returns a cut or NotFound(20),
-    which does NOT certify nonexistence.
+    which does NOT certify nonexistence. At beta = 0 either mode, at any n,
+    returns `find_cut`'s cut: vertex 0's component, or co-component if g is connected.
     """
     b = _validate_beta(beta)
     if g.n < 2:

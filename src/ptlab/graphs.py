@@ -338,22 +338,24 @@ def count_triangles(g: Graph) -> int:
     return sum(ws.bit_count() for _, _, ws in _triangle_fans(g.rows, (1 << g.n) - 1))
 
 
-def count_induced_p3(g: Graph) -> int:
-    """Number of 4-vertex subsets inducing a path with three edges.
+def _p4_fans(rows: Sequence[int], mask: int) -> Iterator[tuple[int, int, int, int]]:
+    """(a, u, v, ds) for each middle edge u < v of `mask`, lexicographic, and
+    end a ~ u, a !~ v, ascending, whose far ends ds (d ~ v, d !~ u, d !~ a)
+    are nonempty: each induced 4-path a-u-v-d is one bit of one ds."""
+    for u in iter_bits(mask):
+        ru = rows[u] & mask
+        for v in iter_bits(ru & (-1 << (u + 1))):
+            rv = rows[v] & mask
+            d_side = rv & ~ru & ~(1 << u)
+            for a in iter_bits(ru & ~rv & ~(1 << v)):
+                ds = d_side & ~rows[a]
+                if ds:
+                    yield a, u, v, ds
 
-    Iterates over the middle edge {u,v}: endpoints a ~ u only and d ~ v only,
-    with a,d non-adjacent. Each induced path has a unique middle edge.
-    """
-    total = 0
-    for u in range(g.n):
-        for v in iter_bits(g.rows[u] >> (u + 1)):
-            v += u + 1
-            a_side = g.rows[u] & ~g.rows[v] & ~(1 << v)
-            d_side = g.rows[v] & ~g.rows[u] & ~(1 << u)
-            d_count = d_side.bit_count()
-            for a in iter_bits(a_side):
-                total += d_count - (d_side & g.rows[a]).bit_count()
-    return total
+
+def count_induced_p3(g: Graph) -> int:
+    """Number of 4-vertex subsets inducing a path with three edges (`_p4_fans`)."""
+    return sum(fan[3].bit_count() for fan in _p4_fans(g.rows, (1 << g.n) - 1))
 
 
 def _p4_delta(rows: Sequence[int], u: int, v: int) -> int:

@@ -22,6 +22,7 @@ from .graphs import (
     PartLabeling,
     _co_rows,
     _induced_c5_fans,
+    _p4_fans,
     _triangle_fans,
     components,
     cycle_graph,
@@ -148,17 +149,9 @@ def _find_induced_h(rows: Sequence[int], mask: int, h: Graph) -> tuple[int, ...]
 
 
 def _find_induced_p4(rows: Sequence[int], mask: int) -> tuple[int, ...] | None:
-    """First induced 4-vertex path inside `mask`, scanning middle edges
-    {u, v} in lexicographic order, or None."""
-    for u in iter_bits(mask):
-        for v in iter_bits(rows[u] & mask & (-1 << (u + 1))):
-            a_side = rows[u] & ~rows[v] & mask & ~(1 << v)
-            d_side = rows[v] & ~rows[u] & mask & ~(1 << u)
-            for a in iter_bits(a_side):
-                free = d_side & ~rows[a]
-                if free:
-                    d = next(iter_bits(free))
-                    return tuple(sorted((a, u, v, d)))
+    """First induced 4-path inside `mask` in `_p4_fans` order, sorted, or None."""
+    for a, u, v, ds in _p4_fans(rows, mask):
+        return tuple(sorted((a, u, v, (ds & -ds).bit_length() - 1)))
     return None
 
 
@@ -171,10 +164,13 @@ def _find_induced_c5(rows: Sequence[int], mask: int) -> tuple[int, ...] | None:
 
 def _h_core(h: Graph) -> tuple[_Core, str]:
     """The scan core deciding induced-h-freeness on (rows, mask), and its
-    witness label: dedicated scans for the 5-cycle and the 4-vertex path,
-    the general subset scan for any other h of at most INDUCED_H_MAX vertices."""
+    witness label; the one map from h to a core. The triangle (labeled as by
+    `is_triangle_free`), the 5-cycle and the 4-vertex path take dedicated
+    scans, any other h of at most INDUCED_H_MAX vertices the subset scan."""
     if not 1 <= h.n <= INDUCED_H_MAX:
         raise ValueError(f"induced-H search limited to 1 <= |V(H)| <= {INDUCED_H_MAX}, got {h.n}")
+    if h.n == 3 and h.m == 3:
+        return _find_triangle, "triangle"
     if is_cycle_5(h):
         return _find_induced_c5, "induced-cycle-5"
     if is_path_4(h):
@@ -415,6 +411,10 @@ def check_order_transitivity(g: Graph, labeling: PartLabeling) -> RecognitionRes
 
 # --- property registry -------------------------------------------------------
 
+def _h_entry(h: Graph) -> tuple[_Core, Callable[[Graph], RecognitionResult]]:
+    return _h_core(h)[0], partial(is_induced_h_free, h=h)
+
+
 # each named property's (scan core, recognizer): the core for callers that
 # need only the decision, the recognizer for a witness
 _PROPERTIES: dict[str, tuple[_Core, Callable[[Graph], RecognitionResult]]] = {
@@ -422,8 +422,8 @@ _PROPERTIES: dict[str, tuple[_Core, Callable[[Graph], RecognitionResult]]] = {
     "cograph": (_cograph_p4, is_cograph),
     "comparability": (_comparability_hit, is_comparability),
     "perfect": (_odd_hole_or_antihole, is_perfect),
-    "induced-c5-free": (_find_induced_c5, partial(is_induced_h_free, h=cycle_graph(5))),
-    "induced-p3-free": (_find_induced_p4, partial(is_induced_h_free, h=path_graph(4))),
+    "induced-c5-free": _h_entry(cycle_graph(5)),
+    "induced-p3-free": _h_entry(path_graph(4)),
 }
 
 _NAMED = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph,
@@ -451,8 +451,7 @@ def _resolve(name: str) -> tuple[_Core, Callable[[Graph], RecognitionResult]]:
     (names as in `property_recognizer`). The core decides on (rows, mask):
     None means the vertices of the mask induce a member."""
     if name.startswith("induced-h-free:"):
-        h = named_graph(name.split(":", 1)[1])
-        return _h_core(h)[0], partial(is_induced_h_free, h=h)
+        return _h_entry(named_graph(name.split(":", 1)[1]))
     if name not in _PROPERTIES:
         raise ValueError(f"unknown property {name!r}")
     return _PROPERTIES[name]

@@ -8,6 +8,7 @@ from ptlab.decomposition import (
     AboveCap,
     Cut,
     NotFound,
+    _beta_cut_exact,
     distance_to_property,
     find_beta_cut,
     find_cut,
@@ -106,17 +107,60 @@ def tie_heavy_graphs(n):
         yield disjoint_cliques([n // 3, n // 3, n - 2 * (n // 3)])
 
 
-def test_find_beta_cut_against_naive():
+def naive_cases():
+    """Seeded G(n, p) and tie-heavy graphs on 2..11 vertices."""
     rng = Stream(19)
     graphs = []
     for n in range(2, 12):
         for p in (0.1, 0.3, 0.5, 0.7, 0.9):
             graphs += [gnp(n, p, rng.child(n, int(p * 10), i)) for i in range(2)]
         graphs += list(tie_heavy_graphs(n))
-    for g in graphs:
+    return graphs
+
+
+def test_find_beta_cut_against_naive():
+    for g in naive_cases():
         for beta in (Fraction(1, 20), Fraction(1, 5), Fraction(1, 3), Fraction(2, 5)):
             # minimum edits with lexicographically least side1 on ties
             assert find_beta_cut(g, beta) == naive_best_cut(g, beta), (g.rows, beta)
+
+
+def naive_zero_cut(g):
+    """Vertex 0's component by BFS over has_edge as a sparse cut, else its
+    co-component (BFS over non-edges) as a dense one, else None."""
+    for kind, adjacent in (("sparse", g.has_edge),
+                           ("dense", lambda u, v: u != v and not g.has_edge(u, v))):
+        seen, todo = {0}, [0]
+        while todo:
+            u = todo.pop()
+            for v in range(g.n):
+                if v not in seen and adjacent(u, v):
+                    seen.add(v)
+                    todo.append(v)
+        if len(seen) < g.n:
+            side1 = tuple(sorted(seen))
+            prod = len(side1) * (g.n - len(side1))
+            side2 = tuple(v for v in range(g.n) if v not in seen)
+            return Cut(side1, side2, kind, Fraction(0 if kind == "sparse" else prod, prod), 0)
+    return None
+
+
+def test_beta_zero_keeps_vertex_zero_component():
+    # the edge 0-2 with isolated 1 and 3, and its complement: beta = 0 cuts
+    # off vertex 0's (co-)component, though the least zero-edit side1, which
+    # the minimum-edit scan picks, is (0, 1, 2)
+    g = Graph(4, [4, 0, 1, 0])
+    co = complement(g)
+    assert co.rows == (10, 13, 10, 7)
+    for h, kind in ((g, "sparse"), (co, "dense")):
+        for mode in ("exact", "heuristic"):
+            cut = find_beta_cut(h, 0, mode, Stream(5))
+            assert (cut.side1, cut.kind, cut.edits) == ((0, 2), kind, 0)
+        assert _beta_cut_exact(h, Fraction(0)).side1 == (0, 1, 2)
+    # and at any n: no exact-mode size bound applies
+    assert find_beta_cut(disjoint_cliques([12, 12]), 0).side1 == tuple(range(12))
+    for g in naive_cases():
+        assert find_beta_cut(g, 0) == find_cut(g) == naive_zero_cut(g), g.rows
 
 
 def test_find_beta_cut_at_exact_bound():

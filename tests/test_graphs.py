@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import ptlab.graphs as graphs_module
+import ptlab.recognizers as R
 from ptlab.graphs import (
     Graph,
     Digraph,
@@ -27,7 +29,7 @@ from ptlab.graphs import (
     sample_vertices,
 )
 from ptlab.rng import Stream
-from ptlab.verify import cograph_generator, sampling_uniform
+from ptlab.verify import _p4_census, cograph_generator, sampling_uniform
 
 
 def test_complement_examples():
@@ -334,3 +336,28 @@ def test_fault_injection_p4_delta_without_distance_two_case():
         return _p4_delta(rows, u, v) + (-missed if g.has_edge(u, v) else missed)
 
     assert _delta_mismatches(broken, _RECOUNT_CASES, count_induced_p3)
+
+
+def _p4_fan_mismatches():
+    """How many 6-vertex graphs the counter, and the finder's decision,
+    get wrong against the census's brute-force induced-4-path counts."""
+    counts = finds = 0
+    for g, p4 in _p4_census(6):
+        counts += count_induced_p3(g) != p4
+        finds += (R._find_induced_p4(g.rows, (1 << 6) - 1) is None) != (p4 == 0)
+    return counts, finds
+
+
+def test_fault_injection_p4_fans_dropping_low_ends(monkeypatch):
+    # the counter and the finder both read the one fan generator: a fan
+    # that skips every end a below the middle edge's u fails both
+    assert _p4_fan_mismatches() == (0, 0)
+    real = graphs_module._p4_fans
+
+    def high_ends_only(rows, mask):
+        return (fan for fan in real(rows, mask) if fan[0] > fan[1])
+
+    monkeypatch.setattr(graphs_module, "_p4_fans", high_ends_only)
+    monkeypatch.setattr(R, "_p4_fans", high_ends_only)
+    counts, finds = _p4_fan_mismatches()
+    assert counts and finds

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import ptlab.packing as packing
 from ptlab.gadgets import ap3_free_set, rs_graph
 from ptlab.graphs import (
     PartLabeling,
@@ -29,8 +30,14 @@ from ptlab.rng import Stream
 from ptlab.verify import distance_dominates_tau, retention_mean
 
 
+def naive_triangles(g):
+    """Vertex triples whose three pairs are edges, checked with has_edge."""
+    return [(a, b, c) for a, b, c in combinations(range(g.n), 3)
+            if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)]
+
+
 def naive_tau(g):
-    tris = triangles_of(g)
+    tris = naive_triangles(g)
     for r in range(len(tris), 0, -1):
         for combo in combinations(tris, r):
             edges = [frozenset(p) for t in combo
@@ -41,7 +48,7 @@ def naive_tau(g):
 
 
 def naive_nu(g):
-    tris = triangles_of(g)
+    tris = naive_triangles(g)
     if not tris:
         return 0
     edges = list(g.edges())
@@ -81,6 +88,18 @@ def test_exact_tau_nu_match_naive():
               for p in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2]))}
         assert len(fp) <= 3 * tau
         assert count_triangles(g.with_toggled(fp)) == 0
+
+
+def test_fault_injection_triangles_of_dropping_one_is_caught(monkeypatch):
+    real = packing.triangles_of
+
+    def lossy(g):
+        tris = real(g)
+        return tris[:-1] if g.n >= 7 and len(tris) >= 6 else tris
+
+    monkeypatch.setattr(packing, "triangles_of", lossy)
+    with pytest.raises(AssertionError):
+        test_exact_tau_nu_match_naive()
 
 
 def test_greedy_never_beats_exact_and_is_maximal():

@@ -127,6 +127,15 @@ def test_induced_h_free_examples():
         is_induced_h_free(empty_graph(8), cycle_graph(7))
 
 
+def test_induced_k3_freeness_is_triangle_freeness():
+    # H = K3 takes the triangle scan: same decision, witness and label
+    assert R._resolve("induced-h-free:complete:3")[0] is R._find_triangle
+    k3, rng = complete_graph(3), Stream(47)
+    for i in range(120):
+        g = gnp(3 + i % 9, (0.1, 0.3, 0.5)[i // 40], rng.child(i))
+        assert is_induced_h_free(g, k3) == is_triangle_free(g), g.rows
+
+
 def test_induced_h_free_matches_enumeration():
     rng = Stream(43)
     h_list = [path_graph(4), cycle_graph(4), cycle_graph(5), complete_graph(3)]
