@@ -10,13 +10,21 @@ core, whose oracle tests every arc pair and triple of a random orientation
 of the host.
 """
 
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 
 import ptlab.recognizers as R
-from ptlab.graphs import Graph, PartLabeling, cycle_graph, induced_subgraph
+from ptlab.graphs import (
+    Graph,
+    PartLabeling,
+    _co_rows,
+    _induced_c5_fans,
+    cycle_graph,
+    induced_subgraph,
+)
 from ptlab.rng import Stream
 from ptlab.testers import universal_tester
 from ptlab.verify import all_graphs
@@ -203,3 +211,71 @@ def test_perfect_core_keeps_the_exact_bound():
     assert universal_tester(g, R.PERFECT_EXACT_BOUND, "perfect", Stream(3)).accepted
     with pytest.raises(ValueError, match="exact perfectness limited"):
         universal_tester(g, R.PERFECT_EXACT_BOUND + 1, "perfect", Stream(3))
+
+
+def _pin_inputs():
+    """(rows, mask, later, arcs, arcs_mask) for the pin: seeded G(n, p),
+    n = 5..16, each with its full mask and two random masks, then 14- and
+    15-vertex samples of the rs(6) five-part gadget (with its own part order)
+    and of its G(n, p) control, each beside a sample of the poset gadget
+    over rs(6). `later` is a part order's later-masks, `arcs` the out-rows
+    the poset core reads inside `arcs_mask`."""
+    import ptlab.gadgets as GA
+    from ptlab.pipelines import match_gnp_control
+
+    rnd = random.Random(20261019)
+    for n in range(5, 17):
+        for p in (0.15, 0.3, 0.5, 0.7, 0.85):
+            for _ in range(4):
+                rows, arcs = [0] * n, [0] * n
+                for u, v in combinations(range(n), 2):
+                    if rnd.random() < p:
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+                        r = rnd.random()  # below 0.45: u -> v, above 0.55: v -> u
+                        if r < 0.55:
+                            arcs[u] |= 1 << v
+                        if r > 0.45:
+                            arcs[v] |= 1 << u
+                k = rnd.randint(1, 4)
+                part = [rnd.randrange(k) for _ in range(n)]
+                later = R._later_masks(PartLabeling(
+                    n, [(str(j), [v for v in range(n) if part[v] == j]) for j in range(k)]))
+                for keep in (1.0, 0.6, 0.85):
+                    mask = sum(1 << v for v in range(n) if rnd.random() < keep)
+                    yield rows, mask, later, arcs, mask
+    rb = GA.rs_graph(6, GA.ap3_free_set(6, "exact"))
+    gb = GA.build_c5_gadget(rb.graph, rb.labeling.relabel(("V2", "V3", "V5")), rb.certificate)
+    pb = GA.build_poset_gadget(rb.graph, rb.labeling.relabel(("V1", "V2", "V3")),
+                               rb.certificate)
+    control, _ = match_gnp_control(gb.graph.n, len(gb.certificate), Stream(19, (1,)))
+    later = R._later_masks(gb.labeling)
+    for host in (gb.graph, control):
+        for d in (14, 15):
+            for _ in range(40):
+                mask = sum(1 << v for v in rnd.sample(range(host.n), d))
+                arcs_mask = sum(1 << v for v in rnd.sample(range(rb.graph.n), d))
+                yield host.rows, mask, later, pb.graph.rows, arcs_mask
+
+
+def _pin_digest():
+    h = hashlib.sha256()
+    for rows, mask, later, arcs, arcs_mask in _pin_inputs():
+        hits = [R._find_odd_hole(rows, mask),
+                R._find_odd_hole(_co_rows(rows, mask), mask),
+                R._odd_hole_or_antihole(rows, mask)
+                if mask.bit_count() <= R.PERFECT_EXACT_BOUND else "guarded",
+                list(_induced_c5_fans(rows, mask)),
+                R._comparability_hit(rows, mask),
+                R._order_hit(rows, mask, later),
+                R._poset_hit(arcs, arcs_mask)]
+        h.update(repr(hits).encode())
+    return h.hexdigest()[:16]
+
+
+def test_first_hits_pinned():
+    """The first hit of each exhaustive scan core (odd holes and antiholes,
+    induced 5-cycle fans, forcing and the order and poset checks) on seeded
+    hosts and gadget samples, pinned by digest: a faster core must return
+    the same hit for every (rows, mask)."""
+    assert _pin_digest() == "7a3a6d113d863f78"
