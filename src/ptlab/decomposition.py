@@ -123,11 +123,16 @@ def find_beta_cut(g: Graph, beta, mode: str = "exact",
     or a definitive None. Heuristic mode runs randomized local search over
     vertex flips from 20 random starts and returns a cut or NotFound(20),
     which does NOT certify nonexistence. At beta = 0 either mode, at any n,
-    returns `find_cut`'s cut: vertex 0's component, or co-component if g is connected.
+    returns `find_cut`'s cut: vertex 0's component, or co-component if g is
+    connected. The mode, and the heuristic mode's rng, are checked at every beta.
     """
     b = _validate_beta(beta)
     if g.n < 2:
         raise ValueError(f"cuts need n >= 2, got {g.n}")
+    if mode not in ("exact", "heuristic"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "heuristic" and rng is None:
+        raise ValueError("heuristic mode needs an rng stream")
     if b == 0:
         return find_cut(g)
     if mode == "exact":
@@ -135,11 +140,7 @@ def find_beta_cut(g: Graph, beta, mode: str = "exact",
             raise ValueError(
                 f"exact beta-cut enumeration refused for n={g.n} > {BETA_EXACT_BOUND}")
         return _beta_cut_exact(g, b)
-    if mode == "heuristic":
-        if rng is None:
-            raise ValueError("heuristic mode needs an rng stream")
-        return _beta_cut_heuristic(g, b, rng)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _beta_cut_heuristic(g, b, rng)
 
 
 def _crossings(g: Graph, beta: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -197,6 +197,10 @@ def search_min_p3_density(n: int, beta, effort: int, rng: Stream) -> ExtremalRec
     where exact enumeration is allowed): the start graph and each accepted
     one get a full crossing scan, and a toggle is decided from the
     bipartitions one crossing away from a cut.
+
+    Starts are drawn from G(n, 1/2). At beta = 1/3 none of the seeded starts
+    tried at n <= 16 was free of 1/3-cuts, so such a call ends in the
+    "no qualifying graph found" refusal.
     """
     if n > SEARCH_CERTIFIED_BOUND:
         raise ValueError(f"certified search limited to n <= {SEARCH_CERTIFIED_BOUND}")

@@ -407,20 +407,36 @@ def _induced_c5_fans(rows: Sequence[int], mask: int) -> Iterator[tuple[int, int,
     Yields (v0, v1, v2, v4, v3s) for every path v1-v0-v4 with v0 the
     cycle's minimum vertex and v1 < v4, and every v2 extending it, whose
     closing set v3s (vertices adjacent to v2 and v4 that complete an induced
-    5-cycle) is nonempty. Each induced 5-cycle is one bit of one v3s.
+    5-cycle) is nonempty. Each induced 5-cycle is one bit of one v3s. The
+    closers N(v4) outside N(v0) and N(v1), above v0, are computed once per
+    pair (v1, v4), which is skipped when it has none.
     """
     for v0 in iter_bits(mask):
-        above = mask & (-1 << (v0 + 1))
+        above = mask >> (v0 + 1) << (v0 + 1)
         nbrs = rows[v0] & above
-        for v1 in iter_bits(nbrs):
-            for v4 in iter_bits(nbrs >> (v1 + 1)):
-                v4 += v1 + 1
-                if (rows[v1] >> v4) & 1:
+        out0 = above ^ nbrs  # above v0, outside N[v0]
+        while nbrs:
+            low1 = nbrs & -nbrs
+            nbrs ^= low1  # now v0's neighbors above v1
+            v1 = low1.bit_length() - 1
+            r1 = rows[v1]
+            out01 = out0 ^ (out0 & r1)
+            v2_side = r1 & out0
+            v4s = nbrs ^ (nbrs & r1)
+            while v4s:
+                low4 = v4s & -v4s
+                v4s ^= low4
+                v4 = low4.bit_length() - 1
+                r4 = rows[v4]
+                closing = r4 & out01
+                if not closing:
                     continue
-                v2s = rows[v1] & ~rows[v0] & ~rows[v4] & above & ~(1 << v4)
-                for v2 in iter_bits(v2s):
-                    v3s = (rows[v2] & rows[v4] & ~rows[v0] & ~rows[v1]
-                           & above & ~(1 << v2))
+                v2s = v2_side ^ (v2_side & r4)
+                while v2s:
+                    low2 = v2s & -v2s
+                    v2s ^= low2
+                    v2 = low2.bit_length() - 1
+                    v3s = rows[v2] & closing
                     if v3s:
                         yield v0, v1, v2, v4, v3s
 

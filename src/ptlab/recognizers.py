@@ -189,54 +189,82 @@ def is_induced_h_free(g: Graph, h: Graph) -> RecognitionResult:
 
 def _verify_transitive(out: Sequence[int] | dict[int, int], mask: int
                        ) -> tuple[int, int, int] | None:
-    """A triple (u, v, z), u in `mask`, with u->v, v->z but not u->z, or None."""
-    for u in iter_bits(mask):
-        for v in iter_bits(out[u]):
-            bad = out[v] & ~out[u]
-            if bad:
-                return (u, v, next(iter_bits(bad)))
+    """A triple (u, v, z), u in `mask`, with u->v, v->z but not u->z, or None;
+    the first in (u, v) order, with its lowest z."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        u = low.bit_length() - 1
+        ou = vs = out[u]
+        while vs:
+            low = vs & -vs
+            vs ^= low
+            v = low.bit_length() - 1
+            ov = out[v]
+            if ov & ou != ov:
+                bad = ov ^ (ov & ou)
+                return u, v, (bad & -bad).bit_length() - 1
     return None
 
 
 def _force_orientation(rows: Sequence[int], mask: int
-                       ) -> tuple[dict[int, int], tuple[int, int] | None]:
+                       ) -> tuple[list[int], tuple[int, int] | None]:
     """Orient g[mask] by implication-class forcing.
 
     Classes are grown inside the not-yet-oriented partial graph: edges
     {x,y},{x,z} with y,z currently non-adjacent must point the same way at
     x. Each completed class is removed before the next seed edge (lowest
     lexicographic) is oriented. Arcs are head (`out`) and tail (`inn`)
-    bitmasks per vertex; on unoriented edges they hold the growing class.
+    bitmasks in lists indexed by host vertex; on unoriented edges they hold
+    the growing class.
     Returns the arc rows and None, or the seed arc of the first class that
-    forces an edge both ways. The caller verifies transitivity.
+    forces an edge both ways. The caller verifies transitivity. Set bits are
+    stepped through inline, and set differences taken as a ^ (a & b), which
+    keeps every mask a nonnegative int on wide host rows.
     """
-    rem = {v: rows[v] & mask for v in iter_bits(mask)}
-    out = dict.fromkeys(rem, 0)
-    inn = dict.fromkeys(rem, 0)
-    for a in rem:
+    verts = list(iter_bits(mask))
+    size = mask.bit_length()
+    rem, out, inn = [0] * size, [0] * size, [0] * size
+    for v in verts:
+        rem[v] = rows[v] & mask
+    for a in verts:
         while rem[a] >> (a + 1):
-            b = next(iter_bits(rem[a] & (-1 << (a + 1))))
+            later = rem[a] >> (a + 1)
+            b = a + (later & -later).bit_length()
             out[a] |= 1 << b
             inn[b] |= 1 << a
             touched = (1 << a) | (1 << b)
             queue = [(a, b)]
             while queue:
                 x, y = queue.pop()
-                heads = rem[x] & ~rem[y] & ~(1 << y) & ~out[x]
-                tails = rem[y] & ~rem[x] & ~(1 << x) & ~inn[y]
+                rx, ry = rem[x], rem[y]
+                heads = rx ^ (rx & (ry | (1 << y) | out[x]))
+                tails = ry ^ (ry & (rx | (1 << x) | inn[y]))
                 if heads & inn[x] or tails & out[y]:
                     return out, (a, b)
                 out[x] |= heads
                 inn[y] |= tails
-                for z in iter_bits(heads):
-                    inn[z] |= 1 << x
-                    queue.append((x, z))
-                for z in iter_bits(tails):
-                    out[z] |= 1 << y
-                    queue.append((z, y))
                 touched |= heads | tails
-            for v in iter_bits(touched):
-                rem[v] &= ~(out[v] | inn[v])
+                bit = 1 << x
+                while heads:
+                    low = heads & -heads
+                    heads ^= low
+                    z = low.bit_length() - 1
+                    inn[z] |= bit
+                    queue.append((x, z))
+                bit = 1 << y
+                while tails:
+                    low = tails & -tails
+                    tails ^= low
+                    z = low.bit_length() - 1
+                    out[z] |= bit
+                    queue.append((z, y))
+            while touched:
+                low = touched & -touched
+                touched ^= low
+                v = low.bit_length() - 1
+                r = rem[v]
+                rem[v] = r ^ (r & (out[v] | inn[v]))
     return out, None
 
 
@@ -314,27 +342,44 @@ def is_comparability(g: Graph) -> RecognitionResult:
 def _find_odd_hole(rows: Sequence[int], mask: int) -> tuple[int, ...] | None:
     """A chordless odd cycle of length >= 5 inside `mask`, by DFS over chordless paths.
 
-    Cycles are walked from their minimum vertex v0; a path v0..vk may grow
-    only into vertices above v0 that avoid the neighborhoods of the path's
-    interior (keeping it chordless), and closes at a neighbor of v0 when
-    the resulting cycle has odd length at least 5.
+    Cycles are walked from their minimum vertex v0 through its neighbor v1,
+    and a path v0..vk closes at a neighbor of v0 when the cycle has odd
+    length at least 5. Each DFS entry carries two sets. `free`: the vertices
+    the path may still grow into, above v0 and outside N[v0] and the
+    neighborhoods of the interior v1..v(k-1) (which keeps the path
+    chordless). `alive`: the closers still possible, v0's neighbors above v1
+    outside the interior's neighborhoods; a hole closing below v1 would
+    already have been returned from that closer's own v1 pass. A path that
+    cannot close yet is not entered when no closer outside its last vertex's
+    neighborhood is alive. The pruned branches hold no hole, so the hit is
+    the first hole of the unpruned DFS.
     """
     for v0 in iter_bits(mask):
-        above = mask & (-1 << (v0 + 1))
-        for v1 in iter_bits(rows[v0] & above):
-            # entries: (path, neighborhoods of interior v1..v_{k-1}, path bits)
-            stack = [((v0, v1), 0, (1 << v0) | (1 << v1))]
+        above = mask >> (v0 + 1) << (v0 + 1)
+        nbrs = rows[v0] & above
+        grow = above ^ nbrs  # above v0, outside N[v0]
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low  # now v0's neighbors above v1
+            v1 = low.bit_length() - 1
+            stack = [((v0, v1), grow, nbrs)] if rows[v1] & nbrs != nbrs else []
             while stack:
-                path, interior_nbrs, path_bits = stack.pop()
-                last = path[-1]
-                cands = rows[last] & above & ~interior_nbrs & ~path_bits
-                if len(path) >= 4 and len(path) % 2 == 0:
-                    closers = cands & rows[v0]
-                    if closers:
-                        return path + (next(iter_bits(closers)),)
-                new_interior = interior_nbrs | rows[last]
-                for w in iter_bits(cands & ~rows[v0]):
-                    stack.append((path + (w,), new_interior, path_bits | (1 << w)))
+                path, free, alive = stack.pop()
+                row = rows[path[-1]]
+                closers = row & alive
+                if closers and len(path) >= 4 and not len(path) & 1:
+                    return path + ((closers & -closers).bit_length() - 1,)
+                alive ^= closers  # the last vertex joins the interior
+                ws = row & free
+                free ^= ws
+                while ws:
+                    low = ws & -ws
+                    ws ^= low
+                    w = low.bit_length() - 1
+                    # a child of odd length cannot close yet: enter it only
+                    # if some closer survives its neighborhood
+                    if len(path) & 1 or rows[w] & alive != alive:
+                        stack.append((path + (w,), free, alive))
     return None
 
 
@@ -366,7 +411,7 @@ def _poset_hit(rows: Sequence[int], mask: int) -> tuple[tuple[int, ...], str] | 
     """The first antiparallel arc pair inside `mask`, else an intransitive
     triple, as (vertices, label); None if the arcs inside `mask` form a poset."""
     for u in iter_bits(mask):
-        for v in iter_bits(rows[u] & mask & (-1 << (u + 1))):
+        for v in iter_bits(rows[u] & (mask >> (u + 1) << (u + 1))):
             if (rows[v] >> u) & 1:
                 return (u, v), "antiparallel"
     bad = _verify_transitive({u: rows[u] & mask for u in iter_bits(mask)}, mask)

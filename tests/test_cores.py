@@ -7,10 +7,12 @@ except comparability, whose oracle is the exhaustive orientation search on
 the induced subgraph, the part-order check, whose oracle orients the
 mask's edges by a random labeling and tests every triple, and the poset
 core, whose oracle tests every arc pair and triple of a random orientation
-of the host.
+of the host. A `perfect` hit must induce a chordless odd cycle in g or its
+complement, and an `induced-c5-free` hit a 5-cycle.
 """
 
 import hashlib
+import inspect
 import random
 from itertools import combinations
 
@@ -156,9 +158,29 @@ CORES["order"] = _order_core
 CORES["poset"] = _poset_core
 
 
+def _bad_witness(name, rows, hit):
+    """Why a core's hit is not the structure it claims, or None: a `perfect`
+    hit must induce a chordless odd cycle of length at least 5 in g (an
+    odd hole) or in its complement (an odd antihole), and an
+    `induced-c5-free` hit must induce a 5-cycle."""
+    nbrs = _neighbor_sets(rows)
+    if name == "perfect":
+        vs, label = hit
+        if label == "odd-antihole":
+            nbrs = [set(vs) - nbrs[v] - {v} if v in vs else set() for v in range(len(rows))]
+        elif label != "odd-hole":
+            return f"label {label!r}"
+        if len(vs) < 5 or not len(vs) & 1 or not _odd_cycle(nbrs, vs):
+            return f"{label} {vs} is not a chordless odd cycle of length >= 5"
+    elif name == "induced-c5-free" and _degrees(nbrs, hit) != [2] * 5:
+        return f"{hit} does not induce a 5-cycle"
+    return None
+
+
 def core_mismatches():
-    """(name, rows, mask vertices) where a core disagrees with its oracle,
-    or returns a hit outside its mask."""
+    """(name, rows, mask vertices, why) where a core disagrees with its
+    oracle, returns a hit outside its mask, or returns a perfect or
+    induced-c5-free hit that is not the structure it claims."""
     bad = []
     for rows, vs, part, arcs in CASES:
         mask = sum(1 << v for v in vs)
@@ -167,10 +189,12 @@ def core_mismatches():
         for name, core in CORES.items():
             hit = core(rows, mask, (labeling, arcs))
             if (hit is not None) != _oracle(name, rows, vs, part, arcs):
-                bad.append((name, rows, vs))
-            elif name not in ("comparability", "perfect") and hit is not None:
-                if not set(hit[0] if name == "poset" else hit) <= set(vs):
-                    bad.append((name, rows, vs))
+                bad.append((name, rows, vs, "decision"))
+            elif name != "comparability" and hit is not None:
+                if not set(hit[0] if name in ("poset", "perfect") else hit) <= set(vs):
+                    bad.append((name, rows, vs, "outside the mask"))
+                elif why := _bad_witness(name, rows, hit):
+                    bad.append((name, rows, vs, why))
     return bad
 
 
@@ -192,6 +216,20 @@ def test_fault_injection_core_ignoring_top_vertex_is_caught(monkeypatch, name):
 
     monkeypatch.setitem(CORES, name, blind)
     assert any(m[0] == name for m in core_mismatches())
+
+
+def test_fault_injection_hole_dfs_keeping_interior_closers_is_caught(monkeypatch):
+    """A hole DFS that stops removing the interior's neighborhoods from its
+    live closers closes paths through chords; the witness check catches
+    such a cycle even where the decision is right."""
+    source = inspect.getsource(R._find_odd_hole)
+    prune = "alive ^= closers"
+    assert source.count(prune) == 1
+    namespace = dict(vars(R))
+    exec(source.replace(prune, "pass"), namespace)
+    monkeypatch.setattr(R, "_find_odd_hole", namespace["_find_odd_hole"])
+    reasons = [m[3] for m in core_mismatches() if m[0] == "perfect"]
+    assert any("not a chordless odd cycle" in why for why in reasons)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -177,6 +177,15 @@ def test_find_beta_cut_guards():
         find_beta_cut(gnp(23, 0.5, Stream(1)), 0.1, "exact")
     with pytest.raises(ValueError):
         find_beta_cut(cycle_graph(5), 0.1, "heuristic")  # rng required
+    # the mode and the rng are checked before the beta = 0 shortcut too
+    g = Graph(4, [4, 0, 1, 0])
+    for beta in (0, 0.1):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            find_beta_cut(g, beta, "bogus")
+        with pytest.raises(ValueError, match="heuristic mode needs an rng stream"):
+            find_beta_cut(g, beta, "heuristic")
+    for mode in ("exact", "heuristic"):
+        assert find_beta_cut(g, 0, mode, Stream(5)) == find_cut(g)
 
 
 def test_heuristic_mode_returns_cut_or_notfound():

@@ -1,7 +1,9 @@
+import random
 from itertools import combinations
 
 import pytest
 
+import ptlab.gadgets as GA
 import ptlab.recognizers as R
 from ptlab.graphs import (
     Digraph,
@@ -261,7 +263,43 @@ def test_perfect_matches_definition_small():
         assert is_perfect(g).member == perfect_by_definition(g), g.rows
 
 
+def _planted_and_perfect_hosts():
+    """Hosts on 10..14 vertices, where random hosts are almost never perfect:
+    perfect ones (14-vertex samples of the rs(6) five-part gadget, random
+    cographs, random bipartite graphs), then odd holes and odd antiholes of
+    length 5..13 planted into random bipartite graphs."""
+    rnd = random.Random(1014)
+    rb = GA.rs_graph(6, GA.ap3_free_set(6, "exact"))
+    gadget = GA.build_c5_gadget(rb.graph, rb.labeling.relabel(("V2", "V3", "V5")),
+                                rb.certificate).graph
+
+    def bipartite(n):
+        side = [rnd.random() < 0.5 for _ in range(n)]
+        p = rnd.choice((0.3, 0.5, 0.7))
+        return {(u, v) for u, v in combinations(range(n), 2)
+                if side[u] != side[v] and rnd.random() < p}
+
+    perfect = [induced_subgraph(gadget, rnd.sample(range(gadget.n), 14)) for _ in range(20)]
+    for n in range(10, 15):
+        perfect.extend(random_cograph(n, Stream(1014, (n, i))) for i in range(4))
+        perfect.extend(Graph.from_edges(n, bipartite(n)) for _ in range(4))
+    planted = []
+    for n in range(10, 15):
+        for length in range(5, n + 1, 2):
+            for anti in (False, True):
+                edges, cyc = bipartite(n), rnd.sample(range(n), length)
+                for i, j in combinations(range(length), 2):
+                    pair = tuple(sorted((cyc[i], cyc[j])))
+                    edges.discard(pair)
+                    if (j - i in (1, length - 1)) != anti:
+                        edges.add(pair)
+                planted.append(Graph.from_edges(n, edges))
+    return perfect, planted
+
+
 def test_perfect_matches_networkx():
+    """Random G(n, p) at n = 5..9, then the exhaustive and the witness side
+    up to PERFECT_EXACT_BOUND (`_planted_and_perfect_hosts`)."""
     nx = pytest.importorskip("networkx")
     if not hasattr(nx, "is_perfect_graph"):
         pytest.skip(f"networkx {nx.__version__} has no is_perfect_graph")
@@ -270,15 +308,19 @@ def test_perfect_matches_networkx():
     for n in range(5, 10):
         for j, p in enumerate((0.3, 0.5, 0.7)):
             cases.extend(gnp(n, p, rng.child(n, j, i)) for i in range(8))
+    perfect, planted = _planted_and_perfect_hosts()
+    assert max(g.n for g in perfect + planted) == R.PERFECT_EXACT_BOUND
     verdicts = []
-    for g in cases:
+    for g in cases + perfect + planted:
         h = nx.Graph()
         h.add_nodes_from(range(g.n))
         h.add_edges_from(g.edges())
         verdicts.append(is_perfect(g).member)
         assert verdicts[-1] == nx.is_perfect_graph(h), g.rows
-    assert verdicts[:3] == [False, False, False]
-    assert 20 < sum(verdicts) < len(cases) - 20  # both answers are well exercised
+    random_verdicts = verdicts[:len(cases)]
+    assert random_verdicts[:3] == [False, False, False]
+    assert 20 < sum(random_verdicts) < len(cases) - 20  # both answers are well exercised
+    assert verdicts[len(cases):] == [True] * len(perfect) + [False] * len(planted)
 
 
 def test_containment_chain():
