@@ -13,7 +13,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .graphs import Graph, _co_rows, _trusted_graph, components, induced_subgraph, iter_bits
+from .graphs import Graph, _co_rows, _trusted_graph, component, induced_subgraph, iter_bits
 from .recognizers import RecognitionResult
 from .rng import Stream
 
@@ -99,7 +99,7 @@ def find_cut(g: Graph) -> Cut | None:
         raise ValueError(f"cuts need n >= 2, got {g.n}")
     full = (1 << g.n) - 1
     for rows, kind in ((g.rows, "sparse"), (_co_rows(g.rows, full), "dense")):
-        comp = components(rows, full)[0]
+        comp = component(rows, full)
         if comp != full:
             prod = comp.bit_count() * (g.n - comp.bit_count())
             return _cut(g.n, comp, kind, 0 if kind == "sparse" else prod, prod)
@@ -111,6 +111,13 @@ def _validate_beta(beta) -> Fraction:
     if not 0 <= 2 * b.numerator < b.denominator:
         raise ValueError(f"beta must satisfy 0 <= beta < 1/2, got {beta}")
     return b
+
+
+def _validate_mode(mode: str, rng: Stream | None) -> None:
+    if mode not in ("exact", "heuristic"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "heuristic" and rng is None:
+        raise ValueError("heuristic mode needs an rng stream")
 
 
 def find_beta_cut(g: Graph, beta, mode: str = "exact",
@@ -129,10 +136,7 @@ def find_beta_cut(g: Graph, beta, mode: str = "exact",
     b = _validate_beta(beta)
     if g.n < 2:
         raise ValueError(f"cuts need n >= 2, got {g.n}")
-    if mode not in ("exact", "heuristic"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "heuristic" and rng is None:
-        raise ValueError("heuristic mode needs an rng stream")
+    _validate_mode(mode, rng)
     if b == 0:
         return find_cut(g)
     if mode == "exact":
@@ -267,8 +271,10 @@ def refine_along_cuts(g: Graph, beta, mode: str = "exact",
                       rng: Stream | None = None) -> Refinement:
     """Split parts along beta-cuts of their induced subgraphs until none has
     one, editing each used cut to an exact cut (erase crossing edges if
-    sparse, complete them if dense)."""
+    sparse, complete them if dense). The mode, and the heuristic mode's
+    rng, are checked up front, whether or not any part is split."""
     b = _validate_beta(beta)
+    _validate_mode(mode, rng)
     rows = list(g.rows)
     edited = 0
     final: list[tuple[int, ...]] = []

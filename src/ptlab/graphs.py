@@ -26,7 +26,7 @@ __all__ = [
     "count_triangles",
     "count_induced_p3",
     "count_induced_c5",
-    "components",
+    "component",
     "sample_vertices",
     "gnp",
     "random_cograph",
@@ -56,6 +56,23 @@ def _as_int(x) -> int:
     return operator.index(x)
 
 
+def _checked_rows(n, rows: Sequence, kind: str, loop: str) -> tuple[int, tuple[int, ...]]:
+    """n and the rows as plain ints (`_as_int`), n >= 0, one row per vertex,
+    each inside 0..n-1 and without its own vertex's bit (a `loop`)."""
+    n = _as_int(n)
+    if n < 0:
+        raise ValueError(f"vertex count must be >= 0, got {n}")
+    if len(rows) != n:
+        raise ValueError(f"expected {n} {kind} rows, got {len(rows)}")
+    rows = tuple(map(_as_int, rows))
+    for u, row in enumerate(rows):
+        if row < 0 or row >> n:
+            raise ValueError(f"row {u} has bits outside 0..{n - 1}")
+        if (row >> u) & 1:
+            raise ValueError(f"{loop} at vertex {u}")
+    return n, rows
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of `mask` in increasing order."""
     while mask:
@@ -67,8 +84,8 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Simple undirected graph; immutable after construction.
 
-    `Graph(n, rows)` validates its rows: each in range, no self-loops,
-    symmetric. So do `from_edges`, unpickling and everything built on them
+    `Graph(n, rows)` validates its rows: integers (numpy ints too; floats,
+    strings and bools are refused), each in range, no self-loops, symmetric. So do `from_edges`, unpickling and everything built on them
     (readers, generators, gadget builders). Graphs derived from a valid
     graph by `induced_subgraph`, `complement`, `with_toggled`, cut
     refinement and tripartite extraction are valid by construction and
@@ -78,16 +95,8 @@ class Graph:
     __slots__ = ("n", "rows", "_m")
 
     def __init__(self, n: int, rows: Sequence[int]):
-        if n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {n}")
-        if len(rows) != n:
-            raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
-        rows = tuple(int(r) for r in rows)
+        n, rows = _checked_rows(n, rows, "adjacency", "self-loop")
         for u, row in enumerate(rows):
-            if row < 0 or row >> n:
-                raise ValueError(f"row {u} has bits outside 0..{n - 1}")
-            if (row >> u) & 1:
-                raise ValueError(f"self-loop at vertex {u}")
             for v in iter_bits(row):
                 if not (rows[v] >> u) & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
@@ -171,18 +180,7 @@ class Digraph:
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Sequence[int]):
-        if n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {n}")
-        if len(rows) != n:
-            raise ValueError(f"expected {n} arc rows, got {len(rows)}")
-        rows = tuple(int(r) for r in rows)
-        for u, row in enumerate(rows):
-            if row < 0 or row >> n:
-                raise ValueError(f"row {u} has bits outside 0..{n - 1}")
-            if (row >> u) & 1:
-                raise ValueError(f"self-arc at vertex {u}")
-        self.n = n
-        self.rows = rows
+        self.n, self.rows = _checked_rows(n, rows, "arc", "self-arc")
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
@@ -297,25 +295,19 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return _trusted_graph(len(rows), rows)
 
 
-def components(rows: Sequence[int], mask: int) -> list[int]:
-    """Connected components of the subgraph induced on `mask`, as masks.
-
-    Components come out in order of their lowest vertex, so the first one
-    holds the lowest vertex of `mask`.
-    """
-    comps = []
-    todo = mask
-    while todo:
-        comp = frontier = todo & -todo
+def component(rows: Sequence[int], mask: int) -> int:
+    """The connected component of the lowest vertex of `mask` in the
+    subgraph induced on `mask`, as a mask (0 for an empty mask)."""
+    comp = frontier = mask & -mask
+    while frontier:
+        grow = 0
         while frontier:
-            grow = 0
-            for v in iter_bits(frontier):
-                grow |= rows[v]
-            frontier = grow & mask & ~comp
-            comp |= frontier
-        comps.append(comp)
-        todo &= ~comp
-    return comps
+            low = frontier & -frontier
+            frontier ^= low
+            grow |= rows[low.bit_length() - 1]
+        frontier = grow & mask & ~comp
+        comp |= frontier
+    return comp
 
 
 def _triangle_fans(rows: Sequence[int], mask: int) -> Iterator[tuple[int, int, int]]:

@@ -7,6 +7,8 @@ structure scan is a core on (rows, mask): it sees only the vertices of
 `mask`, in host indexing, and returns its first hit or None. Recognizers
 pass all of g; the universal tester passes a sample's mask (`_resolve`), and
 so do the gadgets' part-order and poset checks (`_order_hit`, `_poset_hit`).
+Cographs are the graphs without an induced 4-path (Seinsche), so `cograph`
+and `induced-p3-free` share one core, the induced-4-path scan.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .graphs import (
     _induced_c5_fans,
     _p4_fans,
     _triangle_fans,
-    components,
     cycle_graph,
     complete_graph,
     empty_graph,
@@ -91,34 +92,6 @@ def is_triangle_free(g: Graph) -> RecognitionResult:
     return MEMBER if hit is None else RecognitionResult(False, hit, "triangle")
 
 
-def _cograph_p4(rows: Sequence[int], mask: int) -> tuple[int, ...] | None:
-    """Seinsche decomposition inside `mask`; the hit is the first induced
-    4-path `_find_induced_p4` meets in a part both connected and co-connected."""
-    crows = _co_rows(rows, mask)
-    stack = [mask]
-    while stack:
-        part = stack.pop()
-        if part.bit_count() <= 1:
-            continue
-        comps = components(rows, part)
-        if len(comps) == 1:
-            comps = components(crows, part)
-        if len(comps) > 1:
-            stack.extend(c for c in comps if c.bit_count() > 1)
-            continue
-        witness = _find_induced_p4(rows, part)
-        if witness is None:
-            raise AssertionError("non-decomposable subgraph without an induced 4-path")
-        return witness
-    return None
-
-
-def is_cograph(g: Graph) -> RecognitionResult:
-    """Decide by Seinsche decomposition; the witness is an induced 4-path."""
-    hit = _cograph_p4(g.rows, (1 << g.n) - 1)
-    return MEMBER if hit is None else RecognitionResult(False, hit, "induced-path-4")
-
-
 # --- induced-H-freeness -----------------------------------------------------
 
 INDUCED_H_MAX = 6
@@ -183,6 +156,13 @@ def is_induced_h_free(g: Graph, h: Graph) -> RecognitionResult:
     core, label = _h_core(h)
     hit = core(g.rows, (1 << g.n) - 1)
     return MEMBER if hit is None else RecognitionResult(False, hit, label)
+
+
+def is_cograph(g: Graph) -> RecognitionResult:
+    """Cographs are exactly the graphs without an induced 4-path (Seinsche);
+    decided by the `_p4_fans` scan, whose first path is the witness."""
+    hit = _find_induced_p4(g.rows, (1 << g.n) - 1)
+    return MEMBER if hit is None else RecognitionResult(False, hit, "induced-path-4")
 
 
 # --- comparability ----------------------------------------------------------
@@ -460,15 +440,18 @@ def _h_entry(h: Graph) -> tuple[_Core, Callable[[Graph], RecognitionResult]]:
     return _h_core(h)[0], partial(is_induced_h_free, h=h)
 
 
+# induced-P3-freeness (the 4-vertex path, edge-count naming) is cograph-hood
+_P4_FREE = (_find_induced_p4, is_cograph)
+
 # each named property's (scan core, recognizer): the core for callers that
 # need only the decision, the recognizer for a witness
 _PROPERTIES: dict[str, tuple[_Core, Callable[[Graph], RecognitionResult]]] = {
     "triangle-free": (_find_triangle, is_triangle_free),
-    "cograph": (_cograph_p4, is_cograph),
+    "cograph": _P4_FREE,
     "comparability": (_comparability_hit, is_comparability),
     "perfect": (_odd_hole_or_antihole, is_perfect),
     "induced-c5-free": _h_entry(cycle_graph(5)),
-    "induced-p3-free": _h_entry(path_graph(4)),
+    "induced-p3-free": _P4_FREE,
 }
 
 _NAMED = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph,

@@ -28,7 +28,7 @@ from .graphs import (
     Graph,
     PartLabeling,
     complement,
-    components,
+    component,
     count_induced_c5,
     count_induced_p3,
     count_triangles,
@@ -182,6 +182,9 @@ def sampling_uniform(stream: Stream) -> str | None:
 # --- recognizers --------------------------------------------------------------
 
 def seinsche_equivalence(n: int) -> str | None:
+    """Cographs are the induced-4-path-free graphs (Seinsche): the cograph
+    recognizer's scan against the brute-force 4-path count of `_p4_census`,
+    on every n-vertex graph."""
     for g, p4 in _p4_census(n):
         if is_cograph(g).member != (p4 == 0):
             return f"rows={g.rows}"
@@ -250,7 +253,7 @@ def _is_odd_hole_or_antihole(g: Graph, w: tuple[int, ...]) -> bool:
         k = h.n
         if k >= 5 and k % 2 == 1 and h.m == k and all(h.degree(v) == 2 for v in range(k)):
             # connected 2-regular odd graph of size n is one odd cycle
-            if len(components(h.rows, (1 << k) - 1)) == 1:
+            if component(h.rows, (1 << k) - 1) == (1 << k) - 1:
                 return True
     return False
 

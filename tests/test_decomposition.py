@@ -1,6 +1,8 @@
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +21,13 @@ from ptlab.graphs import (
     complement,
     complete_graph,
     cycle_graph,
+    empty_graph,
     gnp,
     induced_subgraph,
     path_graph,
     random_cograph,
 )
+import ptlab.recognizers as R
 from ptlab.recognizers import (
     RecognitionResult,
     is_cograph,
@@ -33,6 +37,10 @@ from ptlab.recognizers import (
 )
 from ptlab.rng import Stream
 from ptlab.verify import no_cut_implies_p4, refinement_parts
+
+# the benchmark's definition-level oracles, which import nothing from ptlab
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+import oracles  # noqa: E402
 
 
 def naive_beta_cuts(g, beta):
@@ -266,22 +274,27 @@ def test_distance_examples():
     assert distance_to_property(cycle_graph(4), is_cograph) == 0
 
 
-def naive_distance(g, recognizer, cap):
-    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+def naive_distance(n, rows, prop, cap):
+    """Fewest pair toggles reaching `prop`, each toggle set tried in turn and
+    decided by `oracles.member`, or AboveCap."""
+    pairs = list(combinations(range(n), 2))
     for k in range(cap + 1):
         for combo in combinations(pairs, k):
-            if recognizer(g.with_toggled(combo)).member:
+            if oracles.member(prop, n, oracles.toggled(n, rows, combo)):
                 return k
     return AboveCap(cap)
 
 
+# the properties whose edit distance certify-style runs measure, by the
+# name the oracle module gives them
+ORACLE_PROPERTY = {is_triangle_free: "triangle-free", is_cograph: "cograph",
+                   is_perfect: "perfect", is_comparability: "comparability"}
+DISTANCE_RECOGNIZERS = tuple(ORACLE_PROPERTY)
+
+
 @lru_cache(maxsize=None)
 def naive_answer(recognizer, rows):
-    return naive_distance(Graph(len(rows), rows), recognizer, 3)
-
-
-# the properties whose edit distance certify-style runs measure
-DISTANCE_RECOGNIZERS = (is_triangle_free, is_cograph, is_perfect, is_comparability)
+    return naive_distance(len(rows), rows, ORACLE_PROPERTY[recognizer], 3)
 
 
 def two_c5s(shared):
@@ -338,6 +351,17 @@ def test_fault_injection_distance_with_short_witnesses_is_caught():
     assert {"is_perfect", "is_comparability"} <= caught, caught
 
 
+def test_fault_injection_distance_with_p4_scan_skipping_top_vertex_is_caught(monkeypatch):
+    scan = R._find_induced_p4
+
+    def skipping_top(rows, mask):  # every 4-path through the mask's top vertex is missed
+        return scan(rows, mask & ~(1 << (mask.bit_length() - 1)) if mask else mask)
+
+    monkeypatch.setattr(R, "_find_induced_p4", skipping_top)
+    caught = {name for name, _ in distance_mismatches(lambda rec: rec)}
+    assert "is_cograph" in caught, caught
+
+
 def test_distance_guards():
     with pytest.raises(ValueError):
         distance_to_property(gnp(11, 0.5, Stream(1)), is_cograph)
@@ -346,6 +370,14 @@ def test_distance_guards():
     # a negative cap is refused too, even for a member (distance 0)
     with pytest.raises(ValueError, match="cap limited to 0..5"):
         distance_to_property(cycle_graph(4), is_cograph, cap=-1)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_refine_checks_mode_and_rng_without_a_split(n):
+    with pytest.raises(ValueError, match="unknown mode"):
+        refine_along_cuts(empty_graph(n), Fraction(1, 5), "bogus")
+    with pytest.raises(ValueError, match="needs an rng"):
+        refine_along_cuts(empty_graph(n), Fraction(1, 5), "heuristic")
 
 
 def test_refine_heuristic_mode_runs():

@@ -10,7 +10,7 @@ from ptlab.graphs import (
     _p4_delta,
     complement,
     complete_graph,
-    components,
+    component,
     count_induced_c5,
     count_induced_p3,
     count_triangles,
@@ -112,6 +112,23 @@ def test_construction_validation():
         Digraph(2, [2, 2])  # self-arc at 1
 
 
+@pytest.mark.parametrize("cls, n, rows", [
+    (Graph, 2, [2.5, 1.9]), (Graph, 2, ["2", "1"]), (Graph, 2, [True, False]),
+    (Graph, 2.0, [2, 1]), (Graph, True, [0]), (Digraph, 2, [2.7, 0.0]),
+    (Digraph, 2, ["2", "0"]), (Digraph, 2.0, [2, 0]), (Digraph, 2, [np.float64(2), 0]),
+])
+def test_construction_refuses_non_integer_rows(cls, n, rows):
+    with pytest.raises(TypeError):
+        cls(n, rows)
+
+
+def test_construction_takes_numpy_integers():
+    g = Graph(np.int64(2), np.array([2, 1], dtype=np.uint64))
+    d = Digraph(np.int32(2), [np.int8(2), np.int64(0)])
+    assert (g, d) == (Graph(2, [2, 1]), Digraph(2, [2, 0]))
+    assert all(type(x) is int for x in (g.n, d.n, *g.rows, *d.rows))
+
+
 @pytest.mark.parametrize("pair", [(0, 4), (4, 0), (-1, 2)])
 def test_toggle_out_of_range_is_refused(pair):
     with pytest.raises(ValueError, match=rf"\({pair[0]},{pair[1]}\)"):
@@ -204,7 +221,12 @@ def test_components_match_networkx():
         h = nx.Graph()
         h.add_nodes_from(vs)
         h.add_edges_from((u, v) for u, v in g.edges() if u in vs and v in vs)
-        got = [set(iter_bits(c)) for c in components(g.rows, mask)]
+        got, todo = [], mask
+        while todo:  # the component of the lowest vertex left, until none is
+            comp = component(g.rows, todo)
+            assert comp & todo & -todo, (g.rows, todo)
+            got.append(set(iter_bits(comp)))
+            todo &= ~comp
         want = sorted(nx.connected_components(h), key=min)
         assert got == want, (g.rows, mask)
 

@@ -185,6 +185,21 @@ def test_cograph_matches_induced_p4_freeness_small():
     assert detail is None, detail
 
 
+def test_one_cograph_decider():
+    """cograph, induced-p3-free and induced-h-free:path:4 all decide with the
+    induced-4-path scan, so the cograph recognizer's answer, witness and
+    label are those of induced-P4-freeness."""
+    for name in ("cograph", "induced-p3-free", "induced-h-free:path:4"):
+        assert R._resolve(name)[0] is R._find_induced_p4, name
+    p4 = path_graph(4)
+    graphs = list(all_graphs(6))
+    rng = Stream(67)
+    graphs += [gnp(n, p, rng.child(n, j)) for n in range(1, 13)
+               for j, p in enumerate((0.2, 0.35, 0.5, 0.65, 0.8) * 40)]
+    for g in graphs:
+        assert is_cograph(g) == is_induced_h_free(g, p4), g.rows
+
+
 def test_cograph_witness_reverifies():
     rng = Stream(47)
     for i in range(60):
