@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .rng import Stream
@@ -36,9 +35,6 @@ __all__ = [
     "path_graph",
     "cycle_graph",
     "iter_bits",
-    "naive_induced_count",
-    "is_path_4",
-    "is_cycle_5",
     "pair_count",
     "pair_from_index",
     "C5_EXACT_BOUND",
@@ -56,12 +52,18 @@ def _as_int(x) -> int:
     return operator.index(x)
 
 
-def _checked_rows(n, rows: Sequence, kind: str, loop: str) -> tuple[int, tuple[int, ...]]:
-    """n and the rows as plain ints (`_as_int`), n >= 0, one row per vertex,
-    each inside 0..n-1 and without its own vertex's bit (a `loop`)."""
+def _vertex_count(n) -> int:
+    """n as a plain int (`_as_int`), refused below 0."""
     n = _as_int(n)
     if n < 0:
         raise ValueError(f"vertex count must be >= 0, got {n}")
+    return n
+
+
+def _checked_rows(n, rows: Sequence, kind: str, loop: str) -> tuple[int, tuple[int, ...]]:
+    """n and the rows as plain ints (`_vertex_count`, `_as_int`), one row per
+    vertex, each inside 0..n-1 and without its own vertex's bit (a `loop`)."""
+    n = _vertex_count(n)
     if len(rows) != n:
         raise ValueError(f"expected {n} {kind} rows, got {len(rows)}")
     rows = tuple(map(_as_int, rows))
@@ -71,6 +73,18 @@ def _checked_rows(n, rows: Sequence, kind: str, loop: str) -> tuple[int, tuple[i
         if (row >> u) & 1:
             raise ValueError(f"{loop} at vertex {u}")
     return n, rows
+
+
+def _checked_pairs(n: int, pairs: Iterable, pair: str, loop: str) -> Iterator[tuple[int, int]]:
+    """The one check of caller pairs: each (u, v) as plain ints (`_as_int`),
+    refused outside 0..n-1 or as a loop, the message led by `pair` or `loop`."""
+    for u, v in pairs:
+        u, v = _as_int(u), _as_int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"{pair} ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"{loop} ({u},{v})")
+        yield u, v
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -84,12 +98,13 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Simple undirected graph; immutable after construction.
 
-    `Graph(n, rows)` validates its rows: integers (numpy ints too; floats,
-    strings and bools are refused), each in range, no self-loops, symmetric. So do `from_edges`, unpickling and everything built on them
-    (readers, generators, gadget builders). Graphs derived from a valid
-    graph by `induced_subgraph`, `complement`, `with_toggled`, cut
-    refinement and tripartite extraction are valid by construction and
-    skip that O(m) check.
+    Caller input is checked once, where it enters: `Graph(n, rows)` and
+    unpickling validate the rows (integers, numpy ints too; floats, strings
+    and bools refused; in range, loop-free, symmetric), and `from_edges` and
+    `with_toggled` check the caller's pairs (`_checked_pairs`) and set both
+    bits themselves. Graphs built from checked pairs or derived from a valid
+    graph (`induced_subgraph`, `complement`, cut refinement, tripartite
+    extraction) skip the O(m) symmetry pass.
     """
 
     __slots__ = ("n", "rows", "_m")
@@ -106,15 +121,12 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        n = _vertex_count(n)
         rows = [0] * n
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop ({u},{v})")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        for u, v in _checked_pairs(n, edges, "edge", "self-loop"):
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, rows)
+        return _trusted_graph(n, rows)
 
     @property
     def m(self) -> int:
@@ -136,12 +148,7 @@ class Graph:
         """New graph with each listed pair's edge/non-edge status flipped."""
         n = self.n
         rows = list(self.rows)
-        for u, v in pairs:
-            u, v = _as_int(u), _as_int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"cannot toggle pair ({u},{v}): out of range for n={n}")
-            if u == v:
-                raise ValueError(f"cannot toggle self-pair ({u},{v})")
+        for u, v in _checked_pairs(n, pairs, "cannot toggle pair", "cannot toggle self-pair"):
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u
         return _trusted_graph(n, rows)
@@ -185,11 +192,7 @@ class Digraph:
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
         rows = [0] * n
-        for u, v in arcs:
-            if u == v:
-                raise ValueError(f"self-arc ({u},{v})")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u},{v}) out of range for n={n}")
+        for u, v in _checked_pairs(n, arcs, "arc", "self-arc"):
             rows[u] |= 1 << v
         return cls(n, rows)
 
@@ -559,25 +562,8 @@ def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def naive_induced_count(g: Graph, predicate, size: int) -> int:
-    """Brute-force count of `size`-subsets whose induced subgraph satisfies
-    `predicate`; the independent oracle for the counting primitives."""
-    return sum(1 for vs in combinations(range(g.n), size)
-               if predicate(induced_subgraph(g, vs)))
-
-
-def is_path_4(h: Graph) -> bool:
-    """Does a 4-vertex graph equal a path with three edges (any labeling)?"""
-    return h.n == 4 and h.m == 3 and sorted(h.degree(v) for v in range(4)) == [1, 1, 2, 2]
-
-
 def _induces_c5(rows: Sequence[int], mask: int) -> bool:
     """Do the vertices of `mask` induce a 5-cycle? Five vertices each with two
     neighbors among them are one 5-cycle (no C3 + C2 split exists)."""
     return mask.bit_count() == 5 and all((rows[v] & mask).bit_count() == 2
                                          for v in iter_bits(mask))
-
-
-def is_cycle_5(h: Graph) -> bool:
-    """Does a 5-vertex graph equal a 5-cycle (any labeling)?"""
-    return h.n == 5 and _induces_c5(h.rows, (1 << 5) - 1)

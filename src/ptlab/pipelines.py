@@ -10,10 +10,10 @@ farness lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .decomposition import DISTANCE_CAP_BOUND, DISTANCE_N_BOUND, distance_to_property
-from .gadgets import AP_EXACT_BOUND, ap3_free_set, build_c5_gadget, rs_graph
+from .gadgets import AP_EXACT_BOUND, GadgetBundle, ap3_free_set, build_c5_gadget, rs_graph
 from .graphs import Graph, _induces_c5, flip_pairs, gnp, random_cograph
 from .packing import PackingError, WitnessPacking, farness_lower_bound, random_tripartite_extract
 from .recognizers import _find_triangle, _later_masks, _order_hit, is_cograph
@@ -27,6 +27,17 @@ __all__ = [
     "sampled_c5_packing",
     "match_gnp_control",
 ]
+
+
+def _gadget_samples(f: Graph, gb: GadgetBundle, d: int, trials: int, rng: Stream
+                    ) -> Iterator[tuple[int, bool, bool]]:
+    """(mask, inner triangle-free, order check passed) for trial i of the batch
+    on `rng`: the d-vertex sample of the five-part gadget `gb` over f, whose
+    inner portion is f's, at the gadget's top f.n indices."""
+    later = _later_masks(gb.labeling)
+    for mask in _sample_masks(gb.graph.n, d, trials, rng):
+        yield (mask, _find_triangle(f.rows, mask >> 4 * f.n) is None,
+               _order_hit(gb.graph.rows, mask, later) is None)
 
 
 @dataclass(frozen=True)
@@ -111,15 +122,11 @@ def pipeline_hardness(ks: Sequence[int], d: int, trials: int, rng: Stream,
         rows.append(HardnessRow(k, "gadget", "induced-c5-free", far, d, trials,
                                 rep.rejection_rate, rep.wilson_lo, rep.wilson_hi))
 
-        later = _later_masks(gb.labeling)
         rejections = trifree = passed = 0
-        for mask in _sample_masks(gadget.n, d, trials, kstream.child(2)):
-            ok = _order_hit(gadget.rows, mask, later) is None
+        for _, inner_free, ok in _gadget_samples(f, gb, d, trials, kstream.child(2)):
             rejections += not ok
-            # the inner graph f sits at the gadget's top f.n indices
-            if _find_triangle(f.rows, mask >> 4 * f.n) is None:
-                trifree += 1
-                passed += ok
+            trifree += inner_free
+            passed += inner_free and ok
         lo, hi = wilson95(rejections, trials)
         rows.append(HardnessRow(k, "gadget", "comparability-order", far, d, trials,
                                 rejections / trials, lo, hi))

@@ -29,8 +29,6 @@ from .graphs import (
     cycle_graph,
     complete_graph,
     empty_graph,
-    is_cycle_5,
-    is_path_4,
     iter_bits,
     path_graph,
 )
@@ -139,14 +137,16 @@ def _h_core(h: Graph) -> tuple[_Core, str]:
     """The scan core deciding induced-h-freeness on (rows, mask), and its
     witness label; the one map from h to a core. The triangle (labeled as by
     `is_triangle_free`), the 5-cycle and the 4-vertex path take dedicated
-    scans, any other h of at most INDUCED_H_MAX vertices the subset scan."""
+    scans, picked by h's sorted degrees (no other graph has theirs), any
+    other h of at most INDUCED_H_MAX vertices the subset scan."""
     if not 1 <= h.n <= INDUCED_H_MAX:
         raise ValueError(f"induced-H search limited to 1 <= |V(H)| <= {INDUCED_H_MAX}, got {h.n}")
-    if h.n == 3 and h.m == 3:
+    degrees = sorted(h.degree(v) for v in range(h.n))
+    if degrees == [2, 2, 2]:
         return _find_triangle, "triangle"
-    if is_cycle_5(h):
+    if degrees == [2] * 5:
         return _find_induced_c5, "induced-cycle-5"
-    if is_path_4(h):
+    if degrees == [1, 1, 2, 2]:
         return _find_induced_p4, "induced-path-4"
     return partial(_find_induced_h, h=h), "induced-subgraph"
 

@@ -35,9 +35,6 @@ from .graphs import (
     cycle_graph,
     gnp,
     induced_subgraph,
-    is_cycle_5,
-    is_path_4,
-    naive_induced_count,
     pair_from_index,
     random_cograph,
     sample_vertices,
@@ -48,12 +45,11 @@ from .packing import (
     triangle_packing,
     tripartition_retention_samples,
 )
+from .pipelines import _gadget_samples
 from .recognizers import (
     _comparability_hit,
     _find_triangle,
-    _later_masks,
     _orientable_exhaustive,
-    _order_hit,
     _poset_hit,
     is_cograph,
     is_comparability,
@@ -103,12 +99,30 @@ def all_graphs(n: int) -> Iterator[Graph]:
             n, [pair_from_index(n, i) for i in range(pairs) if (mask >> i) & 1])
 
 
+# the brute-force pattern oracle: by size, the sorted induced degrees of K3,
+# the 4-vertex path and C5, each the only graph on its vertices with them
+_PATTERN_DEGREES = {3: [2, 2, 2], 4: [1, 1, 2, 2], 5: [2] * 5}
+
+
+def _induces(rows: Sequence[int], vs: Sequence[int]) -> bool:
+    """Do the distinct vertices vs induce K3, the 4-vertex path or C5 (by
+    len(vs))? A repeated vertex carries in the sum, leaving fewer mask bits."""
+    mask = sum(1 << v for v in vs)
+    return (mask.bit_count() == len(vs) and sorted(
+        (rows[v] & mask).bit_count() for v in vs) == _PATTERN_DEGREES.get(len(vs)))
+
+
+def _naive_count(rows: Sequence[int], k: int) -> int:
+    """How many k-subsets of the vertices induce the size-k pattern of `_induces`."""
+    return sum(_induces(rows, vs) for vs in combinations(range(len(rows)), k))
+
+
 @cache
 def _p4_census(n: int) -> tuple[tuple[Graph, int], ...]:
     """Every n-vertex graph, in `all_graphs` order, with its brute-force
     induced 4-path count: built once per process and n, and read by each
     exhaustive check, which compares its own subject on every graph."""
-    return tuple((g, naive_induced_count(g, is_path_4, 4)) for g in all_graphs(n))
+    return tuple((g, _naive_count(g.rows, 4)) for g in all_graphs(n))
 
 
 # --- graph-core ---------------------------------------------------------------
@@ -117,7 +131,7 @@ def counting_vs_naive(n: int) -> str | None:
     for g, p4 in _p4_census(n):
         if count_induced_p3(g) != p4:
             return f"p3 mismatch at rows={g.rows}"
-        if count_induced_c5(g) != naive_induced_count(g, is_cycle_5, 5):
+        if count_induced_c5(g) != _naive_count(g.rows, 5):
             return f"c5 mismatch at rows={g.rows}"
     return None
 
@@ -144,16 +158,12 @@ def triangle_incremental(stream: Stream, draws: int) -> str | None:
 
 
 def construction_rejects() -> str | None:
-    try:
-        Graph(2, [1, 0])
-        return "asymmetric accepted"
-    except ValueError:
-        pass
-    try:
-        Graph(2, [1 | 2, 1])
-        return "self-loop accepted"
-    except ValueError:
-        pass
+    for rows, what in (([1, 0], "asymmetric"), ([1 | 2, 1], "self-loop")):
+        try:
+            Graph(2, rows)
+            return f"{what} accepted"
+        except ValueError:
+            pass
     return None
 
 
@@ -232,8 +242,8 @@ def witnesses_reverify(stream: Stream) -> str | None:
     for i in range(400):
         g = gnp(7, 0.5, stream.child(i))
         checks = [
-            (is_triangle_free(g), lambda w: count_triangles(induced_subgraph(g, w)) >= 1),
-            (is_cograph(g), lambda w: is_path_4(induced_subgraph(g, w))),
+            (is_triangle_free(g), lambda w: len(w) == 3 and _induces(g.rows, w)),
+            (is_cograph(g), lambda w: len(w) == 4 and _induces(g.rows, w)),
             (is_perfect(g), lambda w: _is_odd_hole_or_antihole(g, w)),
         ]
         for res, good in checks:
@@ -277,7 +287,7 @@ def refinement_parts(stream: Stream, n: int, draws: int) -> str | None:
         if ref.edited_pairs != 0:
             return f"beta=0 edited {ref.edited_pairs}"
         for part in ref.parts:
-            if len(part) >= 2 and naive_induced_count(induced_subgraph(g, part), is_path_4, 4) == 0:
+            if len(part) >= 2 and _naive_count(induced_subgraph(g, part).rows, 4) == 0:
                 return f"draw {i}: part {part} has no induced 4-path"
     return None
 
@@ -383,8 +393,7 @@ def distance_dominates_tau(stream: Stream, draws: int) -> str | None:
 
 
 def tripartite_tau_bound() -> str | None:
-    for i in range(60):
-        k = 2 + i % 3
+    for k in (2, 3, 4):
         rb = rs_graph(k, ap3_free_set(k, "exact"))
         sizes = sorted(len(p) for p in rb.labeling.parts)
         tau = len(rb.certificate)  # maximum here: every triangle planted, disjoint
@@ -410,7 +419,7 @@ def rs_exact_triangles(max_k: int) -> str | None:
         s = ap3_free_set(k, "exact" if k <= AP_EXACT_BOUND else "behrend")
         rb = rs_graph(k, s)  # constructor audits count == k|S| and disjointness
         if k <= 6:
-            naive = naive_induced_count(rb.graph, lambda h: h.m == 3, 3)
+            naive = _naive_count(rb.graph.rows, 3)
             if naive != k * len(s):
                 return f"k={k}: naive {naive} != {k * len(s)}"
     return None
@@ -424,15 +433,12 @@ def c5_gadget_rules_and_samples(stream: Stream, k: int, d: int, trials: int) -> 
     f = rb.graph
     gb = build_c5_gadget(f, rb.labeling.relabel(("V2", "V3", "V5")),
                          rb.certificate)  # construction re-audits the 9 rules
-    later = _later_masks(gb.labeling)
     trifree = 0
-    for i, mask in enumerate(_sample_masks(gb.graph.n, d, trials, stream)):
-        if _find_triangle(f.rows, mask >> 4 * f.n) is not None:
-            continue
-        trifree += 1
-        if _order_hit(gb.graph.rows, mask, later) is not None:
+    for i, (mask, inner_free, ordered) in enumerate(_gadget_samples(f, gb, d, trials, stream)):
+        trifree += inner_free
+        if inner_free and not ordered:
             return f"trial {i}: triangle-free portion fails order transitivity"
-        if _comparability_hit(gb.graph.rows, mask) is not None:
+        if inner_free and _comparability_hit(gb.graph.rows, mask) is not None:
             return f"trial {i}: triangle-free portion not comparability"
     if not trifree:
         return f"no triangle-free sample in {trials} trials"

@@ -20,14 +20,13 @@ from ptlab.graphs import (
     count_triangles,
     cycle_graph,
     empty_graph,
-    induced_subgraph,
-    is_cycle_5,
-    naive_induced_count,
 )
 from ptlab.packing import PackingError, WitnessPacking, triangle_packing
 from ptlab.recognizers import is_poset
 from ptlab.rng import Stream
 from ptlab.verify import (
+    _induces,
+    _naive_count,
     c5_gadget_rules_and_samples,
     farness_below_distance,
     poset_gadget_samples,
@@ -116,7 +115,7 @@ def test_rs_graph_example():
     g = bundle.graph
     assert g.n == 30 and g.m == 45
     assert count_triangles(g) == 15
-    assert naive_induced_count(g, lambda h: h.m == 3, 3) == 15
+    assert _naive_count(g.rows, 3) == 15
     assert len(bundle.certificate) == 15
     assert bundle.farness == Fraction(15, 900)
 
@@ -142,10 +141,10 @@ def test_c5_gadget_single_triangle():
     g = gb.graph
     assert g.n == 15
     tup = gb.certificate.tuples[0]
-    assert is_cycle_5(induced_subgraph(g, tup))
+    assert _induces(g.rows, tup)
     # exact census: brute-force enumeration is the oracle; the construction
     # contributes one completion per (outer1, outer2) pair = 36
-    assert count_induced_c5(g) == naive_induced_count(g, is_cycle_5, 5) == 36
+    assert count_induced_c5(g) == _naive_count(g.rows, 5) == 36
     assert gb.farness == Fraction(1, 225)
 
 
@@ -163,7 +162,7 @@ def test_c5_gadget_triangle_free_inner():
     gb = build_c5_gadget(empty_graph(3), lab)
     assert len(gb.certificate) == 0
     # no planted-shape copies: every induced C5 would need the inner triangle
-    assert count_induced_c5(gb.graph) == naive_induced_count(gb.graph, is_cycle_5, 5)
+    assert count_induced_c5(gb.graph) == _naive_count(gb.graph.rows, 5)
 
 
 def test_c5_gadget_rejects_bad_inner():

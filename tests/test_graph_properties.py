@@ -1,8 +1,8 @@
-"""Property tests for graphs derived without re-validation.
+"""Property tests for graphs built without re-validation.
 
-`induced_subgraph`, `complement`, `with_toggled`, cut refinement and
-tripartite extraction build their results through the trusted constructor,
-which skips `Graph.__init__`'s check.
+`from_edges` and `with_toggled` (from checked pairs), `induced_subgraph`,
+`complement`, cut refinement and tripartite extraction build their results
+through the trusted constructor, which skips `Graph.__init__`'s check.
 These tests rebuild every derived graph through the validating constructor
 and check the algebraic laws the derivations must obey.
 """
@@ -52,11 +52,16 @@ def _revalidate(h: Graph) -> None:
     assert again == h and again.m == h.m == len(list(h.edges()))
 
 
+def _from_reversed_and_repeated(g: Graph) -> Graph:
+    edges = list(g.edges())
+    return Graph.from_edges(g.n, [(v, u) for u, v in reversed(edges)] + edges)
+
+
 @given(derivation_cases())
 def test_derived_graphs_pass_validation(case):
     g, subset, pairs, beta, assign = case
     tripartite, _ = _apply_tripartition(g, assign, WitnessPacking("triangle", (), g.n))
-    for h in (induced_subgraph(g, subset), complement(g), g.with_toggled(pairs),
+    for h in (g, _from_reversed_and_repeated(g), induced_subgraph(g, subset), complement(g), g.with_toggled(pairs),
               refine_along_cuts(g, beta).modified_graph, tripartite):
         _revalidate(h)
 
@@ -78,6 +83,11 @@ def test_toggle_laws(case):
     for u, v in pairs:
         flips = sum(1 for p in pairs if set(p) == {u, v})
         assert h.has_edge(u, v) == (g.has_edge(u, v) != (flips % 2 == 1))
+
+
+@given(small_graphs())
+def test_from_edges_ignores_pair_order_and_repeats(g):
+    assert _from_reversed_and_repeated(g) == g
 
 
 @given(small_graphs(max_n=14))

@@ -19,17 +19,14 @@ from ptlab.graphs import (
     flip_pairs,
     gnp,
     induced_subgraph,
-    is_cycle_5,
-    is_path_4,
     iter_bits,
-    naive_induced_count,
     pair_count,
     pair_from_index,
     path_graph,
     sample_vertices,
 )
 from ptlab.rng import Stream
-from ptlab.verify import _p4_census, cograph_generator, sampling_uniform
+from ptlab.verify import _induces, _naive_count, _p4_census, cograph_generator, sampling_uniform
 
 
 def test_complement_examples():
@@ -45,7 +42,7 @@ def test_complement_examples():
 def test_induced_subgraph_examples():
     c5 = cycle_graph(5)
     sub = induced_subgraph(c5, {0, 1, 2, 3})
-    assert sub.m == 3 and is_path_4(sub)
+    assert sub.m == 3 and _induces(sub.rows, range(4))
     assert induced_subgraph(c5, set()).n == 0
     assert induced_subgraph(complete_graph(5), (0, 2, 4)) == complete_graph(3)
     with pytest.raises(ValueError):
@@ -75,9 +72,9 @@ def test_counts_match_naive_enumeration():
     rng = Stream(7)
     for i in range(40):
         g = gnp(7, 0.45, rng.child(i))
-        assert count_induced_p3(g) == naive_induced_count(g, is_path_4, 4)
-        assert count_induced_c5(g) == naive_induced_count(g, is_cycle_5, 5)
-        assert count_triangles(g) == naive_induced_count(g, lambda h: h.m == 3, 3)
+        assert count_induced_p3(g) == _naive_count(g.rows, 4)
+        assert count_induced_c5(g) == _naive_count(g.rows, 5)
+        assert count_triangles(g) == _naive_count(g.rows, 3)
 
 
 def test_induced_commutes_with_complement():
@@ -135,6 +132,35 @@ def test_toggle_out_of_range_is_refused(pair):
         path_graph(4).with_toggled([pair])
     with pytest.raises(ValueError, match="self-pair"):
         path_graph(4).with_toggled([(2, 2)])
+
+
+def test_pair_readers_take_numpy_integers():
+    # 1 << np.int64(65) overflows: the readers must shift plain ints
+    pair = (np.int64(0), np.int64(65))
+    g, d = Graph.from_edges(70, [pair]), Digraph.from_arcs(70, [pair])
+    assert g.m == 1 and g.has_edge(0, 65) and g.has_edge(65, 0)
+    assert d.m == 1 and d.has_arc(0, 65)
+    assert all(type(r) is int for r in (*g.rows, *d.rows))
+    assert Graph(g.n, g.rows) == g
+
+
+@pytest.mark.parametrize("pair", [(True, 2), (0.5, 2)])
+def test_pair_readers_refuse_non_integer_endpoints(pair):
+    for read in (lambda: Graph.from_edges(3, [pair]), lambda: Digraph.from_arcs(3, [pair]),
+                 lambda: empty_graph(3).with_toggled([pair])):
+        with pytest.raises(TypeError):
+            read()
+
+
+def test_from_edges_reads_its_vertex_count():
+    # the trusted result must never hold an unchecked n
+    with pytest.raises(ValueError, match="vertex count"):
+        Graph.from_edges(-1, [])
+    for n in (True, 3.0):
+        with pytest.raises(TypeError):
+            Graph.from_edges(n, [])
+    g = Graph.from_edges(np.int64(3), [(0, 1), (1, 0), (0, 1)])
+    assert type(g.n) is int and g == Graph(3, [2, 1, 0])
 
 
 def test_toggle_takes_numpy_integers():
@@ -317,7 +343,7 @@ def _delta_mismatches(delta, cases, count):
 
 
 def _naive_p4_count(g):
-    return naive_induced_count(g, is_path_4, 4)
+    return _naive_count(g.rows, 4)
 
 
 # 10 sizes x 80 hosts x 4 toggles = 3,200 toggles, half edges, half non-edges
@@ -345,7 +371,7 @@ def _distance_two_p4s(g, u, v):
         g = g.with_toggled([(u, v)])
     rest = [w for w in range(g.n) if w not in (u, v)]
     return sum(1 for i, x in enumerate(rest) for y in rest[i + 1:]
-               if is_path_4(induced_subgraph(g, (u, v, x, y)))
+               if _induces(g.rows, (u, v, x, y))
                and any(g.has_edge(u, w) and g.has_edge(v, w) for w in (x, y)))
 
 

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -16,9 +16,7 @@ from ptlab.graphs import (
     empty_graph,
     gnp,
     induced_subgraph,
-    is_path_4,
     iter_bits,
-    naive_induced_count,
     path_graph,
     random_cograph,
 )
@@ -35,7 +33,7 @@ from ptlab.recognizers import (
     property_recognizer,
 )
 from ptlab.rng import Stream
-from ptlab.verify import all_graphs, forcing_vs_exhaustive, seinsche_equivalence
+from ptlab.verify import _induces, all_graphs, forcing_vs_exhaustive, seinsche_equivalence
 
 
 # --- independent oracles ------------------------------------------------------
@@ -157,8 +155,27 @@ def test_induced_h_free_matches_enumeration():
                 return any(all(h.has_edge(a, b) == sub.has_edge(p[a], p[b])
                                for a in range(h.n) for b in range(a + 1, h.n))
                            for p in permutations(range(h.n)))
-            expect = naive_induced_count(g, iso_to_h, h.n) == 0
+            expect = not any(iso_to_h(induced_subgraph(g, vs))
+                             for vs in combinations(range(g.n), h.n))
             assert is_induced_h_free(g, h).member == expect, (i, h)
+
+
+def _isomorphic(g, h):
+    """Is g a relabeling of h? Decided by trying every vertex permutation."""
+    return g.n == h.n and any(
+        all(g.has_edge(p[a], p[b]) == h.has_edge(a, b)
+            for a in range(h.n) for b in range(a + 1, h.n))
+        for p in permutations(range(h.n)))
+
+
+def test_h_core_takes_a_dedicated_scan_exactly_for_its_graph():
+    dedicated = [(complete_graph(3), R._find_triangle), (path_graph(4), R._find_induced_p4),
+                 (cycle_graph(5), R._find_induced_c5)]
+    for n in range(1, 7):
+        for h in all_graphs(n):
+            core, _ = R._h_core(h)
+            for target, scan in dedicated:
+                assert (core is scan) == _isomorphic(h, target), (h.rows, scan.__name__)
 
 
 def test_gadget_c5_witness_shape():
@@ -206,14 +223,14 @@ def test_cograph_witness_reverifies():
         g = gnp(8, 0.5, rng.child(i))
         res = is_cograph(g)
         if not res.member:
-            assert is_path_4(induced_subgraph(g, res.witness))
+            assert _induces(g.rows, res.witness)
     non_cographs = 0
     for g in all_graphs(6):
         res = is_cograph(g)
         if not res.member:
             non_cographs += 1
             assert res.label == "induced-path-4"
-            assert is_path_4(induced_subgraph(g, res.witness)), (g.rows, res.witness)
+            assert _induces(g.rows, res.witness), (g.rows, res.witness)
     # 2^15 labeled graphs minus the 5504 labeled cographs on 6 vertices
     assert non_cographs == 32768 - 5504
 

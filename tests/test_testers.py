@@ -13,8 +13,6 @@ from ptlab.graphs import (
     complete_graph,
     cycle_graph,
     gnp,
-    induced_subgraph,
-    is_path_4,
     path_graph,
     random_cograph,
 )
@@ -31,7 +29,7 @@ from ptlab.testers import (
     universal_tester,
     wilson95,
 )
-from ptlab.verify import binomial_consistency, budget_accounting
+from ptlab.verify import _induces, binomial_consistency, budget_accounting
 
 
 def test_one_sidedness():
@@ -72,7 +70,7 @@ def test_density_witnesses_reverify():
             if not v.accepted:
                 paths += 1
                 assert list(v.witness) == sorted(set(v.witness))
-                assert is_path_4(induced_subgraph(g, v.witness)), (g.rows, v.witness)
+                assert _induces(g.rows, v.witness), (g.rows, v.witness)
         assert 0 < triangles < 300 and 0 < paths < 300, (p, triangles, paths)
 
 
@@ -111,8 +109,7 @@ def _one_draw_per_tuple(g, k, t, rng):
             tup = tuple(int(v) for v in gen.integers(0, g.n, size=k))
             if len(set(tup)) == k:
                 break
-        h = induced_subgraph(g, tup)
-        if (h.m == 3) if k == 3 else is_path_4(h):
+        if _induces(g.rows, tup):
             return tuple(sorted(tup))
     return None
 

@@ -3,11 +3,14 @@ from dataclasses import replace
 
 import pytest
 
+import ptlab.pipelines as pipelines
+import ptlab.recognizers as R
 import ptlab.verify as verify
 from ptlab.cli import build_parser
 from ptlab.packing import WitnessPacking, triangle_packing
 from ptlab.recognizers import RecognitionResult, is_comparability
 from ptlab.rng import Stream
+from ptlab.testers import _sample_masks
 from ptlab.verify import SUITE_NAMES, SUITES, run_suite
 
 # direct calls at small sizes, on the suites' own streams, of the checks no
@@ -121,9 +124,38 @@ def test_fault_injection_breaks_far_graphs_have_p3(monkeypatch):
 def test_fault_injection_breaks_gadget_mechanism(monkeypatch):
     # with every sample counted as holding a triangle, the mechanism check
     # has nothing to test and must say so instead of passing
-    monkeypatch.setattr(verify, "_find_triangle", lambda rows, mask: (0, 1, 2))
+    monkeypatch.setattr(pipelines, "_find_triangle", lambda rows, mask: (0, 1, 2))
     detail = verify.c5_gadget_rules_and_samples(Stream(0, (5,)).child(1), 5, 12, 20)
     assert detail and "no triangle-free sample" in detail
+
+
+def test_fault_injection_gadget_samples_reading_the_v4_block(monkeypatch):
+    # the shared sample generator with the inner portion read from the V4
+    # block, two blocks below f's own top f.n indices
+    def v4_block(f, gb, d, trials, rng):
+        later = R._later_masks(gb.labeling)
+        for mask in _sample_masks(gb.graph.n, d, trials, rng):
+            inner = (mask >> 2 * f.n) & ((1 << f.n) - 1)
+            yield (mask, R._find_triangle(f.rows, inner) is None,
+                   R._order_hit(gb.graph.rows, mask, later) is None)
+
+    stream = Stream(0, (5,)).child(1)  # the gadgets suite's entry at seed 0
+    assert verify.c5_gadget_rules_and_samples(stream, 5, 12, 1000) is None
+    monkeypatch.setattr(verify, "_gadget_samples", v4_block)
+    detail = verify.c5_gadget_rules_and_samples(stream, 5, 12, 1000)
+    assert detail and detail.startswith("trial "), detail
+
+
+def test_fault_injection_pattern_oracle_with_claw_degrees(monkeypatch):
+    # the oracle's 4-vertex path degrees swapped for the claw's: the census
+    # counts claws, so the induced-4-path counter must disagree with it
+    verify._p4_census.cache_clear()
+    monkeypatch.setitem(verify._PATTERN_DEGREES, 4, [1, 1, 1, 3])
+    try:
+        detail = verify.counting_vs_naive(5)
+    finally:
+        verify._p4_census.cache_clear()  # drop the broken census
+    assert detail and detail.startswith("p3 mismatch"), detail
 
 
 def test_check_lines_carry_durations():
