@@ -482,6 +482,7 @@ def pair_from_index(n: int, idx: int) -> tuple[int, int]:
 
 def gnp(n: int, p: float, rng: Stream) -> Graph:
     """Erdos-Renyi G(n, p): each pair independently an edge with probability p."""
+    n = _vertex_count(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0,1], got {p}")
     if p == 0.0:
@@ -497,7 +498,7 @@ def gnp(n: int, p: float, rng: Stream) -> Graph:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
             idx += 1
-    return Graph(n, rows)
+    return _trusted_graph(n, rows)
 
 
 def random_cograph(n: int, rng: Stream) -> Graph:

@@ -17,6 +17,14 @@ tuples of distinct vertices. Bounded draws take the generator's words in
 order whatever the block shape, so a trial tests the same tuples, in the
 same order, as one draw per tuple would. Each tuple is tested on the
 adjacency rows directly, with no induced subgraph built.
+
+`estimate_detection` decides density batches without that loop, with the
+same counts: each trial's raw words come from its trial stream in one
+draw, are turned into the values its `integers` draws would give (Lemire's
+method on 32-bit halves), and all the trials' tuples are decided at once
+in numpy on the host's pair codes. A trial the words cannot settle (a
+rejected half among them, or too few distinct tuples and no hit) runs on
+its own through `run_tester`, which stays the single-trial API.
 """
 
 from __future__ import annotations
@@ -25,9 +33,12 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Iterator
 
-from .graphs import Graph, count_triangles, sample_vertices
+import numpy as np
+
+from .graphs import Graph, _as_int, count_triangles, sample_vertices
 from .recognizers import _find_triangle, _resolve
 from .rng import _MAX_TRIALS, Stream, _trial_streams
 
@@ -51,6 +62,8 @@ DEFAULT_BUDGET_CAP = 1 << 14
 _DESK_BUDGET = 10 ** 9
 # most tuples one draw makes for a density tester
 _BLOCK = 256
+# most raw words one chunk of a batched density decision holds (8 bytes each)
+_CHUNK_WORDS = 1 << 14
 # the detection probability the minimal-budget search asks for
 _TARGET = 2 / 3
 
@@ -84,6 +97,10 @@ class TesterConfig:
     property_name: str | None = None
 
     def __post_init__(self):
+        # budgets as plain ints, read as `Graph` reads vertex counts
+        for budget in ("d", "t"):
+            if getattr(self, budget) is not None:
+                object.__setattr__(self, budget, _as_int(getattr(self, budget)))
         if self.kind == "universal":
             if self.d is None or self.d < 0:
                 raise ValueError("universal tester needs d >= 0")
@@ -213,10 +230,112 @@ def _sample_masks(n: int, d: int, trials: int, rng: Stream) -> Iterator[int]:
         yield sum(1 << v for v in sample_vertices(n, d, trial))
 
 
-def _count_rejections(g: Graph, config: TesterConfig, rng: Stream,
+def _lemire_values(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values `Generator.integers(0, n)` makes of raw 64-bit words, for
+    2 <= n <= 2**32, and which of them it rejects.
+
+    It reads each word's low 32-bit half, then its high half. A half h gives
+    (h * n) >> 32 and is rejected, and the next half read instead, when
+    (h * n) mod 2**32 < 2**32 mod n (Lemire's method). So the values not
+    rejected, in order, are the draws `integers` makes of the same words.
+    """
+    # little-endian words viewed as 32-bit halves: each low half, then its high one
+    scaled = np.asarray(words, "<u8").view("<u4").astype(np.uint64) * n
+    return scaled >> 32, (scaled & 0xFFFFFFFF) < (1 << 32) % n
+
+
+def _verdict_table(k: int) -> np.ndarray:
+    """The verdict on a k-tuple by its pair code.
+
+    The code reads the tuple's position pairs, in `combinations` order, as
+    base-3 digits, the first pair most significant: 2 if both positions hold
+    one vertex, else the pair's adjacency bit. The entry is -1 for a repeated
+    vertex, 1 for three edges with every induced degree 1 or 2 (a triangle
+    for k = 3, an induced 4-path for k = 4), and 0 otherwise.
+    """
+    pairs = list(combinations(range(k), 2))
+    table = []
+    for digits in product(range(3), repeat=len(pairs)):  # in code order
+        if 2 in digits:
+            table.append(-1)
+        else:
+            degrees = [sum(d for d, pair in zip(digits, pairs) if v in pair) for v in range(k)]
+            table.append(int(sum(digits) == 3 and all(1 <= deg <= 2 for deg in degrees)))
+    return np.array(table, np.int8)
+
+
+_VERDICTS = {k: _verdict_table(k) for k in (3, 4)}
+
+
+def _density_rejections(g: Graph, config: TesterConfig, rng: Stream,
+                        lo: int, hi: int) -> int:
+    """Rejections of density trials lo..hi-1 of the batch on `rng`, decided
+    together in numpy with the verdicts `run_tester` gives.
+
+    Each trial takes `width` raw words from its trial stream in one draw, a
+    multiple of 4 sized so its tuples are expected to hold the t distinct
+    ones with about three standard deviations to spare. `_lemire_values`
+    turns them into the values the trial's `integers` draws would give, and
+    consecutive k of them form the tuples `_distinct_tuples` yields, since
+    its blocks end on tuple boundaries. A trial rejects iff one of its first
+    t distinct tuples hits (`_verdict_table`). A trial whose used words hold
+    a rejected half, or whose tuples hold fewer than t distinct ones and no
+    hit, is run by `run_tester` on its own trial stream. Hosts the tester
+    refuses, and batches whose words or pair codes would not fit
+    `_CHUNK_WORDS` words, run trial by trial.
+    """
+    n, t = g.n, config.t
+    k = 3 if config.kind == "triple-density" else 4
+    if n < k:  # the tester refuses the host
+        return _trial_rejections(g, config, rng, lo, hi)
+    share = math.perm(n, k) / n ** k
+    tuples = math.ceil((t + 3 * math.sqrt(t * (1 - share)) + 2) / share)
+    width = -(-k * tuples // 8) * 4
+    if width > _CHUNK_WORDS or n * n > 8 * _CHUNK_WORDS:
+        return _trial_rejections(g, config, rng, lo, hi)
+    tuples = 2 * width // k  # every whole tuple the words hold
+    nbytes = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in g.rows), np.uint8)
+    pair_codes = np.unpackbits(packed.reshape(n, nbytes), axis=1, count=n, bitorder="little")
+    np.fill_diagonal(pair_codes, 2)
+    pair_codes = pair_codes.ravel()
+    table = _VERDICTS[k]
+    rejections = 0
+    step = _CHUNK_WORDS // width
+    for start in range(lo, hi, step):
+        stop = min(start + step, hi)
+        words = np.empty((stop - start, width), np.uint64)
+        for j, trial in enumerate(_trial_streams(rng, start, stop)):
+            words[j] = trial.gen.bit_generator.random_raw(width)
+        values, rejected = _lemire_values(words, n)
+        # vertex at position i of each trial's tuples, as one (trials, tuples) array per i
+        at = (values[:, :k * tuples].reshape(-1, tuples, k).transpose(2, 0, 1)
+              .astype(np.intp, order="C"))
+        code = np.zeros(at.shape[1:], np.int16)
+        for i, j in combinations(range(k), 2):
+            code *= 3
+            code += pair_codes.take(at[i] * n + at[j])
+        verdicts = table.take(code)
+        rank = np.cumsum(verdicts >= 0, axis=1)
+        rejects = ((verdicts == 1) & (rank <= t)).any(axis=1)
+        unsettled = rejected[:, :k * tuples].any(axis=1) | (~rejects & (rank[:, -1] < t))
+        rejections += int(np.count_nonzero(rejects & ~unsettled))
+        for i in np.flatnonzero(unsettled).tolist():
+            rejections += _trial_rejections(g, config, rng, start + i, start + i + 1)
+    return rejections
+
+
+def _trial_rejections(g: Graph, config: TesterConfig, rng: Stream,
                       lo: int, hi: int) -> int:
     return sum(not run_tester(g, config, trial).accepted
                for trial in _trial_streams(rng, lo, hi))
+
+
+def _count_rejections(g: Graph, config: TesterConfig, rng: Stream,
+                      lo: int, hi: int) -> int:
+    if config.kind == "universal":
+        return _trial_rejections(g, config, rng, lo, hi)
+    return _density_rejections(g, config, rng, lo, hi)
 
 
 def _rejection_chunk(args) -> int:
@@ -234,6 +353,7 @@ def estimate_detection(g: Graph, config: TesterConfig, trials: int,
     thread) the trials are split into `threads` chunks, run by at most
     os.cpu_count() worker processes. At most 2**64 - 1 trials fit the layout.
     """
+    trials = _as_int(trials)
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"need 1 <= trials <= {_MAX_TRIALS}, got {trials}")
     if threads <= 1 or trials < 4 * threads:

@@ -1,8 +1,8 @@
 """Property tests for graphs built without re-validation.
 
 `from_edges` and `with_toggled` (from checked pairs), `induced_subgraph`,
-`complement`, cut refinement and tripartite extraction build their results
-through the trusted constructor, which skips `Graph.__init__`'s check.
+`complement`, cut refinement, tripartite extraction and `gnp` build their
+results through the trusted constructor, which skips `Graph.__init__`'s check.
 These tests rebuild every derived graph through the validating constructor
 and check the algebraic laws the derivations must obey.
 """
@@ -21,6 +21,7 @@ from ptlab.decomposition import refine_along_cuts
 from ptlab.graph_io import read_graph, write_graph
 from ptlab.graphs import Graph, complement, induced_subgraph
 from ptlab.packing import WitnessPacking, _apply_tripartition
+from ptlab.rng import Stream
 
 
 @st.composite
@@ -62,7 +63,8 @@ def test_derived_graphs_pass_validation(case):
     g, subset, pairs, beta, assign = case
     tripartite, _ = _apply_tripartition(g, assign, WitnessPacking("triangle", (), g.n))
     for h in (g, _from_reversed_and_repeated(g), induced_subgraph(g, subset), complement(g), g.with_toggled(pairs),
-              refine_along_cuts(g, beta).modified_graph, tripartite):
+              refine_along_cuts(g, beta).modified_graph, tripartite,
+              *(graphs.gnp(g.n, p, Stream(len(pairs), (g.n,))) for p in (0.3, 0.7))):
         _revalidate(h)
 
 

@@ -192,6 +192,13 @@ def test_gnp_edge_cases():
     assert gnp(6, 1.0, rng.child(1)) == complete_graph(6)
     with pytest.raises(ValueError):
         gnp(5, 1.5, rng.child(2))
+    # the vertex count is read before any draw, as `Graph` reads it
+    with pytest.raises(ValueError):
+        gnp(-1, 0.5, rng.child(3))
+    for bad in (True, 6.0, "6"):
+        with pytest.raises(TypeError):
+            gnp(bad, 0.5, rng.child(4))
+    assert gnp(np.int64(6), 0.5, rng.child(5)) == gnp(6, 0.5, rng.child(5))
 
 
 def test_random_cograph_always_recognized():

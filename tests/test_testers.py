@@ -1,12 +1,15 @@
 import concurrent.futures
+import dataclasses
 import math
 import os
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ptlab.recognizers as R
+import ptlab.testers as T
 from ptlab.gadgets import ap3_free_set, build_c5_gadget, rs_graph
 from ptlab.graphs import (
     Graph,
@@ -16,7 +19,7 @@ from ptlab.graphs import (
     path_graph,
     random_cograph,
 )
-from ptlab.rng import Stream
+from ptlab.rng import Stream, _trial_streams
 from ptlab.testers import (
     _BLOCK,
     TesterConfig,
@@ -24,6 +27,7 @@ from ptlab.testers import (
     estimate_detection,
     induced_p3_tester,
     min_budget_for_detection,
+    run_tester,
     theoretical_sample_counts,
     triangle_tester,
     universal_tester,
@@ -128,6 +132,137 @@ def test_density_verdicts_match_one_draw_per_tuple():
                     _one_draw_per_tuple(g, 3, t, s.child(0))
                 assert induced_p3_tester(g, t, s.child(1)).witness == \
                     _one_draw_per_tuple(g, 4, t, s.child(1))
+
+
+def _per_trial_rejections(g, config, trials, rng):
+    """The reference count: every trial run by `run_tester` on its own
+    trial stream, as the batch's trial layout defines it."""
+    return sum(not run_tester(g, config, s).accepted for s in _trial_streams(rng, 0, trials))
+
+
+DENSITY_HOSTS = {
+    "K3": lambda: complete_graph(3),
+    "C4": lambda: cycle_graph(4),
+    "P4": lambda: path_graph(4),
+    "C5": lambda: cycle_graph(5),
+    "K9": lambda: complete_graph(9),
+    "gnp40": lambda: gnp(40, 0.1, Stream(151)),
+    "rs12": lambda: rs_graph(12, ap3_free_set(12, "exact")).graph,
+}
+
+
+@pytest.mark.parametrize("host", sorted(DENSITY_HOSTS))
+def test_batched_density_counts_match_per_trial_reference(host, monkeypatch):
+    g = DENSITY_HOSTS[host]()
+    kinds = [kind for kind, k in (("triple-density", 3), ("quadruple-density", 4)) if g.n >= k]
+    fallbacks = []
+    monkeypatch.setattr(T, "run_tester", lambda *args: fallbacks.append(1) or run_tester(*args))
+    for j, kind in enumerate(kinds):
+        for t in (1, 7, 300):
+            config = TesterConfig(kind, t=t)
+            rng = Stream(157, (j, t))
+            trials = {1: 2000, 7: 300, 300: 60 if g.n == 4 else 200}[t]
+            expected = _per_trial_rejections(g, config, trials, rng)
+            assert estimate_detection(g, config, trials, rng).rejections == expected, \
+                (host, kind, t)
+            if t == 7:
+                rep = estimate_detection(g, config, trials, rng, threads=2)
+                assert rep.rejections == expected, (host, kind, t, "threads=2")
+    if host in ("K3", "C4", "P4"):  # at n = k most tuples repeat a vertex: some trials run alone
+        assert fallbacks
+
+
+def test_batch_spanning_several_chunks_matches_reference(monkeypatch):
+    g = rs_graph(12, ap3_free_set(12, "exact")).graph
+    real = T._lemire_values
+    chunks = []
+    monkeypatch.setattr(T, "_lemire_values", lambda words, n: chunks.append(len(words)) or
+                        real(words, n))
+    for kind in ("triple-density", "quadruple-density"):
+        config = TesterConfig(kind, t=7)
+        chunks.clear()
+        rep = estimate_detection(g, config, 3000, Stream(163))
+        assert len(chunks) > 1 and sum(chunks) == 3000
+        assert rep.rejections == _per_trial_rejections(g, config, 3000, Stream(163))
+
+
+def test_trial_with_a_rejected_half_runs_alone(monkeypatch):
+    # small hosts all but never see a rejected half, so flag the first half
+    # of every third trial as rejected and change its value: the batch must
+    # send those trials to `run_tester` and still count exactly
+    real = T._lemire_values
+
+    def flag_first_halves(words, n):
+        values, rejected = real(words, n)
+        values[::3, 0] = (values[::3, 0] + 1) % n
+        rejected[::3, 0] = True
+        return values, rejected
+
+    monkeypatch.setattr(T, "_lemire_values", flag_first_halves)
+    g = gnp(12, 0.5, Stream(173))
+    fallbacks = []
+    monkeypatch.setattr(T, "run_tester", lambda *args: fallbacks.append(1) or run_tester(*args))
+    for kind in ("triple-density", "quadruple-density"):
+        config = TesterConfig(kind, t=3)
+        fallbacks.clear()
+        rep = estimate_detection(g, config, 90, Stream(179))
+        assert rep.rejections == _per_trial_rejections(g, config, 90, Stream(179))
+        assert len(fallbacks) >= 30
+
+
+@pytest.mark.parametrize("n", [3, 5, 72, 1000, 3 << 30, (1 << 31) + 1])
+def test_lemire_values_are_the_integers_draws(n):
+    # several consecutive calls, odd sizes among them: a call that ends on
+    # a word's low half leaves its high half to the next call
+    sizes = (1, 2, 7, 64, 5, 33)
+    gen = Stream(167, (n,)).gen
+    expected = np.concatenate([gen.integers(0, n, size=c) for c in sizes])
+    words = Stream(167, (n,)).gen.bit_generator.random_raw(2 * len(expected))
+    values, rejected = T._lemire_values(words.reshape(4, -1), n)
+    assert values.shape == rejected.shape == (4, len(expected))
+    kept = values.ravel()[~rejected.ravel()]
+    assert kept[:len(expected)].tolist() == expected.tolist()
+    # about a quarter of all halves are rejected at 3 * 2**30, about half at
+    # 2**31 + 1, and (almost) none at small n
+    share = (1 << 32) % n / (1 << 32)
+    assert abs(rejected.mean() - share) < 0.15
+
+
+def test_fault_injection_lemire_without_rejection_is_caught(monkeypatch):
+    real = T._lemire_values
+    monkeypatch.setattr(T, "_lemire_values",
+                        lambda words, n: (real(words, n)[0], np.zeros(2 * np.size(words), bool)
+                                          .reshape(*np.shape(words)[:-1], -1)))
+    with pytest.raises(AssertionError):
+        test_lemire_values_are_the_integers_draws(3 << 30)
+
+
+def test_fault_injection_kernel_counting_one_tuple_too_many_is_caught(monkeypatch):
+    real = T._density_rejections
+    monkeypatch.setattr(T, "_density_rejections", lambda g, config, *rest:
+                        real(g, dataclasses.replace(config, t=config.t + 1), *rest))
+    with pytest.raises(AssertionError):
+        test_batched_density_counts_match_per_trial_reference("gnp40", monkeypatch)
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, 3.0, "3"])
+def test_budgets_and_trials_must_be_integers(bad):
+    with pytest.raises(TypeError):
+        TesterConfig("triple-density", t=bad)
+    with pytest.raises(TypeError):
+        TesterConfig("universal", d=bad, property_name="cograph")
+    with pytest.raises(TypeError):
+        estimate_detection(cycle_graph(5), TesterConfig("triple-density", t=1), bad, Stream(1))
+
+
+def test_budgets_and_trials_take_numpy_integers():
+    g = cycle_graph(5)
+    config = TesterConfig("quadruple-density", t=np.int64(2))
+    assert type(config.t) is int and config == TesterConfig("quadruple-density", t=2)
+    universal = TesterConfig("universal", d=np.int32(4), property_name="cograph")
+    assert type(universal.d) is int and universal.queries_per_trial() == 6
+    rep = estimate_detection(g, config, np.int64(40), Stream(1))
+    assert type(rep.trials) is int and rep == estimate_detection(g, config, 40, Stream(1))
 
 
 def test_c5_and_k3_reject_every_trial():
