@@ -255,39 +255,6 @@ def _comparability_hit(rows: Sequence[int], mask: int) -> tuple[int, ...] | None
     return conflict or _verify_transitive(out, mask)
 
 
-def _orientable_exhaustive(g: Graph) -> bool:
-    """Complete backtracking over edge orientations with sound pruning."""
-    adj = g.rows
-    edges = list(g.edges())
-    out = [0] * g.n
-    inn = [0] * g.n
-
-    def can_add(x: int, y: int) -> bool:
-        for z in iter_bits(out[y]):
-            if not (adj[x] >> z) & 1 or (out[z] >> x) & 1:
-                return False
-        for w in iter_bits(inn[x]):
-            if not (adj[w] >> y) & 1 or (out[y] >> w) & 1:
-                return False
-        return True
-
-    def rec(i: int) -> bool:
-        if i == len(edges):
-            return True
-        u, v = edges[i]
-        for x, y in ((u, v), (v, u)):
-            if can_add(x, y):
-                out[x] |= 1 << y
-                inn[y] |= 1 << x
-                if rec(i + 1):
-                    return True
-                out[x] &= ~(1 << y)
-                inn[y] &= ~(1 << x)
-        return False
-
-    return rec(0)
-
-
 def _minimal_failing_subset(core: _Core, rows: Sequence[int], mask: int) -> tuple[int, ...]:
     """Greedy vertex deletion from `mask` to a minimal set the core still hits.
 
@@ -307,8 +274,8 @@ def is_comparability(g: Graph) -> RecognitionResult:
     """Does g admit a transitive orientation?
 
     Implication-class forcing, then a transitivity check of the full
-    orientation; `_orientable_exhaustive` is its test oracle. A negative
-    answer's witness is a minimal non-orientable induced subgraph.
+    orientation; `oracles.transitively_orientable` is its test oracle. A
+    negative answer's witness is a minimal non-orientable induced subgraph.
     """
     full = (1 << g.n) - 1
     if _comparability_hit(g.rows, full) is None:

@@ -22,20 +22,19 @@ from functools import cache, partial
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
+from . import oracles
 from .decomposition import AboveCap, distance_to_property, find_cut, refine_along_cuts
 from .gadgets import AP_EXACT_BOUND, ap3_free_set, build_c5_gadget, build_poset_gadget, rs_graph
 from .graphs import (
     Graph,
     PartLabeling,
     complement,
-    component,
     count_induced_c5,
     count_induced_p3,
     count_triangles,
     cycle_graph,
     gnp,
     induced_subgraph,
-    pair_from_index,
     random_cograph,
     sample_vertices,
 )
@@ -49,7 +48,6 @@ from .pipelines import _gadget_samples
 from .recognizers import (
     _comparability_hit,
     _find_triangle,
-    _orientable_exhaustive,
     _poset_hit,
     is_cograph,
     is_comparability,
@@ -92,29 +90,8 @@ def _check(suite: str, checks: Sequence[tuple[str, Callable[[], str | None]]]
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled graph on n vertices, one per edge mask."""
-    pairs = n * (n - 1) // 2
-    for mask in range(1 << pairs):
-        yield Graph.from_edges(
-            n, [pair_from_index(n, i) for i in range(pairs) if (mask >> i) & 1])
-
-
-# the brute-force pattern oracle: by size, the sorted induced degrees of K3,
-# the 4-vertex path and C5, each the only graph on its vertices with them
-_PATTERN_DEGREES = {3: [2, 2, 2], 4: [1, 1, 2, 2], 5: [2] * 5}
-
-
-def _induces(rows: Sequence[int], vs: Sequence[int]) -> bool:
-    """Do the distinct vertices vs induce K3, the 4-vertex path or C5 (by
-    len(vs))? A repeated vertex carries in the sum, leaving fewer mask bits."""
-    mask = sum(1 << v for v in vs)
-    return (mask.bit_count() == len(vs) and sorted(
-        (rows[v] & mask).bit_count() for v in vs) == _PATTERN_DEGREES.get(len(vs)))
-
-
-def _naive_count(rows: Sequence[int], k: int) -> int:
-    """How many k-subsets of the vertices induce the size-k pattern of `_induces`."""
-    return sum(_induces(rows, vs) for vs in combinations(range(len(rows)), k))
+    """Every labeled graph on n vertices, in `oracles.labeled_graphs` order."""
+    return (Graph(n, rows) for rows in oracles.labeled_graphs(n))
 
 
 @cache
@@ -122,7 +99,7 @@ def _p4_census(n: int) -> tuple[tuple[Graph, int], ...]:
     """Every n-vertex graph, in `all_graphs` order, with its brute-force
     induced 4-path count: built once per process and n, and read by each
     exhaustive check, which compares its own subject on every graph."""
-    return tuple((g, _naive_count(g.rows, 4)) for g in all_graphs(n))
+    return tuple((g, len(oracles.induced_sets(g.rows, range(n), 4))) for g in all_graphs(n))
 
 
 # --- graph-core ---------------------------------------------------------------
@@ -131,7 +108,7 @@ def counting_vs_naive(n: int) -> str | None:
     for g, p4 in _p4_census(n):
         if count_induced_p3(g) != p4:
             return f"p3 mismatch at rows={g.rows}"
-        if count_induced_c5(g) != _naive_count(g.rows, 5):
+        if count_induced_c5(g) != len(oracles.induced_sets(g.rows, range(n), 5)):
             return f"c5 mismatch at rows={g.rows}"
     return None
 
@@ -192,22 +169,21 @@ def sampling_uniform(stream: Stream) -> str | None:
 # --- recognizers --------------------------------------------------------------
 
 def seinsche_equivalence(n: int) -> str | None:
-    """Cographs are the induced-4-path-free graphs (Seinsche): the cograph
-    recognizer's scan against the brute-force 4-path count of `_p4_census`,
-    on every n-vertex graph."""
-    for g, p4 in _p4_census(n):
-        if is_cograph(g).member != (p4 == 0):
+    """Cographs are the induced-4-path-free graphs (Seinsche): the cograph recognizer's
+    4-path scan against the definition of a cograph, on every n-vertex graph."""
+    for g in all_graphs(n):
+        if is_cograph(g).member != oracles.cograph(g.rows, range(n)):
             return f"rows={g.rows}"
     return None
 
 
 def forcing_vs_exhaustive(stream: Stream, draws: int) -> str | None:
     for g in all_graphs(5):
-        if is_comparability(g).member != _orientable_exhaustive(g):
+        if is_comparability(g).member != oracles.transitively_orientable(g.rows, range(5)):
             return f"rows={g.rows}"
     for i in range(draws):
         g = gnp(7, 0.5, stream.child(i))
-        if is_comparability(g).member != _orientable_exhaustive(g):
+        if is_comparability(g).member != oracles.transitively_orientable(g.rows, range(7)):
             return f"draw {i} rows={g.rows}"
     return None
 
@@ -242,30 +218,18 @@ def witnesses_reverify(stream: Stream) -> str | None:
     for i in range(400):
         g = gnp(7, 0.5, stream.child(i))
         checks = [
-            (is_triangle_free(g), lambda w: len(w) == 3 and _induces(g.rows, w)),
-            (is_cograph(g), lambda w: len(w) == 4 and _induces(g.rows, w)),
-            (is_perfect(g), lambda w: _is_odd_hole_or_antihole(g, w)),
+            (is_triangle_free(g), lambda w: len(w) == 3 and oracles.induces(g.rows, w)),
+            (is_cograph(g), lambda w: len(w) == 4 and oracles.induces(g.rows, w)),
+            (is_perfect(g), lambda w: oracles.odd_hole_or_antihole(g.rows, w)),
         ]
         for res, good in checks:
             if not res.member and not good(res.witness):
                 return f"draw {i} witness {res.witness} label {res.label}"
         rc = is_comparability(g)
-        if not rc.member:
-            sub = induced_subgraph(g, rc.witness)
-            if sub.n <= 8 and _orientable_exhaustive(sub):
-                return f"draw {i} comparability witness not non-orientable"
+        if (not rc.member and len(rc.witness) <= 8
+                and oracles.transitively_orientable(g.rows, rc.witness)):
+            return f"draw {i} comparability witness not non-orientable"
     return None
-
-
-def _is_odd_hole_or_antihole(g: Graph, w: tuple[int, ...]) -> bool:
-    sub = induced_subgraph(g, w)
-    for h in (sub, complement(sub)):
-        k = h.n
-        if k >= 5 and k % 2 == 1 and h.m == k and all(h.degree(v) == 2 for v in range(k)):
-            # connected 2-regular odd graph of size n is one odd cycle
-            if component(h.rows, (1 << k) - 1) == (1 << k) - 1:
-                return True
-    return False
 
 
 # --- decomposition ------------------------------------------------------------
@@ -287,7 +251,7 @@ def refinement_parts(stream: Stream, n: int, draws: int) -> str | None:
         if ref.edited_pairs != 0:
             return f"beta=0 edited {ref.edited_pairs}"
         for part in ref.parts:
-            if len(part) >= 2 and _naive_count(induced_subgraph(g, part).rows, 4) == 0:
+            if len(part) >= 2 and not oracles.induced_sets(g.rows, part, 4):
                 return f"draw {i}: part {part} has no induced 4-path"
     return None
 
@@ -419,7 +383,7 @@ def rs_exact_triangles(max_k: int) -> str | None:
         s = ap3_free_set(k, "exact" if k <= AP_EXACT_BOUND else "behrend")
         rb = rs_graph(k, s)  # constructor audits count == k|S| and disjointness
         if k <= 6:
-            naive = _naive_count(rb.graph.rows, 3)
+            naive = len(oracles.induced_sets(rb.graph.rows, range(rb.graph.n), 3))
             if naive != k * len(s):
                 return f"k={k}: naive {naive} != {k * len(s)}"
     return None

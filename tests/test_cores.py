@@ -1,14 +1,15 @@
 """The recognizers' scan cores on (rows, mask) against brute force.
 
 Each core decides a property on the vertices of a mask in host indexing.
-The oracles here share no code with the cores: they enumerate vertex
-subsets of the mask and test each by its induced degrees and connectivity,
-except comparability, whose oracle is the exhaustive orientation search on
-the induced subgraph, the part-order check, whose oracle orients the
-mask's edges by a random labeling and tests every triple, and the poset
-core, whose oracle tests every arc pair and triple of a random orientation
-of the host. A `perfect` hit must induce a chordless odd cycle in g or its
-complement, and an `induced-c5-free` hit a 5-cycle.
+The oracles, from `ptlab.oracles`, share no code with the cores: they
+enumerate vertex subsets of the mask and test each by its induced degrees
+and connectivity, except cographs, whose oracle splits the mask by the
+definition (disjoint union and complement), comparability, whose oracle is
+the exhaustive orientation search on the mask, the part-order check, whose
+oracle orients the mask's edges by a random labeling and tests every
+triple, and the poset core, whose oracle tests every arc pair and triple of
+a random orientation of the host. A `perfect` hit must induce a chordless
+odd cycle in g or its complement, and an `induced-c5-free` hit a 5-cycle.
 """
 
 import hashlib
@@ -18,49 +19,28 @@ from itertools import combinations
 
 import pytest
 
+import ptlab.oracles as O
 import ptlab.recognizers as R
-from ptlab.graphs import (
-    Graph,
-    PartLabeling,
-    _co_rows,
-    _induced_c5_fans,
-    cycle_graph,
-    induced_subgraph,
-)
+from ptlab.graphs import PartLabeling, _co_rows, _induced_c5_fans, cycle_graph
 from ptlab.rng import Stream
 from ptlab.testers import universal_tester
 from ptlab.verify import all_graphs
 
 
-def _neighbor_sets(rows):
-    return [{v for v in range(len(rows)) if (row >> v) & 1} for row in rows]
+def _free_of_connected(degrees):
+    """Membership: no vertex subset induces a connected graph with these sorted degrees."""
+    k = len(degrees)
+    return lambda rows, vs: not any(O.degrees(rows, s) == degrees and len(O.reach(rows, s)) == k
+                                    for s in combinations(vs, k))
 
 
-def _degrees(nbrs, sub):
-    s = set(sub)
-    return sorted(len(nbrs[v] & s) for v in sub)
-
-
-def _connected(nbrs, sub):
-    s, seen, todo = set(sub), {sub[0]}, [sub[0]]
-    while todo:
-        for w in nbrs[todo.pop()] & s - seen:
-            seen.add(w)
-            todo.append(w)
-    return seen == s
-
-
-def _has(nbrs, vs, sizes, test):
-    return any(test(nbrs, sub) for k in sizes for sub in combinations(vs, k))
-
-
-def _odd_cycle(nbrs, sub):
-    """A connected 2-regular induced subgraph is a chordless cycle."""
-    return _degrees(nbrs, sub) == [2] * len(sub) and _connected(nbrs, sub)
-
-
-def _connected_with(degrees):
-    return lambda a, s: _degrees(a, s) == degrees and _connected(a, s)
+# each host property's membership oracle on (rows, vertex set)
+MEMBER = {"triangle-free": O.triangle_free, "cograph": O.cograph, "perfect": O.perfect,
+          "comparability": O.transitively_orientable,
+          "induced-p3-free": lambda rows, vs: not O.induced_sets(rows, vs, 4),
+          "induced-c5-free": lambda rows, vs: not O.induced_sets(rows, vs, 5),
+          "induced-h-free:cycle:4": _free_of_connected([2, 2, 2, 2]),
+          "induced-h-free:path:5": _free_of_connected([1, 1, 2, 2, 2])}
 
 
 def _oracle(name, rows, vs, part, arcs):
@@ -72,27 +52,12 @@ def _oracle(name, rows, vs, part, arcs):
         return (any((v, u) in inside for u, v in inside)
                 or any((v, z) in inside and (u, z) not in inside
                        for u, v in inside for z in vs if z != u))
-    nbrs = _neighbor_sets(rows)
-    co = [set(vs) - nbrs[v] - {v} if v in vs else set() for v in range(len(rows))]
-    odd = range(5, len(vs) + 1, 2)
-    if name == "triangle-free":
-        return _has(nbrs, vs, [3], lambda a, s: _degrees(a, s) == [2, 2, 2])
-    if name in ("cograph", "induced-p3-free"):
-        return _has(nbrs, vs, [4], lambda a, s: _degrees(a, s) == [1, 1, 2, 2])
-    if name == "induced-c5-free":
-        return _has(nbrs, vs, [5], lambda a, s: _degrees(a, s) == [2] * 5)
-    if name == "perfect":
-        return _has(nbrs, vs, odd, _odd_cycle) or _has(co, vs, odd, _odd_cycle)
-    if name == "induced-h-free:cycle:4":
-        return _has(nbrs, vs, [4], _connected_with([2, 2, 2, 2]))
-    if name == "induced-h-free:path:5":
-        return _has(nbrs, vs, [5], _connected_with([1, 1, 2, 2, 2]))
     if name == "order":
-        arcs = {(u, v) for u in vs for v in nbrs[u] & set(vs) if (part[u], u) < (part[v], v)}
+        arcs = {(u, v) for u in vs for v in vs
+                if rows[u] >> v & 1 and (part[u], u) < (part[v], v)}
         return any((v, z) in arcs and (u, z) not in arcs
                    for u, v in arcs for z in vs)
-    assert name == "comparability"
-    return not R._orientable_exhaustive(induced_subgraph(Graph(len(rows), rows), vs))
+    return not MEMBER[name](rows, vs)
 
 
 def _cases(count=1200, seed=20261018):
@@ -163,16 +128,15 @@ def _bad_witness(name, rows, hit):
     hit must induce a chordless odd cycle of length at least 5 in g (an
     odd hole) or in its complement (an odd antihole), and an
     `induced-c5-free` hit must induce a 5-cycle."""
-    nbrs = _neighbor_sets(rows)
     if name == "perfect":
         vs, label = hit
         if label == "odd-antihole":
-            nbrs = [set(vs) - nbrs[v] - {v} if v in vs else set() for v in range(len(rows))]
+            rows = O.complement(rows, vs)
         elif label != "odd-hole":
             return f"label {label!r}"
-        if len(vs) < 5 or not len(vs) & 1 or not _odd_cycle(nbrs, vs):
+        if not O.odd_hole(rows, vs):
             return f"{label} {vs} is not a chordless odd cycle of length >= 5"
-    elif name == "induced-c5-free" and _degrees(nbrs, hit) != [2] * 5:
+    elif name == "induced-c5-free" and not O.induces(rows, hit):
         return f"{hit} does not induce a 5-cycle"
     return None
 
@@ -237,7 +201,7 @@ def test_forcing_agrees_with_exhaustive_on_all_graphs(n):
     full = (1 << n) - 1
     for g in all_graphs(n):
         forced = R._comparability_hit(g.rows, full) is None
-        assert forced == R._orientable_exhaustive(g), g.rows
+        assert forced == O.transitively_orientable(g.rows, range(n)), g.rows
 
 
 def test_perfect_core_keeps_the_exact_bound():

@@ -1,8 +1,6 @@
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -27,6 +25,7 @@ from ptlab.graphs import (
     path_graph,
     random_cograph,
 )
+import ptlab.oracles as O
 import ptlab.recognizers as R
 from ptlab.recognizers import (
     RecognitionResult,
@@ -38,29 +37,17 @@ from ptlab.recognizers import (
 from ptlab.rng import Stream
 from ptlab.verify import no_cut_implies_p4, refinement_parts
 
-# the benchmark's definition-level oracles, which import nothing from ptlab
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
-import oracles  # noqa: E402
-
 
 def naive_beta_cuts(g, beta):
-    """All (side1, kind) with vertex 0 in side1, by direct enumeration."""
-    beta = Fraction(beta)
-    found = []
-    for size in range(1, g.n):
-        for s1 in combinations(range(g.n), size):
-            if 0 not in s1:
-                continue
-            s1set = set(s1)
-            cross = sum(1 for u in s1 for v in range(g.n)
-                        if v not in s1set and g.has_edge(u, v))
-            prod = len(s1) * (g.n - len(s1))
-            d = Fraction(cross, prod)
-            if d <= beta:
-                found.append((s1, "sparse", cross))
-            elif d >= 1 - beta:
-                found.append((s1, "dense", prod - cross))
-    return found
+    """Every beta-cut among the bipartitions of `oracles.bipartitions`."""
+    cuts = []
+    for side1, cross, prod in O.bipartitions(g.rows):
+        density, side2 = Fraction(cross, prod), tuple(v for v in range(g.n) if v not in side1)
+        if density <= beta:
+            cuts.append(Cut(side1, side2, "sparse", density, cross))
+        elif density >= 1 - beta:
+            cuts.append(Cut(side1, side2, "dense", density, prod - cross))
+    return cuts
 
 
 def test_find_cut_examples():
@@ -86,14 +73,7 @@ def test_find_beta_cut_examples():
 
 def naive_best_cut(g, beta):
     """The minimum-edit cut of naive_beta_cuts, least side1 tuple on ties."""
-    found = naive_beta_cuts(g, beta)
-    if not found:
-        return None
-    side1, kind, edits = min(found, key=lambda c: (c[2], c[0]))
-    prod = len(side1) * (g.n - len(side1))
-    cross = edits if kind == "sparse" else prod - edits
-    side2 = tuple(v for v in range(g.n) if v not in side1)
-    return Cut(side1, side2, kind, Fraction(cross, prod), edits)
+    return min(naive_beta_cuts(g, beta), key=lambda c: (c.edits, c.side1), default=None)
 
 
 def disjoint_cliques(sizes):
@@ -134,22 +114,14 @@ def test_find_beta_cut_against_naive():
 
 
 def naive_zero_cut(g):
-    """Vertex 0's component by BFS over has_edge as a sparse cut, else its
-    co-component (BFS over non-edges) as a dense one, else None."""
-    for kind, adjacent in (("sparse", g.has_edge),
-                           ("dense", lambda u, v: u != v and not g.has_edge(u, v))):
-        seen, todo = {0}, [0]
-        while todo:
-            u = todo.pop()
-            for v in range(g.n):
-                if v not in seen and adjacent(u, v):
-                    seen.add(v)
-                    todo.append(v)
-        if len(seen) < g.n:
-            side1 = tuple(sorted(seen))
-            prod = len(side1) * (g.n - len(side1))
-            side2 = tuple(v for v in range(g.n) if v not in seen)
-            return Cut(side1, side2, kind, Fraction(0 if kind == "sparse" else prod, prod), 0)
+    """Vertex 0's component (`oracles.reach`) as a sparse cut, else its
+    component in the complement as a dense one, else None."""
+    vs = range(g.n)
+    for kind, rows in (("sparse", g.rows), ("dense", O.complement(g.rows, vs))):
+        side1 = tuple(sorted(O.reach(rows, vs)))
+        if len(side1) < g.n:
+            side2 = tuple(v for v in vs if v not in side1)
+            return Cut(side1, side2, kind, Fraction(0 if kind == "sparse" else 1), 0)
     return None
 
 
@@ -274,27 +246,30 @@ def test_distance_examples():
     assert distance_to_property(cycle_graph(4), is_cograph) == 0
 
 
-def naive_distance(n, rows, prop, cap):
-    """Fewest pair toggles reaching `prop`, each toggle set tried in turn and
-    decided by `oracles.member`, or AboveCap."""
-    pairs = list(combinations(range(n), 2))
+def naive_distance(rows, member, cap):
+    """Fewest pair toggles, tried set by set, into the oracle's property, or AboveCap."""
+    n = len(rows)
     for k in range(cap + 1):
-        for combo in combinations(pairs, k):
-            if oracles.member(prop, n, oracles.toggled(n, rows, combo)):
+        for combo in combinations(combinations(range(n), 2), k):
+            toggled = list(rows)
+            for u, v in combo:
+                toggled[u] ^= 1 << v
+                toggled[v] ^= 1 << u
+            if member(toggled, range(n)):
                 return k
     return AboveCap(cap)
 
 
-# the properties whose edit distance certify-style runs measure, by the
-# name the oracle module gives them
-ORACLE_PROPERTY = {is_triangle_free: "triangle-free", is_cograph: "cograph",
-                   is_perfect: "perfect", is_comparability: "comparability"}
-DISTANCE_RECOGNIZERS = tuple(ORACLE_PROPERTY)
+# the properties whose edit distance certify-style runs measure, each with
+# its membership by definition
+ORACLE_MEMBER = {is_triangle_free: O.triangle_free, is_cograph: O.cograph,
+                 is_perfect: O.perfect, is_comparability: O.transitively_orientable}
+DISTANCE_RECOGNIZERS = tuple(ORACLE_MEMBER)
 
 
 @lru_cache(maxsize=None)
 def naive_answer(recognizer, rows):
-    return naive_distance(len(rows), rows, ORACLE_PROPERTY[recognizer], 3)
+    return naive_distance(rows, ORACLE_MEMBER[recognizer], 3)
 
 
 def two_c5s(shared):

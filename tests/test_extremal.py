@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import ptlab.extremal as extremal
+import ptlab.oracles as O
 from ptlab.decomposition import distance_to_property, find_beta_cut
 from ptlab.extremal import ExtremalRecord, _CutFree, estimate_f, search_min_p3_density
 from ptlab.graphs import (Graph, complete_graph, count_induced_p3, cycle_graph, empty_graph,
@@ -121,18 +122,9 @@ def test_climb_records_pinned():
 
 
 def brute_force_has_beta_cut(g, beta):
-    """Does some bipartition have crossing density <= beta or >= 1 - beta?
-    Every side1 holding vertex 0, edges counted pair by pair."""
-    for side1 in range(1, 1 << g.n, 2):
-        if side1 == (1 << g.n) - 1:
-            continue
-        ones = [v for v in range(g.n) if side1 >> v & 1]
-        others = [v for v in range(g.n) if not side1 >> v & 1]
-        density = Fraction(sum(g.has_edge(a, b) for a in ones for b in others),
-                           len(ones) * len(others))
-        if density <= beta or density >= 1 - beta:
-            return True
-    return False
+    """Does some bipartition of `oracles.bipartitions` have density <= beta or >= 1 - beta?"""
+    return any(not beta < Fraction(cross, prod) < 1 - beta
+               for _, cross, prod in O.bipartitions(g.rows))
 
 
 @pytest.mark.parametrize("beta", [Fraction(0), Fraction(1, 5), Fraction(2, 5)])
@@ -174,20 +166,13 @@ def test_beta_one_third_climbs_find_no_start(n):
 
 
 def brute_force_near_cuts(g, beta):
-    """Side1 masks (vertex 0 in side1, ascending) of the bipartitions one added
-    crossing edge from a dense cut, and of those one removed edge from a sparse
-    cut, edges counted pair by pair."""
-    adding, removing = [], []
-    for side1 in range(1, (1 << g.n) - 1, 2):
-        ones = [v for v in range(g.n) if side1 >> v & 1]
-        others = [v for v in range(g.n) if not side1 >> v & 1]
-        cross = sum(g.has_edge(a, b) for a in ones for b in others)
-        prod = len(ones) * len(others)
-        if Fraction(cross + 1, prod) >= 1 - beta:
-            adding.append(side1)
-        if Fraction(cross - 1, prod) <= beta:
-            removing.append(side1)
-    return adding, removing
+    """Side1 masks (vertex 0 in side1, ascending) of the bipartitions of
+    `oracles.bipartitions` one added crossing edge from a dense cut, and of
+    those one removed edge from a sparse cut."""
+    cuts = [(sum(1 << v for v in side1), cross, prod)
+            for side1, cross, prod in O.bipartitions(g.rows)]
+    return ([mask for mask, cross, prod in cuts if Fraction(cross + 1, prod) >= 1 - beta],
+            [mask for mask, cross, prod in cuts if Fraction(cross - 1, prod) <= beta])
 
 
 def near_cut_decisions(beta, swap=False):

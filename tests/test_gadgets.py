@@ -18,15 +18,13 @@ from ptlab.graphs import (
     complete_graph,
     count_induced_c5,
     count_triangles,
-    cycle_graph,
     empty_graph,
 )
+from ptlab.oracles import induced_sets, induces
 from ptlab.packing import PackingError, WitnessPacking, triangle_packing
 from ptlab.recognizers import is_poset
 from ptlab.rng import Stream
 from ptlab.verify import (
-    _induces,
-    _naive_count,
     c5_gadget_rules_and_samples,
     farness_below_distance,
     poset_gadget_samples,
@@ -34,21 +32,14 @@ from ptlab.verify import (
 
 
 def exhaustive_max_ap_free(n):
-    best = 0
-    for mask in range(1 << n):
-        elems = [i + 1 for i in range(n) if (mask >> i) & 1]
-        present = set(elems)
-        ok = True
-        for i, a in enumerate(elems):
-            for b in elems[i + 1:]:
-                if 2 * b - a in present:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            best = max(best, len(elems))
-    return best
+    """The lexicographically least largest 3-AP-free subset of 1..n: every
+    subset of each size, from n down, in lexicographic order."""
+    for size in range(n, 0, -1):
+        for combo in combinations(range(1, n + 1), size):
+            present = set(combo)
+            if all(2 * b - a not in present for i, a in enumerate(combo) for b in combo[i + 1:]):
+                return combo
+    return ()
 
 
 def test_ap_free_examples():
@@ -65,23 +56,12 @@ def test_ap_free_examples():
 
 def test_ap_free_exact_matches_exhaustive():
     for n in range(1, 13):
-        assert len(ap3_free_set(n, "exact")) == exhaustive_max_ap_free(n), n
-
-
-def lex_first_max_ap_free(n):
-    """The lexicographically least largest 3-AP-free subset of 1..n: every
-    subset of each size, from n down, in lexicographic order."""
-    for size in range(n, 0, -1):
-        for combo in combinations(range(1, n + 1), size):
-            present = set(combo)
-            if all(2 * b - a not in present for i, a in enumerate(combo) for b in combo[i + 1:]):
-                return combo
-    return ()
+        assert len(ap3_free_set(n, "exact")) == len(exhaustive_max_ap_free(n)), n
 
 
 def test_ap_free_exact_is_lexicographically_first_optimum():
     for n in range(1, 17):
-        assert ap3_free_set(n, "exact").elements == lex_first_max_ap_free(n), n
+        assert ap3_free_set(n, "exact").elements == exhaustive_max_ap_free(n), n
 
 
 # sizes of the exact sets for n = 1..40; each size also agrees with a plain
@@ -107,7 +87,7 @@ def test_ap_free_behrend_verified_and_reasonable():
         s = ap3_free_set(n, "behrend")
         assert s.elements  # construction verified 3-AP-free by the type
         if n <= 12:
-            assert len(s) <= exhaustive_max_ap_free(n)
+            assert len(s) <= len(exhaustive_max_ap_free(n))
 
 
 def test_rs_graph_example():
@@ -115,7 +95,7 @@ def test_rs_graph_example():
     g = bundle.graph
     assert g.n == 30 and g.m == 45
     assert count_triangles(g) == 15
-    assert _naive_count(g.rows, 3) == 15
+    assert len(induced_sets(g.rows, range(g.n), 3)) == 15
     assert len(bundle.certificate) == 15
     assert bundle.farness == Fraction(15, 900)
 
@@ -141,10 +121,10 @@ def test_c5_gadget_single_triangle():
     g = gb.graph
     assert g.n == 15
     tup = gb.certificate.tuples[0]
-    assert _induces(g.rows, tup)
+    assert induces(g.rows, tup)
     # exact census: brute-force enumeration is the oracle; the construction
     # contributes one completion per (outer1, outer2) pair = 36
-    assert count_induced_c5(g) == _naive_count(g.rows, 5) == 36
+    assert count_induced_c5(g) == len(induced_sets(g.rows, range(g.n), 5)) == 36
     assert gb.farness == Fraction(1, 225)
 
 
@@ -162,7 +142,7 @@ def test_c5_gadget_triangle_free_inner():
     gb = build_c5_gadget(empty_graph(3), lab)
     assert len(gb.certificate) == 0
     # no planted-shape copies: every induced C5 would need the inner triangle
-    assert count_induced_c5(gb.graph) == _naive_count(gb.graph.rows, 5)
+    assert count_induced_c5(gb.graph) == len(induced_sets(gb.graph.rows, range(gb.graph.n), 5))
 
 
 def test_c5_gadget_rejects_bad_inner():

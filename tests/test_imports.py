@@ -54,17 +54,29 @@ def test_stale_export_is_caught():
 RUNTIME_IMPORTS = sys.stdlib_module_names | {"numpy", "jsonschema", "ptlab"}
 
 
-def foreign_imports(source: str) -> list[str]:
-    """Modules imported anywhere in `source` (function bodies included) that
-    are neither in the standard library nor a runtime dependency; relative
-    imports are ptlab's own."""
+def imports(source: str) -> list[str]:
+    """Modules imported anywhere in `source` (function bodies included),
+    relative imports resolved inside ptlab; `from M import name` names both
+    M and M.name, since the name may be a module."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names += [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.append(node.module)
-    return [name for name in names if name.split(".")[0] not in RUNTIME_IMPORTS]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:
+                base = f"ptlab.{base}" if base else "ptlab"
+            names += [base] + [f"{base}.{a.name}" for a in node.names]
+    return names
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Imported modules neither in the standard library nor a runtime dependency."""
+    return [name for name in imports(source) if name.split(".")[0] not in RUNTIME_IMPORTS]
+
+
+def ptlab_imports(source: str) -> list[str]:
+    return [name for name in imports(source) if name.split(".")[0] == "ptlab"]
 
 
 @pytest.mark.parametrize("path", sorted(Path(ptlab.__file__).parent.glob("*.py")),
@@ -76,4 +88,18 @@ def test_runtime_dependencies_are_numpy_and_jsonschema(path):
 def test_foreign_import_is_caught():
     source = ("import os, numpy.linalg\nfrom . import graphs\n"
               "def f():\n    import networkx as nx\n    from scipy import sparse\n")
-    assert foreign_imports(source) == ["networkx", "scipy"]
+    assert foreign_imports(source) == ["networkx", "scipy", "scipy.sparse"]
+
+
+def test_oracles_import_nothing_from_ptlab_and_only_verify_imports_them():
+    package = Path(ptlab.__file__).parent
+    assert ptlab_imports((package / "oracles.py").read_text()) == []
+    assert [p.name for p in sorted(package.glob("*.py"))
+            if "ptlab.oracles" in ptlab_imports(p.read_text())] == ["verify.py"]
+
+
+def test_ptlab_and_oracle_imports_are_caught():
+    source = ("from itertools import combinations\nfrom . import oracles\n"
+              "def f():\n    from .oracles import induces\n    import ptlab.rng, oracles\n")
+    assert ptlab_imports(source) == ["ptlab", "ptlab.oracles", "ptlab.oracles",
+                                     "ptlab.oracles.induces", "ptlab.rng"]

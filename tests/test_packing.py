@@ -14,47 +14,38 @@ from ptlab.graphs import (
     empty_graph,
     gnp,
 )
+from ptlab.oracles import induced_sets, induces
 from ptlab.packing import (
     PackingError,
     WitnessPacking,
     farness_lower_bound,
-    greedy_c5_packing,
     random_tripartite_extract,
     triangle_cover,
     triangle_packing,
-    triangles_of,
 )
 from ptlab.rng import Stream
-from ptlab.verify import _induces, distance_dominates_tau, retention_mean
+from ptlab.verify import distance_dominates_tau, retention_mean
 
 
-def naive_triangles(g):
-    """Vertex triples whose three pairs are edges, checked with has_edge."""
-    return [(a, b, c) for a, b, c in combinations(range(g.n), 3)
-            if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)]
-
+# the triangles come from `oracles.induced_sets` as ascending triples, so
+# each one's pairs are the (u, v), u < v, of `combinations` and `g.edges()`
 
 def naive_tau(g):
-    tris = naive_triangles(g)
+    tris = induced_sets(g.rows, range(g.n), 3)
     for r in range(len(tris), 0, -1):
         for combo in combinations(tris, r):
-            edges = [frozenset(p) for t in combo
-                     for p in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2]))]
+            edges = [p for t in combo for p in combinations(t, 2)]
             if len(edges) == len(set(edges)):
                 return r
     return 0
 
 
 def naive_nu(g):
-    tris = naive_triangles(g)
-    if not tris:
-        return 0
+    tris = induced_sets(g.rows, range(g.n), 3)
     edges = list(g.edges())
     for r in range(len(edges) + 1):
-        for combo in combinations(edges, r):
-            chosen = set(combo)
-            if all(any(tuple(sorted(p)) in chosen
-                       for p in ((a, b), (b, c), (a, c))) for a, b, c in tris):
+        for chosen in map(set, combinations(edges, r)):
+            if all(chosen.intersection(combinations(t, 2)) for t in tris):
                 return r
     raise AssertionError
 
@@ -82,8 +73,7 @@ def test_exact_tau_nu_match_naive():
         assert tau == naive_tau(g), i
         assert nu == naive_nu(g), i
         assert tau <= nu <= 3 * tau
-        fp = {p for t in triangle_packing(g).tuples
-              for p in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2]))}
+        fp = {p for t in triangle_packing(g).tuples for p in combinations(t, 2)}
         assert len(fp) <= 3 * tau
         assert count_triangles(g.with_toggled(fp)) == 0
 
@@ -109,12 +99,9 @@ def test_greedy_never_beats_exact_and_is_maximal():
         shuffled = triangle_packing(g, "greedy", rng.child(100, i))
         assert len(greedy) <= len(exact)
         assert len(shuffled) <= len(exact)
-        used = {frozenset(p) for t in greedy.tuples
-                for p in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2]))}
-        for tri in triangles_of(g):
-            tri_edges = {frozenset(p) for p in
-                         ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2]))}
-            assert tri_edges & used, "greedy packing not maximal"
+        used = {p for t in greedy.tuples for p in combinations(sorted(t), 2)}
+        for tri in induced_sets(g.rows, range(g.n), 3):
+            assert used.intersection(combinations(tri, 2)), "greedy packing not maximal"
 
 
 def test_exact_guards():
@@ -183,7 +170,7 @@ def test_greedy_c5_packing_single_triangle():
     cert = gb.certificate
     assert len(cert) == 1
     tup = cert.tuples[0]
-    assert _induces(gb.graph.rows, tup)
+    assert induces(gb.graph.rows, tup)
     assert 12 in tup and 13 in tup and 14 in tup
 
 

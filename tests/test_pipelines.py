@@ -1,7 +1,7 @@
 import pytest
 
 import ptlab.pipelines
-from ptlab.graphs import complete_graph, gnp
+from ptlab.graphs import gnp
 from ptlab.pipelines import (
     EASY_HEADER,
     HARDNESS_HEADER,

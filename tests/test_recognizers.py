@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 import pytest
 
 import ptlab.gadgets as GA
+import ptlab.oracles as O
 import ptlab.recognizers as R
 from ptlab.graphs import (
     Digraph,
@@ -11,7 +12,6 @@ from ptlab.graphs import (
     PartLabeling,
     complement,
     complete_graph,
-    count_triangles,
     cycle_graph,
     empty_graph,
     gnp,
@@ -21,7 +21,6 @@ from ptlab.graphs import (
     random_cograph,
 )
 from ptlab.recognizers import (
-    _orientable_exhaustive,
     check_order_transitivity,
     is_cograph,
     is_comparability,
@@ -33,45 +32,27 @@ from ptlab.recognizers import (
     property_recognizer,
 )
 from ptlab.rng import Stream
-from ptlab.verify import _induces, all_graphs, forcing_vs_exhaustive, seinsche_equivalence
+from ptlab.verify import all_graphs, forcing_vs_exhaustive, seinsche_equivalence
 
 
 # --- independent oracles ------------------------------------------------------
 
-def clique_number(g):
-    best = 0
-    for r in range(g.n, 0, -1):
-        for vs in combinations(range(g.n), r):
-            if induced_subgraph(g, vs).m == r * (r - 1) // 2:
-                return r
-    return best
-
-
-def chromatic_number(g):
-    for k in range(1, g.n + 1):
-        colors = [0] * g.n
-
-        def assign(v):
-            if v == g.n:
-                return True
-            for c in range(k):
-                if all(colors[u] != c for u in range(v) if g.has_edge(u, v)):
-                    colors[v] = c
-                    if assign(v + 1):
-                        return True
-            return False
-
-        if assign(0):
-            return k
-    raise AssertionError
-
-
 def perfect_by_definition(g):
-    """chi == omega for every induced subgraph (the defining property)."""
+    """chi == omega for every induced subgraph (the defining property): as
+    chi >= omega always, each vertex set must be colourable with as many
+    colours as its largest clique has vertices, by backtracking."""
+    def colourable(vs, k, colours=()):
+        if len(colours) == len(vs):
+            return True
+        v = vs[len(colours)]
+        return any(colourable(vs, k, colours + (c,)) for c in range(k)
+                   if all(c != cu or not g.has_edge(u, v) for u, cu in zip(vs, colours)))
+
     for r in range(1, g.n + 1):
         for vs in combinations(range(g.n), r):
-            sub = induced_subgraph(g, vs)
-            if chromatic_number(sub) != clique_number(sub):
+            omega = max(len(c) for size in range(1, r + 1) for c in combinations(vs, size)
+                        if all(g.has_edge(a, b) for a, b in combinations(c, 2)))
+            if not colourable(vs, omega):
                 return False
     return True
 
@@ -79,25 +60,14 @@ def perfect_by_definition(g):
 def orientable_naive(g):
     """Try all 2^m orientations, checking transitivity outright."""
     edges = list(g.edges())
-    m = len(edges)
-    for mask in range(1 << m):
+    for mask in range(1 << len(edges)):
         out = [0] * g.n
         for i, (u, v) in enumerate(edges):
-            if (mask >> i) & 1:
-                out[u] |= 1 << v
-            else:
-                out[v] |= 1 << u
-        ok = True
-        for u in range(g.n):
-            for v in iter_bits(out[u]):
-                if out[v] & ~out[u]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+            a, b = (u, v) if mask >> i & 1 else (v, u)
+            out[a] |= 1 << b
+        if all(not out[v] & ~out[u] for u in range(g.n) for v in iter_bits(out[u])):
             return True
-    return m == 0
+    return False
 
 
 # --- triangle-free ------------------------------------------------------------
@@ -106,7 +76,7 @@ def test_triangle_free_examples():
     assert is_triangle_free(cycle_graph(5)).member
     res = is_triangle_free(complete_graph(4))
     assert not res.member and len(res.witness) == 3
-    assert induced_subgraph(complete_graph(4), res.witness).m == 3
+    assert O.induces(complete_graph(4).rows, res.witness)
 
 
 def test_triangle_free_rs_witness_is_planted():
@@ -136,36 +106,23 @@ def test_induced_k3_freeness_is_triangle_freeness():
         assert is_induced_h_free(g, k3) == is_triangle_free(g), g.rows
 
 
-def test_induced_h_free_matches_enumeration():
-    rng = Stream(43)
-    h_list = [path_graph(4), cycle_graph(4), cycle_graph(5), complete_graph(3)]
-    for i in range(25):
-        g = gnp(8, 0.5, rng.child(i))
-        for h in h_list:
-            def iso_to_h(sub, h=h):
-                if sub.m != h.m:
-                    return False
-                if h.n == 5:
-                    return all(sub.degree(v) == 2 for v in range(5))
-                deg = sorted(sub.degree(v) for v in range(sub.n))
-                want = sorted(h.degree(v) for v in range(h.n))
-                if deg != want:
-                    return False
-                from itertools import permutations
-                return any(all(h.has_edge(a, b) == sub.has_edge(p[a], p[b])
-                               for a in range(h.n) for b in range(a + 1, h.n))
-                           for p in permutations(range(h.n)))
-            expect = not any(iso_to_h(induced_subgraph(g, vs))
-                             for vs in combinations(range(g.n), h.n))
-            assert is_induced_h_free(g, h).member == expect, (i, h)
-
-
 def _isomorphic(g, h):
     """Is g a relabeling of h? Decided by trying every vertex permutation."""
     return g.n == h.n and any(
         all(g.has_edge(p[a], p[b]) == h.has_edge(a, b)
             for a in range(h.n) for b in range(a + 1, h.n))
         for p in permutations(range(h.n)))
+
+
+def test_induced_h_free_matches_enumeration():
+    rng = Stream(43)
+    h_list = [path_graph(4), cycle_graph(4), cycle_graph(5), complete_graph(3)]
+    for i in range(25):
+        g = gnp(8, 0.5, rng.child(i))
+        for h in h_list:
+            expect = not any(_isomorphic(induced_subgraph(g, vs), h)
+                             for vs in combinations(range(g.n), h.n))
+            assert is_induced_h_free(g, h).member == expect, (i, h)
 
 
 def test_h_core_takes_a_dedicated_scan_exactly_for_its_graph():
@@ -183,9 +140,7 @@ def test_gadget_c5_witness_shape():
     lab = PartLabeling(3, [("V2", [0]), ("V3", [1]), ("V5", [2])])
     gb = build_c5_gadget(complete_graph(3), lab)
     res = is_induced_h_free(gb.graph, cycle_graph(5))
-    assert not res.member
-    sub = induced_subgraph(gb.graph, res.witness)
-    assert all(sub.degree(v) == 2 for v in range(5))
+    assert not res.member and O.induces(gb.graph.rows, res.witness)
 
 
 # --- cographs -------------------------------------------------------------------
@@ -219,20 +174,15 @@ def test_one_cograph_decider():
 
 def test_cograph_witness_reverifies():
     rng = Stream(47)
-    for i in range(60):
-        g = gnp(8, 0.5, rng.child(i))
-        res = is_cograph(g)
-        if not res.member:
-            assert _induces(g.rows, res.witness)
-    non_cographs = 0
-    for g in all_graphs(6):
-        res = is_cograph(g)
-        if not res.member:
-            non_cographs += 1
-            assert res.label == "induced-path-4"
-            assert _induces(g.rows, res.witness), (g.rows, res.witness)
-    # 2^15 labeled graphs minus the 5504 labeled cographs on 6 vertices
-    assert non_cographs == 32768 - 5504
+    graphs = [gnp(8, 0.5, rng.child(i)) for i in range(60)] + list(all_graphs(6))
+    results = [is_cograph(g) for g in graphs]
+    for g, res in zip(graphs, results):
+        assert res.member or (res.label == "induced-path-4"
+                              and O.induces(g.rows, res.witness)), (g.rows, res.witness)
+    # 2^15 labeled graphs minus the 5504 labeled cographs on 6 vertices,
+    # which the definition-level oracle counts too
+    assert sum(not res.member for res in results[60:]) == 32768 - 5504
+    assert sum(O.cograph(g.rows, range(6)) for g in graphs[60:]) == 5504
 
 
 # --- comparability --------------------------------------------------------------
@@ -246,8 +196,9 @@ def test_comparability_examples():
 
 def test_comparability_matches_naive_all_graphs_up_to_5():
     for n in range(1, 6):
-        for g in all_graphs(n):
-            assert is_comparability(g).member == orientable_naive(g), g.rows
+        for g in all_graphs(n):  # and the exhaustive oracle against its cross-check
+            assert (is_comparability(g).member == orientable_naive(g)
+                    == O.transitively_orientable(g.rows, range(n))), g.rows
 
 
 def test_comparability_forcing_vs_exhaustive_random():
@@ -259,18 +210,15 @@ def test_cographs_are_comparability():
     rng = Stream(59)
     for i in range(100):
         g = random_cograph(8, rng.child(i))
-        assert _orientable_exhaustive(g)
+        assert O.transitively_orientable(g.rows, range(g.n))
         assert is_comparability(g).member
 
 
 def test_comparability_witness_minimal():
-    res = is_comparability(cycle_graph(7))
-    assert not res.member
-    sub = induced_subgraph(cycle_graph(7), res.witness)
-    assert not is_comparability(sub).member
-    for v in range(sub.n):
-        others = [u for u in range(sub.n) if u != v]
-        assert is_comparability(induced_subgraph(sub, others)).member
+    rows, res = cycle_graph(7).rows, is_comparability(cycle_graph(7))
+    assert not res.member and not O.transitively_orientable(rows, res.witness)
+    for v in res.witness:
+        assert O.transitively_orientable(rows, set(res.witness) - {v})
 
 
 # --- perfectness -----------------------------------------------------------------
@@ -278,7 +226,7 @@ def test_comparability_witness_minimal():
 def test_perfect_examples():
     res = is_perfect(cycle_graph(5))
     assert not res.member and res.witness == (0, 1, 2, 3, 4) and res.label == "odd-hole"
-    assert is_perfect(cycle_graph(6)).member
+    assert is_perfect(cycle_graph(6)).member and not O.odd_hole(cycle_graph(6).rows, range(6))
     res = is_perfect(complement(cycle_graph(7)))
     assert not res.member and res.label == "odd-antihole"
     with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from ptlab.graphs import (
     path_graph,
     random_cograph,
 )
+from ptlab.oracles import induces
 from ptlab.rng import Stream, _trial_streams
 from ptlab.testers import (
     _BLOCK,
@@ -33,7 +34,7 @@ from ptlab.testers import (
     universal_tester,
     wilson95,
 )
-from ptlab.verify import _induces, binomial_consistency, budget_accounting
+from ptlab.verify import binomial_consistency, budget_accounting
 
 
 def test_one_sidedness():
@@ -74,7 +75,7 @@ def test_density_witnesses_reverify():
             if not v.accepted:
                 paths += 1
                 assert list(v.witness) == sorted(set(v.witness))
-                assert _induces(g.rows, v.witness), (g.rows, v.witness)
+                assert induces(g.rows, v.witness), (g.rows, v.witness)
         assert 0 < triangles < 300 and 0 < paths < 300, (p, triangles, paths)
 
 
@@ -113,7 +114,7 @@ def _one_draw_per_tuple(g, k, t, rng):
             tup = tuple(int(v) for v in gen.integers(0, g.n, size=k))
             if len(set(tup)) == k:
                 break
-        if _induces(g.rows, tup):
+        if induces(g.rows, tup):
             return tuple(sorted(tup))
     return None
 

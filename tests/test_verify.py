@@ -1,14 +1,17 @@
 import argparse
+import inspect
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
+import ptlab.oracles as oracles
 import ptlab.pipelines as pipelines
 import ptlab.recognizers as R
 import ptlab.verify as verify
 from ptlab.cli import build_parser
 from ptlab.packing import WitnessPacking, triangle_packing
-from ptlab.recognizers import RecognitionResult, is_comparability
+from ptlab.recognizers import RecognitionResult, is_comparability, is_perfect
 from ptlab.rng import Stream
 from ptlab.testers import _sample_masks
 from ptlab.verify import SUITE_NAMES, SUITES, run_suite
@@ -146,11 +149,64 @@ def test_fault_injection_gadget_samples_reading_the_v4_block(monkeypatch):
     assert detail and detail.startswith("trial "), detail
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_all_graphs_yields_each_labeled_graph_once_in_pair_order(n):
+    pairs = list(combinations(range(n), 2))
+    graphs = list(verify.all_graphs(n))
+    assert len(graphs) == 2 ** len(pairs) == len(set(graphs))
+    for mask, g in enumerate(graphs):
+        assert g.n == n and list(g.edges()) == [p for i, p in enumerate(pairs) if mask >> i & 1]
+
+
+def _hole_off_by_a_vertex(g):
+    """A non-perfect answer's witness with its last vertex swapped for the
+    lowest vertex outside it, which no longer induces a chordless odd cycle."""
+    res = is_perfect(g)
+    if res.member or len(res.witness) == g.n:
+        return res
+    outside = min(set(range(g.n)) - set(res.witness))
+    return RecognitionResult(False, res.witness[:-1] + (outside,), res.label)
+
+
+def _comparability_one_short(g):
+    """A minimal non-orientable witness less one vertex, which is orientable."""
+    res = is_comparability(g)
+    return res if res.member else RecognitionResult(False, res.witness[1:], res.label)
+
+
+@pytest.mark.parametrize("name, fake, shows", [
+    ("is_perfect", _hole_off_by_a_vertex, "label odd-"),
+    ("is_comparability", _comparability_one_short, "comparability witness not non-orientable"),
+])
+def test_fault_injection_witness_not_the_structure_it_claims(monkeypatch, name, fake, shows):
+    monkeypatch.setattr(verify, name, fake)
+    detail = verify.witnesses_reverify(Stream(0, (2,)).child(6))  # the suite's stream at seed 0
+    assert detail and shows in detail, detail
+
+
+def test_fault_injection_orientation_oracle_always_true(monkeypatch):
+    monkeypatch.setattr(oracles, "transitively_orientable", lambda rows, vs: True)
+    detail = verify.forcing_vs_exhaustive(Stream(0, (2,)).child(1), 0)
+    assert detail and detail.startswith("rows=") and detail.count(",") == 4, detail
+
+
+def test_fault_injection_cograph_oracle_without_complement_test(monkeypatch):
+    # without the complement split only edgeless graphs are cographs
+    source = inspect.getsource(oracles.cograph)
+    splits = "(rows, complement(rows, vs))"
+    assert source.count(splits) == 1
+    namespace = dict(vars(oracles))
+    exec(source.replace(splits, "(rows,)"), namespace)
+    monkeypatch.setattr(oracles, "cograph", namespace["cograph"])
+    detail = verify.seinsche_equivalence(5)
+    assert detail and detail.startswith("rows="), detail
+
+
 def test_fault_injection_pattern_oracle_with_claw_degrees(monkeypatch):
     # the oracle's 4-vertex path degrees swapped for the claw's: the census
     # counts claws, so the induced-4-path counter must disagree with it
     verify._p4_census.cache_clear()
-    monkeypatch.setitem(verify._PATTERN_DEGREES, 4, [1, 1, 1, 3])
+    monkeypatch.setitem(oracles.PATTERN_DEGREES, 4, [1, 1, 1, 3])
     try:
         detail = verify.counting_vs_naive(5)
     finally:
