@@ -68,10 +68,6 @@ class NotFound:
         return False
 
 
-def _crossing_edges(g: Graph, mask1: int, mask2: int) -> int:
-    return sum((g.rows[v] & mask2).bit_count() for v in iter_bits(mask1))
-
-
 def _cut(n: int, mask1: int, kind: str, cross: int, prod: int) -> Cut:
     """The cut (mask1, rest) of `kind` with `cross` of its `prod` pairs crossing."""
     return Cut(tuple(iter_bits(mask1)), tuple(iter_bits(((1 << n) - 1) ^ mask1)), kind,
@@ -217,7 +213,7 @@ def _beta_cut_heuristic(g: Graph, beta: Fraction, rng: Stream) -> Union[Cut, Not
         mask1 = sum(int(b) << v for v, b in enumerate(gen.integers(0, 2, size=n)))
         if mask1 in (0, full):
             mask1 ^= 1  # both sides nonempty
-        cross = _crossing_edges(g, mask1, full ^ mask1)
+        cross = sum((g.rows[v] & (full ^ mask1)).bit_count() for v in iter_bits(mask1))
         for _ in range(4 * n * n):  # flip budget per restart
             s1 = mask1.bit_count()
             prod = prods[s1]

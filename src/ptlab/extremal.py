@@ -9,14 +9,15 @@ implementation, not the guarantee.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .decomposition import (AboveCap, DISTANCE_CAP_BOUND, _crossings, _validate_beta,
-                            distance_to_property)
+from .decomposition import (AboveCap, BETA_EXACT_BOUND, DISTANCE_CAP_BOUND, DISTANCE_N_BOUND,
+                            _crossings, _validate_beta, distance_to_property)
 from .graphs import Graph, _p4_delta, count_induced_p3, gnp, pair_count, pair_from_index
 from .recognizers import is_cograph
 from .rng import Stream
@@ -25,12 +26,7 @@ __all__ = [
     "ExtremalRecord",
     "search_min_p3_density",
     "estimate_f",
-    "SEARCH_CERTIFIED_BOUND",
-    "FARNESS_N_BOUND",
 ]
-
-SEARCH_CERTIFIED_BOUND = 22
-FARNESS_N_BOUND = 10
 
 
 @dataclass(frozen=True)
@@ -171,16 +167,15 @@ class _CutFree:
 
 class _FarFromCograph:
     """Qualifier of the farness search: the exact edit distance to the
-    nearest cograph is at least `threshold`, asked afresh of each graph."""
+    nearest cograph is at least need = ceil(`threshold`), asked afresh of
+    each graph as "is it above need - 1" (need 0 qualifies unasked)."""
 
     def __init__(self, threshold: Fraction):
-        self.threshold = threshold
+        self.need = math.ceil(threshold)
 
     def start(self, g: Graph) -> bool:
-        d = distance_to_property(g, is_cograph)
-        if isinstance(d, AboveCap):
-            return Fraction(d.cap + 1) >= self.threshold
-        return Fraction(d) >= self.threshold
+        return self.need == 0 or isinstance(
+            distance_to_property(g, is_cograph, cap=self.need - 1), AboveCap)
 
     def toggled(self, g: Graph, u: int, v: int) -> Graph | None:
         cand = g.with_toggled([(u, v)])
@@ -202,8 +197,8 @@ def search_min_p3_density(n: int, beta, effort: int, rng: Stream) -> ExtremalRec
     tried at n <= 16 was free of 1/3-cuts, so such a call ends in the
     "no qualifying graph found" refusal.
     """
-    if n > SEARCH_CERTIFIED_BOUND:
-        raise ValueError(f"certified search limited to n <= {SEARCH_CERTIFIED_BOUND}")
+    if n > BETA_EXACT_BOUND:
+        raise ValueError(f"certified search limited to n <= {BETA_EXACT_BOUND}")
     b = _validate_beta(beta)
     if n < 2:
         raise ValueError(f"cuts need n >= 2, got {n}")
@@ -218,8 +213,8 @@ def estimate_f(n: int, epsilon, effort: int, rng: Stream) -> ExtremalRecord:
     epsilon * n^2. Thresholds beyond the oracle's cap cannot be certified
     and are refused.
     """
-    if n > FARNESS_N_BOUND:
-        raise ValueError(f"certified farness limited to n <= {FARNESS_N_BOUND}")
+    if n > DISTANCE_N_BOUND:
+        raise ValueError(f"certified farness limited to n <= {DISTANCE_N_BOUND}")
     if n < 1:
         raise ValueError(f"farness needs n >= 1, got {n}")
     eps = Fraction(epsilon)

@@ -10,11 +10,10 @@ three edges (four vertices), indexing paths by edge count.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .rng import Stream
+from .rng import Stream, _as_int
 
 __all__ = [
     "Graph",
@@ -43,13 +42,6 @@ __all__ = [
 # Exact induced-C5 counting is refused above this vertex count; use the
 # sampling estimator in ptlab.testers instead.
 C5_EXACT_BOUND = 64
-
-
-def _as_int(x) -> int:
-    """`x` as a plain int; bools, which `operator.index` reads as 0 and 1, are refused."""
-    if isinstance(x, bool):
-        raise TypeError(f"expected an integer, got {x!r}")
-    return operator.index(x)
 
 
 def _vertex_count(n) -> int:
@@ -107,7 +99,7 @@ class Graph:
     extraction) skip the O(m) symmetry pass.
     """
 
-    __slots__ = ("n", "rows", "_m")
+    __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Sequence[int]):
         n, rows = _checked_rows(n, rows, "adjacency", "self-loop")
@@ -117,7 +109,6 @@ class Graph:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
         self.n = n
         self.rows = rows
-        self._m = sum(r.bit_count() for r in rows) // 2
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -130,7 +121,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return self._m
+        return sum(r.bit_count() for r in self.rows) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
@@ -172,8 +163,7 @@ def _trusted_graph(n: int, rows: Sequence[int]) -> Graph:
     range, loop-free, symmetric), skipping `Graph.__init__`'s check."""
     g = object.__new__(Graph)
     g.n = n
-    g.rows = rows = tuple(rows)
-    g._m = sum(r.bit_count() for r in rows) // 2
+    g.rows = tuple(rows)
     return g
 
 
@@ -443,8 +433,10 @@ def sample_vertices(n: int, d: int, rng: Stream) -> tuple[int, ...]:
     a sequence of uniform vertices, each a raw 64-bit word w taken as
     w mod n and kept only below the largest multiple of n (so exactly
     uniform, with no float scaling). Those k distinct values form a uniform
-    k-subset; for d > n/2 the sample is its complement.
+    k-subset; for d > n/2 the sample is its complement. n and d are read
+    as plain ints (`_as_int`).
     """
+    n, d = _as_int(n), _as_int(d)
     if not 0 <= d <= n:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
     k = min(d, n - d)

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .graphs import (Graph, PartLabeling, _as_int, _induces_c5, _trusted_graph, _triangle_fans,
-                     iter_bits)
-from .rng import Stream
+from .graphs import Graph, PartLabeling, _induces_c5, _trusted_graph, _triangle_fans, iter_bits
+from .rng import Stream, _as_int
 
 __all__ = [
     "PackingError",

@@ -9,7 +9,7 @@ farness lower bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 from .decomposition import DISTANCE_CAP_BOUND, DISTANCE_N_BOUND, distance_to_property
@@ -35,7 +35,7 @@ def _gadget_samples(f: Graph, gb: GadgetBundle, d: int, trials: int, rng: Stream
     on `rng`: the d-vertex sample of the five-part gadget `gb` over f, whose
     inner portion is f's, at the gadget's top f.n indices."""
     later = _later_masks(gb.labeling)
-    for mask in _sample_masks(gb.graph.n, d, trials, rng):
+    for mask in _sample_masks(gb.graph.n, d, rng, 0, trials):
         yield (mask, _find_triangle(f.rows, mask >> 4 * f.n) is None,
                _order_hit(gb.graph.rows, mask, later) is None)
 
@@ -53,12 +53,10 @@ class HardnessRow:
     wilson_hi: float
 
     def as_list(self) -> list:
-        return [self.k, self.graph, self.property, self.farness, self.d,
-                self.trials, self.rejection_rate, self.wilson_lo, self.wilson_hi]
+        return [getattr(self, name) for name in HARDNESS_HEADER]
 
 
-HARDNESS_HEADER = ["k", "graph", "property", "farness", "d", "trials",
-                   "rejection_rate", "wilson_lo", "wilson_hi"]
+HARDNESS_HEADER = [f.name for f in fields(HardnessRow)]
 
 
 def sampled_c5_packing(g: Graph, target: int, budget: int, rng: Stream) -> WitnessPacking:
@@ -106,6 +104,14 @@ def pipeline_hardness(ks: Sequence[int], d: int, trials: int, rng: Stream,
     the ordered comparability check, every time."""
     rows: list[HardnessRow] = []
     mechanism: dict[str, dict] = {}
+
+    def universal_row(k: int, graph: str, g: Graph, prop: str, far: float,
+                      stream: Stream) -> HardnessRow:
+        rep = estimate_detection(g, TesterConfig("universal", d=d, property_name=prop),
+                                 trials, stream, threads)
+        return HardnessRow(k, graph, prop, far, d, trials,
+                           rep.rejection_rate, rep.wilson_lo, rep.wilson_hi)
+
     for idx, k in enumerate(ks):
         kstream = rng.child(idx)
         s = ap3_free_set(k, "exact" if k <= AP_EXACT_BOUND else "behrend")
@@ -116,11 +122,7 @@ def pipeline_hardness(ks: Sequence[int], d: int, trials: int, rng: Stream,
         gadget = gb.graph
         far = float(gb.farness)
 
-        rep = estimate_detection(
-            gadget, TesterConfig("universal", d=d, property_name="induced-c5-free"),
-            trials, kstream.child(1), threads)
-        rows.append(HardnessRow(k, "gadget", "induced-c5-free", far, d, trials,
-                                rep.rejection_rate, rep.wilson_lo, rep.wilson_hi))
+        rows.append(universal_row(k, "gadget", gadget, "induced-c5-free", far, kstream.child(1)))
 
         rejections = trifree = passed = 0
         for _, inner_free, ok in _gadget_samples(f, gb, d, trials, kstream.child(2)):
@@ -134,16 +136,10 @@ def pipeline_hardness(ks: Sequence[int], d: int, trials: int, rng: Stream,
 
         control, cpack = match_gnp_control(gadget.n, len(gb.certificate), kstream.child(4))
         cfar = float(farness_lower_bound(cpack))
-        rep = estimate_detection(
-            control, TesterConfig("universal", d=d, property_name="induced-c5-free"),
-            trials, kstream.child(5), threads)
-        rows.append(HardnessRow(k, "control", "induced-c5-free", cfar, d, trials,
-                                rep.rejection_rate, rep.wilson_lo, rep.wilson_hi))
-        rep = estimate_detection(
-            control, TesterConfig("universal", d=d, property_name="comparability"),
-            trials, kstream.child(6), threads)
-        rows.append(HardnessRow(k, "control", "comparability", cfar, d, trials,
-                                rep.rejection_rate, rep.wilson_lo, rep.wilson_hi))
+        rows.append(universal_row(k, "control", control, "induced-c5-free", cfar,
+                                  kstream.child(5)))
+        rows.append(universal_row(k, "control", control, "comparability", cfar,
+                                  kstream.child(6)))
     return rows, {"mechanism": mechanism}
 
 
@@ -167,8 +163,8 @@ def pipeline_easy(n: int, distances: Sequence[int], budgets: Sequence[int],
             # fresh cograph per attempt: dense cographs absorb small flips
             start = random_cograph(n, rng.child(1, di, attempt, 0))
             g = flip_pairs(start, want + attempt % 3, rng.child(1, di, attempt, 1))
-            dist = distance_to_property(g, is_cograph)
-            if dist == want:  # never an AboveCap: want is within the cap
+            dist = distance_to_property(g, is_cograph, cap=want)
+            if dist == want:
                 break
         else:
             raise ValueError(f"no graph at certified distance {want} found")

@@ -20,6 +20,7 @@ the largest batch size this allows. Trial i's draws depend only on
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator
 
 import numpy as np
@@ -30,16 +31,24 @@ __all__ = ["Stream"]
 _MAX_TRIALS = (1 << 64) - 1
 
 
+def _as_int(x) -> int:
+    """`x` as a plain int; bools, which `operator.index` reads as 0 and 1, are refused."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return operator.index(x)
+
+
 class Stream:
-    """A named random stream: master seed plus an integer derivation path."""
+    """A named random stream: master seed plus an integer derivation path,
+    each read as plain ints (`_as_int`)."""
 
     __slots__ = ("seed", "path", "_gen")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
-        if seed < 0:
+        self.seed = _as_int(seed)
+        if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {seed}")
-        self.seed = int(seed)
-        self.path = tuple(int(p) for p in path)
+        self.path = tuple(map(_as_int, path))
         self._gen: np.random.Generator | None = None
 
     def child(self, *path: int) -> "Stream":

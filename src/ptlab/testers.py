@@ -8,12 +8,13 @@ depend only on (seed, path, i) and reports are identical for a fixed seed
 no matter how trials are scheduled or split over processes.
 
 Within a trial, the universal tester draws one vertex sample and decides
-it on the host's rows under the sample's bitmask. The density testers draw
-their t tuples in blocks, one `integers` call per block, sized so that the
-block is expected to hold the distinct-vertex tuples still needed (at most
-`_BLOCK` tuples); a tuple with a repeated vertex is dropped and made up for
-in the next block, so the t tuples tested are independent and uniform over
-tuples of distinct vertices. Bounded draws take the generator's words in
+it on the host's rows under the sample's bitmask (a batch resolves the
+property's core once). The density testers draw their t tuples in blocks,
+one `integers` call per block, sized so that the block is expected to hold
+the distinct-vertex tuples still needed (at most `_BLOCK` tuples); a tuple
+with a repeated vertex is dropped and made up for in the next block, so the
+t tuples tested are independent and uniform over tuples of distinct
+vertices. Bounded draws take the generator's words in
 order whatever the block shape, so a trial tests the same tuples, in the
 same order, as one draw per tuple would. Each tuple is tested on the
 adjacency rows directly, with no induced subgraph built.
@@ -38,9 +39,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphs import Graph, _as_int, count_triangles, sample_vertices
+from .graphs import Graph, count_triangles, sample_vertices
 from .recognizers import _find_triangle, _resolve
-from .rng import _MAX_TRIALS, Stream, _trial_streams
+from .rng import _MAX_TRIALS, Stream, _as_int, _trial_streams
 
 __all__ = [
     "Verdict",
@@ -156,14 +157,20 @@ class TesterReport:
                 "queries_per_trial": self.queries_per_trial}
 
 
-def universal_tester(g: Graph, d: int, property_name: str, rng: Stream) -> Verdict:
-    """Sample d vertices; accept iff their induced subgraph has the named
-    property (one-sided), decided by the property's scan core on the host's
-    rows under the sample's mask."""
+def _universal_core(g: Graph, d: int, property_name: str):
+    """The scan core that decides the named property on a d-vertex sample of
+    g, on the host's rows under the sample's mask."""
     if d > g.n:
         raise ValueError(f"cannot sample d={d} from n={g.n}")
+    return _resolve(property_name)[0]
+
+
+def universal_tester(g: Graph, d: int, property_name: str, rng: Stream) -> Verdict:
+    """Sample d vertices; accept iff their induced subgraph has the named
+    property (one-sided), decided by the property's scan core."""
+    core = _universal_core(g, d, property_name)
     sample = sample_vertices(g.n, d, rng)
-    member = _resolve(property_name)[0](g.rows, sum(1 << v for v in sample)) is None
+    member = core(g.rows, sum(1 << v for v in sample)) is None
     return _ACCEPTED if member else Verdict(False, sample)
 
 
@@ -186,33 +193,37 @@ def _distinct_tuples(gen, n: int, k: int, t: int) -> Iterator[list[int]]:
                     return
 
 
-def triangle_tester(g: Graph, t: int, rng: Stream) -> Verdict:
-    """t independent uniform vertex triples; reject iff one spans a triangle."""
+def _density_hit(degrees: list[int]) -> bool:
+    """The density testers' verdict on a tuple of distinct vertices, by its
+    induced degrees: three edges inside it, every degree 1 or 2 (a triangle
+    for a triple, an induced 4-path for a quadruple)."""
+    return sum(degrees) == 6 and all(1 <= deg <= 2 for deg in degrees)
+
+
+def _density_tester(g: Graph, k: int, t: int, rng: Stream) -> Verdict:
+    """t independent uniform k-tuples of distinct vertices; reject iff one
+    hits (`_density_hit`)."""
     if t < 1:
         raise ValueError("need t >= 1")
-    if g.n < 3:
-        raise ValueError(f"triple tester needs n >= 3, got {g.n}")
+    if g.n < k:
+        raise ValueError(f"{'triple' if k == 3 else 'quadruple'} tester needs n >= {k}, got {g.n}")
     rows = g.rows
-    for u, v, w in _distinct_tuples(rng.gen, g.n, 3, t):
-        if (rows[u] >> v) & 1 and (rows[v] >> w) & 1 and (rows[u] >> w) & 1:
-            return Verdict(False, tuple(sorted((u, v, w))))
+    for tup in _distinct_tuples(rng.gen, g.n, k, t):
+        mask = sum(1 << v for v in tup)
+        if _density_hit([(rows[v] & mask).bit_count() for v in tup]):
+            return Verdict(False, tuple(sorted(tup)))
     return _ACCEPTED
+
+
+def triangle_tester(g: Graph, t: int, rng: Stream) -> Verdict:
+    """t independent uniform vertex triples; reject iff one spans a triangle."""
+    return _density_tester(g, 3, t, rng)
 
 
 def induced_p3_tester(g: Graph, t: int, rng: Stream) -> Verdict:
     """t independent uniform 4-subsets; reject iff one induces a path with
-    three edges, i.e. its degrees inside the subset are 1, 1, 2, 2."""
-    if t < 1:
-        raise ValueError("need t >= 1")
-    if g.n < 4:
-        raise ValueError(f"quadruple tester needs n >= 4, got {g.n}")
-    rows = g.rows
-    for quad in _distinct_tuples(rng.gen, g.n, 4, t):
-        a, b, c, d = quad
-        mask = (1 << a) | (1 << b) | (1 << c) | (1 << d)
-        if sorted((rows[v] & mask).bit_count() for v in quad) == [1, 1, 2, 2]:
-            return Verdict(False, tuple(sorted(quad)))
-    return _ACCEPTED
+    three edges."""
+    return _density_tester(g, 4, t, rng)
 
 
 def run_tester(g: Graph, config: TesterConfig, rng: Stream) -> Verdict:
@@ -223,10 +234,10 @@ def run_tester(g: Graph, config: TesterConfig, rng: Stream) -> Verdict:
     return induced_p3_tester(g, config.t, rng)
 
 
-def _sample_masks(n: int, d: int, trials: int, rng: Stream) -> Iterator[int]:
-    """Trial i's uniform d-subset of 0..n-1, as a bitmask, for the trials of
-    the batch on `rng`: the sample the universal tester decides."""
-    for trial in _trial_streams(rng, 0, trials):
+def _sample_masks(n: int, d: int, rng: Stream, lo: int, hi: int) -> Iterator[int]:
+    """Trial i's uniform d-subset of 0..n-1, as a bitmask, for trials lo..hi-1
+    of the batch on `rng`: the sample the universal tester decides."""
+    for trial in _trial_streams(rng, lo, hi):
         yield sum(1 << v for v in sample_vertices(n, d, trial))
 
 
@@ -250,18 +261,12 @@ def _verdict_table(k: int) -> np.ndarray:
     The code reads the tuple's position pairs, in `combinations` order, as
     base-3 digits, the first pair most significant: 2 if both positions hold
     one vertex, else the pair's adjacency bit. The entry is -1 for a repeated
-    vertex, 1 for three edges with every induced degree 1 or 2 (a triangle
-    for k = 3, an induced 4-path for k = 4), and 0 otherwise.
+    vertex, else 1 if the tuple hits (`_density_hit`) and 0 if not.
     """
     pairs = list(combinations(range(k), 2))
-    table = []
-    for digits in product(range(3), repeat=len(pairs)):  # in code order
-        if 2 in digits:
-            table.append(-1)
-        else:
-            degrees = [sum(d for d, pair in zip(digits, pairs) if v in pair) for v in range(k)]
-            table.append(int(sum(digits) == 3 and all(1 <= deg <= 2 for deg in degrees)))
-    return np.array(table, np.int8)
+    return np.array([-1 if 2 in digits else int(_density_hit(
+        [sum(d for d, pair in zip(digits, pairs) if v in pair) for v in range(k)]))
+        for digits in product(range(3), repeat=len(pairs))], np.int8)  # in code order
 
 
 _VERDICTS = {k: _verdict_table(k) for k in (3, 4)}
@@ -333,9 +338,14 @@ def _trial_rejections(g: Graph, config: TesterConfig, rng: Stream,
 
 def _count_rejections(g: Graph, config: TesterConfig, rng: Stream,
                       lo: int, hi: int) -> int:
-    if config.kind == "universal":
-        return _trial_rejections(g, config, rng, lo, hi)
-    return _density_rejections(g, config, rng, lo, hi)
+    """Rejections of trials lo..hi-1 of the batch on `rng`. A universal trial's
+    sample (`_sample_masks`) is decided by the property's core, resolved once
+    for the batch, as `universal_tester` decides it."""
+    if config.kind != "universal":
+        return _density_rejections(g, config, rng, lo, hi)
+    core = _universal_core(g, config.d, config.property_name)
+    return sum(core(g.rows, mask) is not None
+               for mask in _sample_masks(g.n, config.d, rng, lo, hi))
 
 
 def _rejection_chunk(args) -> int:

@@ -290,12 +290,10 @@ def distance_equals_nu(stream: Stream, draws: int) -> str | None:
 def far_graphs_have_p3(stream: Stream, draws: int) -> str | None:
     eps = Fraction(1, 32)
     n = 8
-    threshold = eps * n * n  # = 2
     for i in range(draws):
         g = gnp(n, 0.5, stream.child(i))
-        d = distance_to_property(g, is_cograph)
-        far = (d.cap + 1 >= threshold) if isinstance(d, AboveCap) else (d >= threshold)
-        if not far:
+        # far: edit distance at least eps * n^2 = 2, i.e. above 1
+        if not isinstance(distance_to_property(g, is_cograph, cap=1), AboveCap):
             continue
         if count_induced_p3(g) == 0:
             return f"draw {i}: far graph with zero induced 4-paths"
@@ -415,7 +413,7 @@ def poset_gadget_samples(stream: Stream, k: int, d: int, trials: int) -> str | N
     rb = rs_graph(k, ap3_free_set(k, "exact"))
     t = rb.graph
     pb = build_poset_gadget(t, rb.labeling.relabel(("V1", "V2", "V3")), rb.certificate)
-    for i, mask in enumerate(_sample_masks(t.n, d, trials, stream)):
+    for i, mask in enumerate(_sample_masks(t.n, d, stream, 0, trials)):
         tri_free = _find_triangle(t.rows, mask) is None
         ok = _poset_hit(pb.graph.rows, mask) is None
         if ok != tri_free:
@@ -425,10 +423,10 @@ def poset_gadget_samples(stream: Stream, k: int, d: int, trials: int) -> str | N
 
 def farness_below_distance() -> str | None:
     rb = rs_graph(1, ap3_free_set(1, "exact"))  # n=6, farness 1/36
-    d = distance_to_property(rb.graph, is_triangle_free)
-    dist = d if isinstance(d, int) else d.cap + 1
-    if rb.farness > Fraction(dist, 36):
-        return f"farness {rb.farness} above true distance {dist}/36"
+    # the distance must reach farness * 36: ask whether it lies above one less
+    d = distance_to_property(rb.graph, is_triangle_free, cap=math.ceil(rb.farness * 36) - 1)
+    if not isinstance(d, AboveCap):
+        return f"farness {rb.farness} above true distance {d}/36"
     return None
 
 
@@ -533,7 +531,7 @@ SUITES: dict[str, tuple[int, list[tuple[str, Callable[[Stream], str | None]]]]] 
          lambda rng: sampling_uniform(rng.child(40))),
     ]),
     "recognizers": (2, [
-        ("cograph recognizer matches induced-4-path-freeness on all 6-vertex graphs",
+        ("cograph recognizer matches the cograph definition on all 6-vertex graphs",
          lambda rng: seinsche_equivalence(6)),
         ("forcing agrees with exhaustive orientation (all 5-vertex graphs + "
          "10000 random 7-vertex)",

@@ -120,12 +120,12 @@ def test_criterion_04_poset_gadget():
         lab2 = PartLabeling(t2.n, [("V1", parts[0]), ("V2", parts[1]), ("V3", parts[2])])
         gb2 = build_poset_gadget(t2, lab2)
         assert count_triangles(t2) == 0
-        for i, mask in enumerate(_sample_masks(t2.n, 8, 1000, rng.child(2))):
+        for i, mask in enumerate(_sample_masks(t2.n, 8, rng.child(2), 0, 1000)):
             assert _poset_hit(gb2.graph.rows, mask) is None, i
 
 
 def test_criterion_05_seinsche_equivalence():
-    with criterion(5, 60, "cograph recognizer matches brute-force induced-4-path-freeness "
+    with criterion(5, 60, "cograph recognizer matches the cograph definition "
                           "on all 32768 graphs on 6 vertices"):
         detail = seinsche_equivalence(6)
         assert detail is None, detail

@@ -433,6 +433,24 @@ CSV_PINNED = {
         "0.5418970269185592,0.7924178373934316\r\n"
         "3,control,comparability,0.0001234567901234568,10,50,0.92,"
         "0.8116175308165717,0.968450485911407\r\n"),
+    "pipeline-easy": (
+        ["--seed", 9, "pipeline-easy", "--n", 9, "--distances", "0,1,2,3", "--budgets", "1,4",
+         "--trials", 60],
+        "n,epsilon,distance,graph,t,trials,rejection_rate,wilson_lo,wilson_hi\r\n"
+        "9,0.0,0,far,1,60,0.0,0.0,0.06017185214208986\r\n"
+        "9,0.0,0,far,4,60,0.0,0.0,0.06017185214208986\r\n"
+        "9,0.012345679012345678,1,far,1,60,0.0,0.0,0.06017185214208986\r\n"
+        "9,0.012345679012345678,1,far,4,60,0.016666666666666666,0.0029481597947862426,"
+        "0.08855129727590062\r\n"
+        "9,0.024691358024691357,2,far,1,60,0.13333333333333333,0.0691410948058697,"
+        "0.24165159676499615\r\n"
+        "9,0.024691358024691357,2,far,4,60,0.35,0.24167774406017556,0.47637381158245135\r\n"
+        "9,0.037037037037037035,3,far,1,60,0.06666666666666667,0.026228698724506214,"
+        "0.1592535731319717\r\n"
+        "9,0.037037037037037035,3,far,4,60,0.2833333333333333,0.18506828428432714,"
+        "0.4076728516439118\r\n"
+        "9,0.0,0,cograph,1,60,0.0,0.0,0.06017185214208986\r\n"
+        "9,0.0,0,cograph,4,60,0.0,0.0,0.06017185214208986\r\n"),
 }
 
 

@@ -1,11 +1,15 @@
+import math
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 import pytest
 
 import ptlab.extremal as extremal
 import ptlab.oracles as O
 from ptlab.decomposition import distance_to_property, find_beta_cut
-from ptlab.extremal import ExtremalRecord, _CutFree, estimate_f, search_min_p3_density
+from ptlab.extremal import (ExtremalRecord, _CutFree, _FarFromCograph, estimate_f,
+                            search_min_p3_density)
 from ptlab.graphs import (Graph, complete_graph, count_induced_p3, cycle_graph, empty_graph,
                           gnp, path_graph)
 from ptlab.recognizers import is_cograph
@@ -283,3 +287,75 @@ def test_climb_scans_crossings_once_per_start_and_per_accepted_move(monkeypatch)
     assert scans == starts + moves
     assert moves > 0 and rejected > 0  # the coin refused some candidates, unscanned
     assert rec.graph.rows in {e[1] for e in events if e[0] == "scan"}
+
+
+def census_cograph_distances(n):
+    """(rows, toggle distance to the nearest cograph) of every labeled graph on
+    n vertices, by breadth-first search over single pair toggles out of the
+    graphs `oracles.cograph` accepts: graph `mask ^ 1 << i` of
+    `oracles.labeled_graphs` is graph `mask` with its i-th pair toggled."""
+    graphs = list(O.labeled_graphs(n))
+    dist = [0 if O.cograph(rows, range(n)) else None for rows in graphs]
+    frontier = [mask for mask, d in enumerate(dist) if d == 0]
+    while frontier:
+        reached = []
+        for mask in frontier:
+            for i in range(n * (n - 1) // 2):
+                if dist[mask ^ 1 << i] is None:
+                    dist[mask ^ 1 << i] = dist[mask] + 1
+                    reached.append(mask ^ 1 << i)
+        frontier = reached
+    return list(zip(graphs, dist))
+
+
+def toggle_distance(rows, cap):
+    """The fewest pair toggles turning rows into a graph `oracles.cograph`
+    accepts, trying every set of at most `cap` pairs; cap + 1 if none does."""
+    n = len(rows)
+    for k in range(cap + 1):
+        for chosen in combinations(combinations(range(n), 2), k):
+            toggled = list(rows)
+            for u, v in chosen:
+                toggled[u] ^= 1 << v
+                toggled[v] ^= 1 << u
+            if O.cograph(toggled, range(n)):
+                return k
+    return cap + 1
+
+
+@cache
+def seeded_distances():
+    """(rows, toggle distance capped at 3) of 36 seeded G(n, p), n = 7, 8."""
+    return [(g.rows, toggle_distance(g.rows, 2))
+            for n in (7, 8) for p in (0.3, 0.5, 0.7) for i in range(6)
+            for g in [gnp(n, p, Stream(1801, (n, int(10 * p), i)))]]
+
+
+def far_disagreements(graphs, thresholds):
+    """(rows, threshold) at which `_FarFromCograph` says "far" other than
+    exactly when the toggle distance is at least need = ceil(threshold)."""
+    qualifiers = [(t, math.ceil(t), _FarFromCograph(t)) for t in thresholds]
+    return [(rows, t) for rows, d in graphs for g in [Graph(len(rows), rows)]
+            for t, need, q in qualifiers if q.start(g) != (d >= need)]
+
+
+# needs 1..3, each asked at the thresholds need - 1/2 and need
+THRESHOLDS = [Fraction(k, 2) for k in range(1, 7)]
+
+
+def test_far_qualifier_matches_brute_force_on_all_6_vertex_graphs():
+    graphs = census_cograph_distances(6)
+    assert {d for _, d in graphs} == {0, 1, 2}  # so at need 3 no 6-vertex graph is far
+    assert far_disagreements(graphs, [1, 2, 3]) == []
+
+
+def test_far_qualifier_matches_brute_force_on_seeded_gnp():
+    assert {min(d, 3) for _, d in seeded_distances()} >= {1, 2, 3}
+    assert far_disagreements(seeded_distances(), THRESHOLDS) == []
+
+
+def test_fault_injection_far_qualifier_asking_cap_need_is_caught(monkeypatch):
+    real = extremal.distance_to_property
+    monkeypatch.setattr(extremal, "distance_to_property",
+                        lambda g, recognizer, cap: real(g, recognizer, cap=cap + 1))
+    assert far_disagreements(seeded_distances(), THRESHOLDS) != []

@@ -1,8 +1,10 @@
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
+import ptlab.verify as verify
 from ptlab.gadgets import (
     AP_EXACT_BOUND,
     ApFreeSet,
@@ -176,6 +178,15 @@ def test_poset_gadget_samples():
 def test_bundle_farness_below_exact_distance():
     detail = farness_below_distance()
     assert detail is None, detail
+
+
+def test_fault_injection_farness_above_distance_is_caught(monkeypatch):
+    # rs(1) is one triangle on 6 vertices, at distance 1: a claimed farness
+    # of 2/36 asks for a distance above 1 and must fail the check
+    real = verify.rs_graph
+    monkeypatch.setattr(verify, "rs_graph", lambda k, s: SimpleNamespace(
+        graph=real(k, s).graph, farness=Fraction(2, 36)))
+    assert farness_below_distance() == "farness 1/18 above true distance 1/36"
 
 
 # each gadget builder with the names of its inner graph's three parts

@@ -181,6 +181,18 @@ def test_sampling_examples_and_determinism():
     assert sample_vertices(50, 10, Stream(3, (9,))) == sample_vertices(50, 10, Stream(3, (9,)))
 
 
+@pytest.mark.parametrize("n, d", [(6.0, 2), (6, 2.0), (6, True), (True, 1), ("6", 2)])
+def test_sampling_refuses_float_bool_and_string_sizes(n, d):
+    with pytest.raises(TypeError):
+        sample_vertices(n, d, Stream(3))
+
+
+def test_sampling_reads_numpy_sizes_as_ints():
+    sample = sample_vertices(np.int64(6), np.int32(2), Stream(3))
+    assert sample == sample_vertices(6, 2, Stream(3))
+    assert all(type(v) is int for v in sample)
+
+
 def test_sampling_uniformity():
     # 10^5 draws of 2-subsets of 5: each of the 10 pairs within 3 SE of 0.1
     detail = sampling_uniform(Stream(17, (0,)))

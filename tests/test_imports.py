@@ -103,3 +103,15 @@ def test_ptlab_and_oracle_imports_are_caught():
               "def f():\n    from .oracles import induces\n    import ptlab.rng, oracles\n")
     assert ptlab_imports(source) == ["ptlab", "ptlab.oracles", "ptlab.oracles",
                                      "ptlab.oracles.induces", "ptlab.rng"]
+
+
+def test_rng_imports_nothing_from_ptlab():
+    # rng is the bottom layer: every other module may import it, it none of them
+    package = Path(ptlab.__file__).parent
+    assert ptlab_imports((package / "rng.py").read_text()) == []
+
+
+def test_rng_importing_ptlab_is_caught():
+    source = ("import operator\nimport numpy as np\n"
+              "def f(x):\n    from .graphs import _as_int\n    return _as_int(x)\n")
+    assert ptlab_imports(source) == ["ptlab.graphs", "ptlab.graphs._as_int"]

@@ -1,6 +1,7 @@
 """The trial-batch layout of `rng`: one generator per batch, trial i at its
 own Philox counter block."""
 
+import numpy as np
 import pytest
 
 import ptlab.rng as rng_mod
@@ -81,3 +82,29 @@ def test_fault_injection_every_trial_reusing_block_zero_is_caught(monkeypatch):
     g = gnp(20, 0.3, Stream(9))
     rep = estimate_detection(g, TesterConfig("triple-density", t=2), 200, Stream(9, (1,)))
     assert rep.rejections in (0, 200)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, False, "1"])
+def test_seed_and_path_elements_must_be_integers(bad):
+    with pytest.raises(TypeError):
+        Stream(bad)
+    with pytest.raises(TypeError):
+        Stream(0, (2, bad))
+    with pytest.raises(TypeError):
+        Stream(0).child(bad)
+
+
+def test_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        Stream(-1)
+
+
+def test_numpy_integer_seeds_and_paths_draw_as_plain_ints():
+    for twin in (Stream(np.int64(1), (np.int32(2), np.uint8(3))),
+                 Stream(np.uint64(1)).child(np.int64(2), 3)):
+        assert (twin.seed, twin.path) == (1, (2, 3))
+        assert all(type(v) is int for v in (twin.seed, *twin.path))
+        assert twin.gen.integers(0, 10**9, size=4).tolist() == \
+            Stream(1, (2, 3)).gen.integers(0, 10**9, size=4).tolist()
+    # seed 1's first draw, unchanged by reading seeds through `_as_int`
+    assert Stream(1).gen.integers(0, 10**9) == 420910729

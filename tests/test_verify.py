@@ -137,7 +137,7 @@ def test_fault_injection_gadget_samples_reading_the_v4_block(monkeypatch):
     # block, two blocks below f's own top f.n indices
     def v4_block(f, gb, d, trials, rng):
         later = R._later_masks(gb.labeling)
-        for mask in _sample_masks(gb.graph.n, d, trials, rng):
+        for mask in _sample_masks(gb.graph.n, d, rng, 0, trials):
             inner = (mask >> 2 * f.n) & ((1 << f.n) - 1)
             yield (mask, R._find_triangle(f.rows, inner) is None,
                    R._order_hit(gb.graph.rows, mask, later) is None)
