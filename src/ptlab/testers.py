@@ -8,24 +8,31 @@ depend only on (seed, path, i) and reports are identical for a fixed seed
 no matter how trials are scheduled or split over processes.
 
 Within a trial, the universal tester draws one vertex sample and decides
-it on the host's rows under the sample's bitmask (a batch resolves the
-property's core once). The density testers draw their t tuples in blocks,
-one `integers` call per block, sized so that the block is expected to hold
-the distinct-vertex tuples still needed (at most `_BLOCK` tuples); a tuple
-with a repeated vertex is dropped and made up for in the next block, so the
-t tuples tested are independent and uniform over tuples of distinct
-vertices. Bounded draws take the generator's words in
-order whatever the block shape, so a trial tests the same tuples, in the
-same order, as one draw per tuple would. Each tuple is tested on the
-adjacency rows directly, with no induced subgraph built.
+it on the host's rows under the sample's bitmask. The density testers
+draw their t tuples in blocks, one `integers` call per block, sized so
+that the block is expected to hold the distinct-vertex tuples still
+needed (at most `_BLOCK` tuples); a tuple with a repeated vertex is
+dropped and made up for in the next block, so the t tuples tested are
+independent and uniform over tuples of distinct vertices. Bounded draws
+take the generator's words in order whatever the block shape, so a trial
+tests the same tuples, in the same order, as one draw per tuple would.
+Each tuple is tested on the adjacency rows directly, with no induced
+subgraph built.
 
-`estimate_detection` decides density batches without that loop, with the
-same counts: each trial's raw words come from its trial stream in one
-draw, are turned into the values its `integers` draws would give (Lemire's
-method on 32-bit halves), and all the trials' tuples are decided at once
-in numpy on the host's pair codes. A trial the words cannot settle (a
-rejected half among them, or too few distinct tuples and no hit) runs on
-its own through `run_tester`, which stays the single-trial API.
+`estimate_detection` decides batches without those loops, with the same
+counts. The trials' raw words come from one numpy Philox kernel
+(`rng._trial_words`). A universal batch turns them into every trial's
+sample at once, as `sample_vertices` draws it, and decides each sample on
+compact rows: its induced block of the host's adjacency matrix, one int
+per sample vertex, under the full mask (the property's core is resolved
+once per batch). A density batch turns them into the values the trials'
+`integers` draws would give (Lemire's method on 32-bit halves) and
+decides all the trials' tuples at once on the host's pair codes. A trial
+the words cannot settle (too few distinct vertices for a sample; a
+rejected half, or too few distinct tuples and no hit, for a density
+trial) runs on its own trial stream; `run_tester` stays the single-trial
+API. Hosts whose adjacency matrix would not fit the chunk budget
+(`_batched`) run every trial that way, in the memory of their rows.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import numpy as np
 
 from .graphs import Graph, count_triangles, sample_vertices
 from .recognizers import _find_triangle, _resolve
-from .rng import _MAX_TRIALS, Stream, _as_int, _trial_streams
+from .rng import _MAX_TRIALS, Stream, _as_int, _trial_streams, _trial_words
 
 __all__ = [
     "Verdict",
@@ -63,8 +70,8 @@ DEFAULT_BUDGET_CAP = 1 << 14
 _DESK_BUDGET = 10 ** 9
 # most tuples one draw makes for a density tester
 _BLOCK = 256
-# most raw words one chunk of a batched density decision holds (8 bytes each)
-_CHUNK_WORDS = 1 << 14
+# the byte budget of one chunk of a batched decision's per-trial temporaries
+_CHUNK_BYTES = 1 << 17
 # the detection probability the minimal-budget search asks for
 _TARGET = 2 / 3
 
@@ -234,11 +241,118 @@ def run_tester(g: Graph, config: TesterConfig, rng: Stream) -> Verdict:
     return induced_p3_tester(g, config.t, rng)
 
 
+def _batched(n: int) -> bool:
+    """Whether a batch on an n-vertex host runs in numpy: the host's
+    adjacency matrix, one byte a pair, fits `_CHUNK_BYTES`. Batches on
+    larger hosts run trial by trial, in the memory of the host's rows."""
+    return n * n <= _CHUNK_BYTES
+
+
+def _sample_chunks(n: int, d: int, rng: Stream, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Trial i's uniform d-subset of 0..n-1, the sample the universal tester
+    decides, for trials lo..hi-1 of the batch on `rng`, in chunks: row j of
+    a chunk's bool matrix marks the sample of the chunk's j-th trial.
+
+    It is the subset `sample_vertices` draws on the trial's stream. Its first
+    block of words is the trial's first 2k raw words (`_trial_words`), k =
+    min(d, n - d): a word w below the largest multiple of n gives vertex
+    w mod n, the first k distinct vertices are the draw, and the sample is
+    their complement when k < d. A vertex's first occurrence in a trial's
+    words is found by sorting (`np.unique`), in O(k log k) a trial. A trial
+    whose 2k words hold fewer than k distinct vertices is drawn by
+    `sample_vertices` on its own trial stream. Chunks keep the (trials, n),
+    (trials, 2k) and (trials, d, d) temporaries within `_CHUNK_BYTES`; the
+    callers run only hosts that are `_batched`.
+    """
+    k = min(d, n - d)
+    width = 2 * k
+    # no word is rejected when n is a power of two (or 0, with no words)
+    limit = (1 << 64) - (1 << 64) % n if n else 1 << 64
+    step = max(1, _CHUNK_BYTES // max(n, 8 * width, d * d, 1))
+    for start, words in zip(range(lo, hi, step), _trial_words(rng, lo, hi, width, step)):
+        trials = len(words)
+        vertex = (words % np.uint64(n)).astype(np.intp)
+        valid = (words < np.uint64(limit) if limit < 1 << 64
+                 else np.ones(words.shape, bool))
+        # one code per (trial, vertex), n for a rejected word
+        code = np.where(valid, vertex, n)
+        code += np.arange(trials).reshape(-1, 1) * (n + 1)
+        fresh = np.zeros(trials * width, bool)
+        fresh[np.unique(code, return_index=True)[1]] = True
+        fresh = fresh.reshape(trials, width) & valid
+        fresh &= np.cumsum(fresh, axis=1) <= k
+        member = np.zeros((trials, n), bool)
+        trial, column = np.nonzero(fresh)
+        member[trial, vertex[trial, column]] = True
+        if k < d:
+            member = ~member
+        for j in np.flatnonzero(np.count_nonzero(fresh, axis=1) < k).tolist():
+            member[j] = False
+            member[j, list(sample_vertices(n, d, next(_trial_streams(
+                rng, start + j, start + j + 1))))] = True
+        yield member
+
+
 def _sample_masks(n: int, d: int, rng: Stream, lo: int, hi: int) -> Iterator[int]:
-    """Trial i's uniform d-subset of 0..n-1, as a bitmask, for trials lo..hi-1
-    of the batch on `rng`: the sample the universal tester decides."""
-    for trial in _trial_streams(rng, lo, hi):
-        yield sum(1 << v for v in sample_vertices(n, d, trial))
+    """Trial i's sample (`_sample_chunks`) as a bitmask, for trials lo..hi-1
+    of the batch on `rng`; a host that is not `_batched` draws each sample
+    by `sample_vertices` on the trial's own stream."""
+    if not _batched(n):
+        for trial in _trial_streams(rng, lo, hi):
+            yield sum(1 << v for v in sample_vertices(n, d, trial))
+        return
+    for member in _sample_chunks(n, d, rng, lo, hi):
+        yield from _row_ints(member)
+
+
+def _row_ints(bits: np.ndarray) -> list[int]:
+    """The rows of a 2-d bool array as ints: bit j of the i-th is bits[i, j].
+    Rows of at most 64 bits are read as uint64 words, longer ones by
+    `int.from_bytes`."""
+    rows, m = bits.shape
+    nbytes = 8 * max(1, -(-m // 64))
+    packed = np.zeros((rows, nbytes), np.uint8)
+    packed[:, :(m + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    if nbytes == 8:
+        return packed.view("<u8")[:, 0].tolist()
+    data = packed.tobytes()
+    return [int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes)]
+
+
+def _adjacency(g: Graph) -> np.ndarray:
+    """g's adjacency matrix, as an (n, n) uint8 array of 0s and 1s."""
+    n, nbytes = g.n, (g.n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in g.rows), np.uint8)
+    return np.unpackbits(packed.reshape(n, nbytes), axis=1, count=n, bitorder="little")
+
+
+def _universal_rejections(g: Graph, config: TesterConfig, rng: Stream,
+                          lo: int, hi: int) -> int:
+    """Rejections of universal trials lo..hi-1 of the batch on `rng`, with the
+    verdicts `universal_tester` gives: each trial's sample (`_sample_chunks`)
+    is decided by the property's core, resolved once for the batch.
+
+    A sample is decided on compact rows: its induced d x d block of the
+    adjacency matrix, one int per sample vertex (`_row_ints`), under the
+    mask (1 << d) - 1. Samples are sorted, so the relabelling keeps vertex
+    order; membership is a property of the induced subgraph, so the verdict
+    is the one on the host's rows. Hosts that are not `_batched` run trial
+    by trial.
+    """
+    n, d = g.n, config.d
+    core = _universal_core(g, d, config.property_name)
+    if not _batched(n):
+        return _trial_rejections(g, config, rng, lo, hi)
+    adjacency = _adjacency(g).view(bool)
+    full = (1 << d) - 1
+    rejections = 0
+    for member in _sample_chunks(n, d, rng, lo, hi):
+        sample = np.nonzero(member)[1].reshape(len(member), d)
+        block = adjacency[sample[:, :, None], sample[:, None, :]]
+        rows = _row_ints(block.reshape(len(member) * d, d))
+        rejections += sum(core(rows[j * d:(j + 1) * d], full) is not None
+                          for j in range(len(member)))
+    return rejections
 
 
 def _lemire_values(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -277,7 +391,7 @@ def _density_rejections(g: Graph, config: TesterConfig, rng: Stream,
     """Rejections of density trials lo..hi-1 of the batch on `rng`, decided
     together in numpy with the verdicts `run_tester` gives.
 
-    Each trial takes `width` raw words from its trial stream in one draw, a
+    Each trial takes its first `width` raw words (`_trial_words`), a
     multiple of 4 sized so its tuples are expected to hold the t distinct
     ones with about three standard deviations to spare. `_lemire_values`
     turns them into the values the trial's `integers` draws would give, and
@@ -286,8 +400,8 @@ def _density_rejections(g: Graph, config: TesterConfig, rng: Stream,
     t distinct tuples hits (`_verdict_table`). A trial whose used words hold
     a rejected half, or whose tuples hold fewer than t distinct ones and no
     hit, is run by `run_tester` on its own trial stream. Hosts the tester
-    refuses, and batches whose words or pair codes would not fit
-    `_CHUNK_WORDS` words, run trial by trial.
+    refuses, and batches whose words or pair codes (8 and 1 bytes each)
+    would not fit `_CHUNK_BYTES`, run trial by trial.
     """
     n, t = g.n, config.t
     k = 3 if config.kind == "triple-density" else 4
@@ -296,22 +410,16 @@ def _density_rejections(g: Graph, config: TesterConfig, rng: Stream,
     share = math.perm(n, k) / n ** k
     tuples = math.ceil((t + 3 * math.sqrt(t * (1 - share)) + 2) / share)
     width = -(-k * tuples // 8) * 4
-    if width > _CHUNK_WORDS or n * n > 8 * _CHUNK_WORDS:
+    if 8 * width > _CHUNK_BYTES or not _batched(n):
         return _trial_rejections(g, config, rng, lo, hi)
     tuples = 2 * width // k  # every whole tuple the words hold
-    nbytes = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in g.rows), np.uint8)
-    pair_codes = np.unpackbits(packed.reshape(n, nbytes), axis=1, count=n, bitorder="little")
+    pair_codes = _adjacency(g)
     np.fill_diagonal(pair_codes, 2)
     pair_codes = pair_codes.ravel()
     table = _VERDICTS[k]
     rejections = 0
-    step = _CHUNK_WORDS // width
-    for start in range(lo, hi, step):
-        stop = min(start + step, hi)
-        words = np.empty((stop - start, width), np.uint64)
-        for j, trial in enumerate(_trial_streams(rng, start, stop)):
-            words[j] = trial.gen.bit_generator.random_raw(width)
+    step = _CHUNK_BYTES // (8 * width)
+    for start, words in zip(range(lo, hi, step), _trial_words(rng, lo, hi, width, step)):
         values, rejected = _lemire_values(words, n)
         # vertex at position i of each trial's tuples, as one (trials, tuples) array per i
         at = (values[:, :k * tuples].reshape(-1, tuples, k).transpose(2, 0, 1)
@@ -338,14 +446,10 @@ def _trial_rejections(g: Graph, config: TesterConfig, rng: Stream,
 
 def _count_rejections(g: Graph, config: TesterConfig, rng: Stream,
                       lo: int, hi: int) -> int:
-    """Rejections of trials lo..hi-1 of the batch on `rng`. A universal trial's
-    sample (`_sample_masks`) is decided by the property's core, resolved once
-    for the batch, as `universal_tester` decides it."""
-    if config.kind != "universal":
-        return _density_rejections(g, config, rng, lo, hi)
-    core = _universal_core(g, config.d, config.property_name)
-    return sum(core(g.rows, mask) is not None
-               for mask in _sample_masks(g.n, config.d, rng, lo, hi))
+    """Rejections of trials lo..hi-1 of the batch on `rng`."""
+    if config.kind == "universal":
+        return _universal_rejections(g, config, rng, lo, hi)
+    return _density_rejections(g, config, rng, lo, hi)
 
 
 def _rejection_chunk(args) -> int:

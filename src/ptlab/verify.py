@@ -23,7 +23,8 @@ from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 from . import oracles
-from .decomposition import AboveCap, distance_to_property, find_cut, refine_along_cuts
+from .decomposition import (AboveCap, DISTANCE_CAP_BOUND, distance_to_property, find_cut,
+                            refine_along_cuts)
 from .gadgets import AP_EXACT_BOUND, ap3_free_set, build_c5_gadget, build_poset_gadget, rs_graph
 from .graphs import (
     Graph,
@@ -348,8 +349,12 @@ def distance_dominates_tau(stream: Stream, draws: int) -> str | None:
     for i in range(draws):
         g = gnp(7, 0.4, stream.child(i))
         tau = len(triangle_packing(g, "exact"))
-        d = distance_to_property(g, is_triangle_free)
-        if not isinstance(d, AboveCap) and d < tau:
+        if not tau:  # every distance reaches 0
+            continue
+        # the distance must reach tau: ask whether it lies above tau - 1, or
+        # above the cap, past which the oracle cannot see
+        d = distance_to_property(g, is_triangle_free, cap=min(tau - 1, DISTANCE_CAP_BOUND))
+        if not isinstance(d, AboveCap):
             return f"draw {i}: distance {d} < tau {tau}"
     return None
 

@@ -1,12 +1,16 @@
 """The trial-batch layout of `rng`: one generator per batch, trial i at its
-own Philox counter block."""
+own Philox counter block, and the numpy word kernel `_trial_words` against
+numpy's own Philox through `_trial_streams`."""
+
+import inspect
+import random
 
 import numpy as np
 import pytest
 
 import ptlab.rng as rng_mod
 from ptlab.graphs import cycle_graph, gnp
-from ptlab.rng import _MAX_TRIALS, Stream, _trial_counter, _trial_streams
+from ptlab.rng import _MAX_TRIALS, Stream, _trial_counter, _trial_streams, _trial_words
 from ptlab.testers import TesterConfig, estimate_detection
 
 WORD = 1 << 64
@@ -108,3 +112,75 @@ def test_numpy_integer_seeds_and_paths_draw_as_plain_ints():
             Stream(1, (2, 3)).gen.integers(0, 10**9, size=4).tolist()
     # seed 1's first draw, unchanged by reading seeds through `_as_int`
     assert Stream(1).gen.integers(0, 10**9) == 420910729
+
+
+def _kernel_mismatches():
+    """(seed, path, lo, width, step) where `_trial_words` differs from
+    `random_raw` on the trial streams: random seeds and paths, odd widths,
+    trial indices at the start, in the middle and at the end of the layout,
+    in one chunk and in several."""
+    rnd = random.Random(20261020)
+    bad = []
+    for width in (1, 3, 5, 17, 64):
+        for lo in (0, rnd.randrange(1, 1 << 40), _MAX_TRIALS - 7):
+            seed = rnd.randrange(1 << rnd.choice((8, 32, 63)))
+            path = tuple(rnd.randrange(1000) for _ in range(rnd.randrange(3)))
+            stream = Stream(seed, path)
+            hi = min(lo + 7, _MAX_TRIALS)
+            want = [t.gen.bit_generator.random_raw(width).tolist()
+                    for t in _trial_streams(stream, lo, hi)]
+            # one chunk, and chunks of 3 trials (the last one shorter)
+            for step in (7, 3):
+                got = list(rng_mod._trial_words(stream, lo, hi, width, step))
+                if (any(chunk.dtype != np.uint64 for chunk in got)
+                        or [len(chunk) for chunk in got] != [min(step, hi - s) for s in range(lo, hi, step)]
+                        or [row for chunk in got for row in chunk.tolist()] != want):
+                    bad.append((seed, path, lo, width, step))
+    return bad
+
+
+def test_trial_words_are_the_trial_streams_raw_words():
+    assert _kernel_mismatches() == []
+
+
+def test_trial_words_of_an_empty_range_or_width():
+    assert list(_trial_words(Stream(1), 5, 5, 8, 4)) == []
+    assert [chunk.shape for chunk in _trial_words(Stream(1), 0, 3, 0, 2)] == [(2, 0), (1, 0)]
+
+
+def test_trial_words_raise_no_numpy_warning():
+    with np.errstate(all="raise"):
+        list(_trial_words(Stream(11, (2,)), _MAX_TRIALS - 3, _MAX_TRIALS, 9, 2))
+
+
+def test_trial_words_read_the_batch_key_once(monkeypatch):
+    # the key takes a Philox build to read: once a batch, not once a chunk
+    calls = []
+    real = rng_mod._batch_key
+    monkeypatch.setattr(rng_mod, "_batch_key", lambda rng: calls.append(1) or real(rng))
+    assert len(list(_trial_words(Stream(3), 0, 50, 8, 4))) == 13
+    assert len(calls) == 1
+
+
+def _patched_kernel(monkeypatch, old, new):
+    source = inspect.getsource(rng_mod._trial_words)
+    assert source.count(old) == 1
+    namespace = dict(vars(rng_mod))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(rng_mod, "_trial_words", namespace["_trial_words"])
+
+
+def test_fault_injection_nine_rounds_is_caught(monkeypatch):
+    monkeypatch.setattr(rng_mod, "_PHILOX_ROUNDS", 9)
+    assert len(_kernel_mismatches()) == 30
+
+
+def test_fault_injection_flipped_weyl_bit_is_caught(monkeypatch):
+    w0, w1 = rng_mod._PHILOX_W
+    monkeypatch.setattr(rng_mod, "_PHILOX_W", (w0, w1 ^ (1 << 17)))
+    assert len(_kernel_mismatches()) == 30
+
+
+def test_fault_injection_block_b_instead_of_b_plus_one_is_caught(monkeypatch):
+    _patched_kernel(monkeypatch, "np.arange(1, blocks + 1,", "np.arange(0, blocks,")
+    assert len(_kernel_mismatches()) == 30

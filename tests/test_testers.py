@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import inspect
 import math
 import os
 from collections import Counter
@@ -18,6 +19,7 @@ from ptlab.graphs import (
     gnp,
     path_graph,
     random_cograph,
+    sample_vertices,
 )
 from ptlab.oracles import induces
 from ptlab.rng import Stream, _trial_streams
@@ -515,3 +517,170 @@ def test_universal_batch_resolves_its_property_once(monkeypatch):
     rep = estimate_detection(gnp(20, 0.5, Stream(3)), config, 200, Stream(4))
     assert rep.rejections > 0
     assert tokens == ["cycle:4"]
+
+
+def _c5_gadget_180():
+    """The five-part gadget the `detect` benchmark samples: 180 vertices."""
+    rb = rs_graph(6, ap3_free_set(6, "exact"))
+    return build_c5_gadget(rb.graph, rb.labeling.relabel(("V2", "V3", "V5")),
+                           rb.certificate).graph
+
+
+UNIVERSAL_PROPERTIES = ["triangle-free", "cograph", "comparability", "perfect",
+                        "induced-c5-free", "induced-p3-free", "induced-h-free:cycle:4",
+                        "induced-h-free:path:5", "induced-h-free:complete:3"]
+# host -> (graph, sample sizes, trials): n <= 64, the 180-vertex gadget, and
+# powers of two (no word is rejected); d = 0, d = 1, d > n/2, d = n and d > 64
+UNIVERSAL_HOSTS = {
+    "gnp20": (lambda: gnp(20, 0.3, Stream(191)), (0, 1, 6, 13, 20), 150),
+    "gadget": (_c5_gadget_180, (14, 15), 60),
+    "gnp64": (lambda: gnp(64, 0.08, Stream(193)), (12, 40), 80),
+    "gnp128": (lambda: gnp(128, 0.02, Stream(197)), (13, 70), 40),
+}
+
+
+def _universal_mismatches(hosts=tuple(UNIVERSAL_HOSTS)):
+    """(host, d, property, batch, reference) where a universal batch's
+    rejections differ from `universal_tester` run trial by trial. The
+    perfect core refuses samples above its exact bound, in both, and the
+    general induced-H subset scan, C(d, |H|) subsets a trial, runs up to
+    d = 13."""
+    bad = []
+    for host in hosts:
+        build, sizes, trials = UNIVERSAL_HOSTS[host]
+        g = build()
+        for d in sizes:
+            for j, prop in enumerate(UNIVERSAL_PROPERTIES):
+                if (prop == "perfect" and d > R.PERFECT_EXACT_BOUND
+                        or prop in ("induced-h-free:cycle:4", "induced-h-free:path:5") and d > 13):
+                    continue
+                config = TesterConfig("universal", d=d, property_name=prop)
+                rng = Stream(199, (j, d))
+                got = estimate_detection(g, config, trials, rng).rejections
+                want = _per_trial_rejections(g, config, trials, rng)
+                if got != want:
+                    bad.append((host, d, prop, got, want))
+    return bad
+
+
+def test_universal_batches_match_per_trial_reference():
+    assert _universal_mismatches() == []
+
+
+def test_universal_batch_keeps_the_perfect_bound():
+    config = TesterConfig("universal", d=R.PERFECT_EXACT_BOUND + 1, property_name="perfect")
+    with pytest.raises(ValueError, match="exact perfectness limited"):
+        estimate_detection(cycle_graph(20), config, 10, Stream(1))
+
+
+@pytest.mark.parametrize("n, d", [(0, 0), (1, 1), (2, 1), (5, 0), (5, 5), (9, 8),
+                                  (36, 8), (60, 15), (64, 33), (180, 15), (200, 120),
+                                  (362, 181), (362, 300), (363, 12)])
+def test_sample_masks_are_the_trial_samples(n, d):
+    rng = Stream(211, (n, d))
+    want = [sum(1 << v for v in sample_vertices(n, d, t)) for t in _trial_streams(rng, 3, 203)]
+    assert list(T._sample_masks(n, d, rng, 3, 203)) == want
+
+
+def test_short_trials_draw_again_and_keep_their_samples(monkeypatch):
+    # at n = 6, d = 3, about 2% of trials hold fewer than 3 distinct
+    # vertices in their first 6 words; they draw through `sample_vertices`
+    g = gnp(6, 0.5, Stream(223))
+    configs = [TesterConfig("universal", d=3, property_name=prop)
+               for prop in ("cograph", "triangle-free")]
+    want = [_per_trial_rejections(g, config, 1500, Stream(227)) for config in configs]
+    rng = Stream(229)
+    samples = [sum(1 << v for v in sample_vertices(6, 3, t)) for t in _trial_streams(rng, 0, 1500)]
+    redrawn = []
+    real = T.sample_vertices
+    monkeypatch.setattr(T, "sample_vertices", lambda *a: redrawn.append(1) or real(*a))
+    assert [estimate_detection(g, config, 1500, Stream(227)).rejections
+            for config in configs] == want
+    assert 30 <= len(redrawn) <= 150
+    assert list(T._sample_masks(6, 3, rng, 0, 1500)) == samples
+
+
+def test_sampler_skips_words_above_the_last_multiple_of_n(monkeypatch):
+    # random words all but never reach the rejection limit, so feed the
+    # sampler chosen ones: at n = 6, `top` and 2**64 - 1 are skipped, and a
+    # skipped word does not make a later word of its residue (0 and 3) a repeat
+    n = 6
+    top = (1 << 64) - (1 << 64) % n
+    words = {2: [[top, 6, (1 << 64) - 1, 9], [3, 9, 4, 0]],  # {0, 3} and {3, 4}
+             5: [[top, 4], [(1 << 64) - 1, 5]]}  # all but 4, all but 5
+    want = {2: [0b001001, 0b011000], 5: [0b101111, 0b011111]}
+    for d, rows in words.items():
+        monkeypatch.setattr(T, "_trial_words", lambda rng, lo, hi, width, step, rows=rows:
+                            iter([np.array(rows, np.uint64)[lo:hi, :width]]))
+        assert list(T._sample_masks(n, d, Stream(1), 0, 2)) == want[d]
+
+
+def _patch_source(monkeypatch, fn, old, new):
+    """Replace `old`, which must occur once, in the source of testers.`fn`."""
+    source = inspect.getsource(getattr(T, fn))
+    assert source.count(old) == 1
+    namespace = dict(vars(T))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(T, fn, namespace[fn])
+
+
+def test_fault_injection_sampler_without_complement_is_caught(monkeypatch):
+    _patch_source(monkeypatch, "_sample_chunks", "member = ~member", "pass")
+    with pytest.raises(AssertionError):
+        test_sample_masks_are_the_trial_samples(9, 8)
+    # samples of d > n/2 then hold n - d vertices: the batch cannot run
+    with pytest.raises(ValueError, match="cannot reshape"):
+        _universal_mismatches(("gnp20",))
+
+
+def test_fault_injection_transposed_compact_rows_is_caught(monkeypatch):
+    # rows taken vertex-major: a trial's d rows come from d different samples
+    _patch_source(monkeypatch, "_universal_rejections", "block.reshape(len(member) * d, d)",
+                  "block.transpose(1, 0, 2).reshape(len(member) * d, d)")
+    assert _universal_mismatches(("gnp20",))
+
+
+def test_fault_injection_big_endian_long_rows_is_caught(monkeypatch):
+    # rows over 64 bits: the d = 70 samples of gnp128 and masks of n > 64
+    _patch_source(monkeypatch, "_row_ints", '"little") for i in', '"big") for i in')
+    assert {bad[:2] for bad in _universal_mismatches(("gnp128",))} == {("gnp128", 70)}
+    with pytest.raises(AssertionError):
+        test_sample_masks_are_the_trial_samples(180, 15)
+
+
+def test_large_sparse_host_runs_trial_by_trial_without_a_matrix(monkeypatch):
+    # 4000 vertices: an adjacency matrix would take 16 MB, the rows about 1 MB
+    g = path_graph(4000)
+    assert not T._batched(g.n)
+    monkeypatch.setattr(T, "_adjacency", lambda g: pytest.fail("dense matrix built"))
+    monkeypatch.setattr(T, "_trial_words", lambda *a: pytest.fail("batch sampler used"))
+    rejections = {}
+    for d, prop in ((10, "cograph"), (10, "triangle-free"), (3000, "cograph")):
+        config = TesterConfig("universal", d=d, property_name=prop)
+        rejections[d, prop] = estimate_detection(g, config, 6, Stream(233)).rejections
+        assert rejections[d, prop] == _per_trial_rejections(g, config, 6, Stream(233))
+    # 3000 of 4000 path vertices always hold an induced 4-path
+    assert rejections[3000, "cograph"] == 6
+    for kind in ("triple-density", "quadruple-density"):
+        config = TesterConfig(kind, t=5)
+        assert (estimate_detection(g, config, 6, Stream(251)).rejections
+                == _per_trial_rejections(g, config, 6, Stream(251)))
+    want = [sum(1 << v for v in sample_vertices(4000, 10, t))
+            for t in _trial_streams(Stream(239), 0, 6)]
+    assert list(T._sample_masks(4000, 10, Stream(239), 0, 6)) == want
+
+
+def test_sampler_temporaries_grow_with_k_not_k_squared():
+    # n = 20,000, d = 10,000: one trial's 2k words hold 20,000 vertices; a
+    # pairwise repeat test on them would take 400 MB
+    import tracemalloc
+    n, d, rng = 20_000, 10_000, Stream(241)
+    tracemalloc.start()
+    try:
+        chunks = list(T._sample_chunks(n, d, rng, 0, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    got = [tuple(np.flatnonzero(row).tolist()) for chunk in chunks for row in chunk]
+    assert got == [sample_vertices(n, d, t) for t in _trial_streams(rng, 0, 2)]

@@ -106,6 +106,38 @@ def test_fault_injection_breaks_distance_dominates_tau(monkeypatch):
     assert detail and "< tau" in detail
 
 
+class _OneDraw:
+    """Draw i of `stream` as the only draw of a one-draw check."""
+
+    def __init__(self, stream, i):
+        self.stream, self.i = stream, i
+
+    def child(self, j):
+        return self.stream.child(self.i + j)
+
+
+@pytest.mark.parametrize("over_report", [False, True])
+def test_distance_dominates_tau_gives_the_full_distance_verdict(monkeypatch, over_report):
+    # per draw, the check fails exactly when the full distance, up to the
+    # oracle's cap, lies below tau; with a packing that over-reports by one
+    # triangle some draws fail, so both verdicts occur
+    if over_report:
+        def packing(g, mode="exact", rng=None):
+            p = triangle_packing(g, mode, rng)
+            return WitnessPacking(p.kind, p.tuples + ((0, 1, 2),), g.n)
+        monkeypatch.setattr(verify, "triangle_packing", packing)
+    stream = Stream(0, (4,)).child(4)
+    verdicts = []
+    for i in range(60):
+        g = verify.gnp(7, 0.4, stream.child(i))
+        tau = len(verify.triangle_packing(g, "exact"))
+        d = verify.distance_to_property(g, R.is_triangle_free)
+        full = not isinstance(d, verify.AboveCap) and d < tau
+        verdicts.append(full)
+        assert (verify.distance_dominates_tau(_OneDraw(stream, i), 1) is not None) == full, i
+    assert any(verdicts) == over_report
+
+
 def test_fault_injection_breaks_tau_nu_chain(monkeypatch):
     # drop one triangle from every packing of two or more: tau stays within
     # the chain often enough, but the dropped triangle survives the deletion
