@@ -79,6 +79,28 @@ def odd_hole_or_antihole(rows: Sequence[int], vs: Sequence[int]) -> bool:
     return odd_hole(rows, vs) or odd_hole(complement(rows, vs), vs)
 
 
+def two_colourable(rows: Sequence[int], vs: Iterable[int]) -> bool:
+    """Can the subgraph induced on vs be coloured with two colours, no edge inside one
+    colour? Depth-first colouring from each uncoloured vertex, testing every pair."""
+    vs = list(vs)
+    colour: dict[int, int] = {}
+    for root in vs:
+        if root in colour:
+            continue
+        colour[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in vs:
+                if w != v and rows[v] >> w & 1:
+                    if w not in colour:
+                        colour[w] = 1 - colour[v]
+                        stack.append(w)
+                    elif colour[w] == colour[v]:
+                        return False
+    return True
+
+
 # --- membership by definition -------------------------------------------------
 
 def triangle_free(rows: Sequence[int], vs: Sequence[int]) -> bool:

@@ -9,6 +9,13 @@ pass all of g; the universal tester passes a sample's mask (`_resolve`), and
 so do the gadgets' part-order and poset checks (`_order_hit`, `_poset_hit`).
 Cographs are the graphs without an induced 4-path (Seinsche), so `cograph`
 and `induced-p3-free` share one core, the induced-4-path scan.
+
+The property registry also records whether every bipartite graph is a
+member: comparability and perfect graphs, and induced-h-free graphs for
+every non-bipartite h (triangle-free and induced-c5-free among them), hold
+them all. For those properties the universal tester runs the odd-cycle
+scan (`_find_odd_cycle`, a breadth-first 2-colouring on bitmasks) first,
+and the property's own core only on samples with an odd cycle.
 """
 
 from __future__ import annotations
@@ -88,6 +95,39 @@ def _find_triangle(rows: Sequence[int], mask: int) -> tuple[int, ...] | None:
 def is_triangle_free(g: Graph) -> RecognitionResult:
     hit = _find_triangle(g.rows, (1 << g.n) - 1)
     return MEMBER if hit is None else RecognitionResult(False, hit, "triangle")
+
+
+# --- bipartiteness -----------------------------------------------------------
+
+def _find_odd_cycle(rows: Sequence[int], mask: int) -> tuple[int, int] | None:
+    """The first edge inside `mask` whose ends are equally far from the lowest
+    vertex of their component, or None when g[mask] is bipartite.
+
+    Each component of g[mask] is searched breadth first from its lowest
+    vertex, one layer at a time, its vertices in ascending order. Edges of a
+    breadth-first search join a layer to itself or to the next one, so the
+    layers' parity 2-colours the component unless an edge lies inside a
+    layer, and such an edge closes an odd cycle with the two tree paths to
+    the root. Only ints are made until a hit.
+    """
+    rest = mask
+    while rest:
+        layer = seen = rest & -rest
+        while layer:
+            reach, todo = 0, layer
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                v = low.bit_length() - 1
+                row = rows[v]
+                if same := row & layer:
+                    return v, (same & -same).bit_length() - 1
+                reach |= row
+            layer = reach & mask
+            layer ^= layer & seen
+            seen |= layer
+        rest ^= seen
+    return None
 
 
 # --- induced-H-freeness -----------------------------------------------------
@@ -403,20 +443,31 @@ def check_order_transitivity(g: Graph, labeling: PartLabeling) -> RecognitionRes
 
 # --- property registry -------------------------------------------------------
 
-def _h_entry(h: Graph) -> tuple[_Core, Callable[[Graph], RecognitionResult]]:
-    return _h_core(h)[0], partial(is_induced_h_free, h=h)
+# a property's (scan core, recognizer, whether every bipartite graph is a member)
+_Entry = tuple[_Core, Callable[[Graph], RecognitionResult], bool]
 
 
-# induced-P3-freeness (the 4-vertex path, edge-count naming) is cograph-hood
-_P4_FREE = (_find_induced_p4, is_cograph)
+def _h_entry(h: Graph, recognizer: Callable[[Graph], RecognitionResult] | None = None
+             ) -> _Entry:
+    """Induced-h-freeness's entry. Every bipartite graph is h-free iff h is
+    not bipartite: induced subgraphs of a bipartite graph are bipartite,
+    and a bipartite h is not h-free itself."""
+    return (_h_core(h)[0], recognizer or partial(is_induced_h_free, h=h),
+            _find_odd_cycle(h.rows, (1 << h.n) - 1) is not None)
 
-# each named property's (scan core, recognizer): the core for callers that
-# need only the decision, the recognizer for a witness
-_PROPERTIES: dict[str, tuple[_Core, Callable[[Graph], RecognitionResult]]] = {
-    "triangle-free": (_find_triangle, is_triangle_free),
+
+# induced-P3-freeness (the 4-vertex path, edge-count naming) is cograph-hood;
+# the 4-vertex path is bipartite
+_P4_FREE = (_find_induced_p4, is_cograph, False)
+
+# each named property's entry (`_Entry`): the core for callers that need only
+# the decision, the recognizer for a witness; bipartite graphs are perfect
+# (Konig) and comparability graphs (every edge oriented from one side)
+_PROPERTIES: dict[str, _Entry] = {
+    "triangle-free": _h_entry(complete_graph(3), is_triangle_free),
     "cograph": _P4_FREE,
-    "comparability": (_comparability_hit, is_comparability),
-    "perfect": (_odd_hole_or_antihole, is_perfect),
+    "comparability": (_comparability_hit, is_comparability, True),
+    "perfect": (_odd_hole_or_antihole, is_perfect, True),
     "induced-c5-free": _h_entry(cycle_graph(5)),
     "induced-p3-free": _P4_FREE,
 }
@@ -441,10 +492,11 @@ def named_graph(token: str) -> Graph:
 
 
 @lru_cache(maxsize=64)
-def _resolve(name: str) -> tuple[_Core, Callable[[Graph], RecognitionResult]]:
-    """A property name's (scan core, recognizer), resolved once per name
-    (names as in `property_recognizer`). The core decides on (rows, mask):
-    None means the vertices of the mask induce a member."""
+def _resolve(name: str) -> _Entry:
+    """A property name's entry (scan core, recognizer, bipartite graphs all
+    members), resolved once per name (names as in `property_recognizer`).
+    The core decides on (rows, mask): None means the vertices of the mask
+    induce a member."""
     if name.startswith("induced-h-free:"):
         return _h_entry(named_graph(name.split(":", 1)[1]))
     if name not in _PROPERTIES:

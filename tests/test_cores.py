@@ -12,6 +12,7 @@ a random orientation of the host. A `perfect` hit must induce a chordless
 odd cycle in g or its complement, and an `induced-c5-free` hit a 5-cycle.
 """
 
+import functools
 import hashlib
 import inspect
 import random
@@ -19,6 +20,7 @@ from itertools import combinations
 
 import pytest
 
+import ptlab.gadgets as GA
 import ptlab.oracles as O
 import ptlab.recognizers as R
 from ptlab.graphs import PartLabeling, _co_rows, _induced_c5_fans, cycle_graph
@@ -116,7 +118,7 @@ def _poset_core(rows, mask, extra):
 
 # every core under test, as (rows, mask, (labeling, arcs)) -> hit or None;
 # the general induced-H scan is covered through cycle:4 and path:5
-CORES = {name: _host_only(core) for name, (core, _) in R._PROPERTIES.items()}
+CORES = {name: _host_only(core) for name, (core, *_) in R._PROPERTIES.items()}
 CORES.update({name: _host_only(R._resolve(name)[0])
               for name in ("induced-h-free:cycle:4", "induced-h-free:path:5")})
 CORES["order"] = _order_core
@@ -224,7 +226,6 @@ def _pin_inputs():
     and of its G(n, p) control, each beside a sample of the poset gadget
     over rs(6). `later` is a part order's later-masks, `arcs` the out-rows
     the poset core reads inside `arcs_mask`."""
-    import ptlab.gadgets as GA
     from ptlab.pipelines import match_gnp_control
 
     rnd = random.Random(20261019)
@@ -283,3 +284,67 @@ def test_first_hits_pinned():
     hosts and gadget samples, pinned by digest: a faster core must return
     the same hit for every (rows, mask)."""
     assert _pin_digest() == "7a3a6d113d863f78"
+
+
+# --- the odd-cycle scan -----------------------------------------------------------
+
+@functools.cache
+def _c5_gadget_rows(k):
+    """Rows of the five-part c5 gadget over rs(k): 180 vertices at k = 6, 240 at k = 8."""
+    rb = GA.rs_graph(k, GA.ap3_free_set(k, "exact"))
+    return GA.build_c5_gadget(rb.graph, rb.labeling.relabel(("V2", "V3", "V5")),
+                              rb.certificate).graph.rows
+
+
+def _odd_cycle_cases():
+    """(rows, mask vertices): every graph on at most 6 vertices with all its
+    vertices, then random masks of 4 to 60 vertices over the 180- and
+    240-vertex c5 gadgets, whose samples of 14 or 15 are mostly bipartite."""
+    for n in range(7):
+        for rows in O.labeled_graphs(n):
+            yield rows, range(n)
+    rnd = random.Random(20261020)
+    for k in (6, 8):
+        rows = _c5_gadget_rows(k)
+        for size in (4, 8, 14, 15, 20, 30, 60):
+            for _ in range(40):
+                yield rows, sorted(rnd.sample(range(len(rows)), size))
+
+
+def odd_cycle_mismatch(scan=None):
+    """The first case where the odd-cycle scan (default `R._find_odd_cycle`)
+    disagrees with the two-colouring oracle, or returns a hit that is not an
+    edge inside the mask, as (rows, mask vertices, why); None if there is none."""
+    scan = scan or R._find_odd_cycle
+    for rows, vs in _odd_cycle_cases():
+        mask = sum(1 << v for v in vs)
+        hit = scan(rows, mask)
+        if (hit is None) != O.two_colourable(rows, vs):
+            return rows, list(vs), "decision"
+        if hit is not None and not (set(hit) <= set(vs) and rows[hit[0]] >> hit[1] & 1):
+            return rows, list(vs), f"{hit} is not an edge inside the mask"
+    return None
+
+
+def test_odd_cycle_scan_matches_two_colouring():
+    assert odd_cycle_mismatch() is None
+    # the gadget cases hold both answers
+    rows = _c5_gadget_rows(6)
+    rnd = random.Random(5)
+    hits = [R._find_odd_cycle(rows, sum(1 << v for v in rnd.sample(range(180), 30)))
+            for _ in range(40)]
+    assert any(hit is None for hit in hits) and any(hit is not None for hit in hits)
+
+
+def test_fault_injection_scan_of_the_lowest_component_only_is_caught():
+    """A scan that colours only the component of the mask's lowest vertex
+    misses a triangle beside an isolated vertex."""
+    source = inspect.getsource(R._find_odd_cycle)
+    assert source.count("rest ^= seen") == 1
+    namespace = dict(vars(R))
+    exec(source.replace("rest ^= seen", "rest = 0"), namespace)
+    lowest_only = namespace["_find_odd_cycle"]
+    isolated_and_triangle = [0, 0b1100, 0b1010, 0b0110]
+    assert R._find_odd_cycle(isolated_and_triangle, 0b1111) is not None
+    assert lowest_only(isolated_and_triangle, 0b1111) is None
+    assert odd_cycle_mismatch(lowest_only) is not None

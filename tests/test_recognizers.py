@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import combinations, permutations
 
@@ -356,6 +357,49 @@ def test_property_registry():
         property_recognizer("chromatic")
     with pytest.raises(ValueError):
         named_graph("moebius:5")
+
+
+# every named property, and every induced-h-free token whose graph exists
+FLAG_NAMES = [*R._PROPERTIES] + [
+    f"induced-h-free:{kind}:{k}" for kind in R._NAMED for k in range(1, R.INDUCED_H_MAX + 1)
+    if kind != "cycle" or k >= 3]
+
+
+@functools.cache
+def _bipartite_graphs():
+    """Every graph on at most 6 vertices that the two-colouring oracle colours."""
+    return tuple(Graph(n, rows) for n in range(7) for rows in O.labeled_graphs(n)
+                 if O.two_colourable(rows, range(n)))
+
+
+def bipartite_flag_mismatches(names=FLAG_NAMES):
+    """The names whose registry flag (every bipartite graph a member) is
+    wrong on the bipartite graphs of at most 6 vertices: flagged, but the
+    recognizer rejects one, or unflagged, but it accepts them all."""
+    bad = []
+    for name in names:
+        _, recognize, flagged = R._resolve(name)
+        if all(recognize(g).member for g in _bipartite_graphs()) != flagged:
+            bad.append(name)
+    return bad
+
+
+def test_bipartite_flag_holds_both_ways():
+    assert bipartite_flag_mismatches() == []
+    flagged = {name for name in FLAG_NAMES if R._resolve(name)[2]}
+    assert flagged == {"triangle-free", "comparability", "perfect", "induced-c5-free",
+                       "induced-h-free:cycle:3", "induced-h-free:cycle:5",
+                       *(f"induced-h-free:complete:{k}" for k in range(3, 7))}
+
+
+def test_fault_injection_flagged_cograph_is_caught(monkeypatch):
+    # the 4-vertex path is bipartite and not a cograph
+    monkeypatch.setitem(R._PROPERTIES, "cograph", R._PROPERTIES["cograph"][:2] + (True,))
+    R._resolve.cache_clear()
+    try:
+        assert bipartite_flag_mismatches(["cograph"]) == ["cograph"]
+    finally:
+        R._resolve.cache_clear()
 
 
 def test_induced_h_size_guard(monkeypatch):

@@ -17,11 +17,12 @@ from ptlab.graphs import (
     complete_graph,
     cycle_graph,
     gnp,
+    iter_bits,
     path_graph,
     random_cograph,
     sample_vertices,
 )
-from ptlab.oracles import induces
+from ptlab.oracles import induces, two_colourable
 from ptlab.rng import Stream, _trial_streams
 from ptlab.testers import (
     _BLOCK,
@@ -684,3 +685,80 @@ def test_sampler_temporaries_grow_with_k_not_k_squared():
     assert peak < 8 << 20
     got = [tuple(np.flatnonzero(row).tolist()) for chunk in chunks for row in chunk]
     assert got == [sample_vertices(n, d, t) for t in _trial_streams(rng, 0, 2)]
+
+
+# --- the odd-cycle scan before the property's core --------------------------------
+
+def _bare_core_rejections(g, config, trials, rng):
+    """The reference count: the property's own scan core, with no odd-cycle
+    scan before it, on every trial's sample (`_sample_masks`)."""
+    core = R._resolve(config.property_name)[0]
+    return sum(core(g.rows, mask) is not None
+               for mask in T._sample_masks(g.n, config.d, rng, 0, trials))
+
+
+# host -> (graph, (property, d) pairs, trials): the gadget the `detect`
+# benchmark samples, where nearly every sample is bipartite; its G(180, 1/2)
+# control, where none is; a host with no odd cycle; a mixed one; and a
+# 363-vertex host, which runs trial by trial
+BIPARTITE_ACCEPT_HOSTS = {
+    "gadget": (_c5_gadget_180, [("comparability", 14), ("comparability", 15), ("perfect", 14),
+                                ("induced-c5-free", 14), ("induced-c5-free", 15)], 400),
+    "gnp180": (lambda: gnp(180, 0.5, Stream(257)),
+               [("comparability", 15), ("perfect", 14), ("induced-c5-free", 15)], 60),
+    "cycle20": (lambda: cycle_graph(20),
+                [("comparability", 15), ("perfect", 14), ("triangle-free", 15)], 100),
+    "gnp40": (lambda: gnp(40, 0.3, Stream(263)),
+              [("comparability", 8), ("perfect", 10), ("triangle-free", 6),
+               ("induced-h-free:complete:4", 10)], 200),
+    "gnp363": (lambda: gnp(363, 0.05, Stream(269)),
+               [("comparability", 15), ("perfect", 14), ("induced-c5-free", 15)], 80),
+}
+
+
+@pytest.mark.parametrize("host", sorted(BIPARTITE_ACCEPT_HOSTS))
+def test_bipartite_accept_keeps_the_bare_core_counts(host):
+    build, cases, trials = BIPARTITE_ACCEPT_HOSTS[host]
+    g = build()
+    assert T._batched(g.n) == (host != "gnp363")
+    for j, (prop, d) in enumerate(cases):
+        config = TesterConfig("universal", d=d, property_name=prop)
+        rng = Stream(271, (j, d))
+        want = _bare_core_rejections(g, config, trials, rng)
+        for threads in (1, 2):
+            rep = estimate_detection(g, config, trials, rng, threads=threads)
+            assert rep.rejections == want, (host, prop, d, threads)
+
+
+def test_core_runs_only_on_samples_with_an_odd_cycle(monkeypatch):
+    g, d, trials = _c5_gadget_180(), 15, 400
+    rng = Stream(277)
+    core, recognize, flagged = R._PROPERTIES["comparability"]
+    seen = []
+    monkeypatch.setitem(R._PROPERTIES, "comparability",
+                        (lambda rows, mask: seen.append(mask) or core(rows, mask),
+                         recognize, flagged))
+    R._resolve.cache_clear()
+    try:
+        config = TesterConfig("universal", d=d, property_name="comparability")
+        estimate_detection(g, config, trials, rng)
+    finally:
+        R._resolve.cache_clear()
+    # once on d isolated vertices, then on the samples with an odd cycle;
+    # batched samples are decided on compact rows, so compare by count
+    odd = [mask for mask in T._sample_masks(g.n, d, rng, 0, trials)
+           if not two_colourable(g.rows, list(iter_bits(mask)))]
+    assert 0 < len(odd) < trials // 10
+    assert len(seen) == 1 + len(odd)
+
+
+def test_perfect_bound_refused_before_any_bipartite_sample():
+    # every sample of these hosts is bipartite, so no sample reaches the core
+    d = R.PERFECT_EXACT_BOUND + 1
+    config = TesterConfig("universal", d=d, property_name="perfect")
+    with pytest.raises(ValueError, match="exact perfectness limited"):
+        universal_tester(cycle_graph(20), d, "perfect", Stream(281))
+    with pytest.raises(ValueError, match="exact perfectness limited"):
+        estimate_detection(path_graph(363), config, 10, Stream(283))
+    with pytest.raises(ValueError, match="exact perfectness limited"):
+        estimate_detection(cycle_graph(20), config, 40, Stream(293), threads=2)
