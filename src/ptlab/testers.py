@@ -341,11 +341,17 @@ def _row_ints(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes)]
 
 
-def _adjacency(g: Graph) -> np.ndarray:
-    """g's adjacency matrix, as an (n, n) uint8 array of 0s and 1s."""
+def _packed_rows(g: Graph) -> np.ndarray:
+    """g's rows as an (n, ceil(n / 8)) uint8 array: bit v & 7 of byte
+    [u, v >> 3] is set iff uv is an edge."""
     n, nbytes = g.n, (g.n + 7) // 8
     packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in g.rows), np.uint8)
-    return np.unpackbits(packed.reshape(n, nbytes), axis=1, count=n, bitorder="little")
+    return packed.reshape(n, nbytes)
+
+
+def _adjacency(g: Graph) -> np.ndarray:
+    """g's adjacency matrix, as an (n, n) uint8 array of 0s and 1s."""
+    return np.unpackbits(_packed_rows(g), axis=1, count=g.n, bitorder="little")
 
 
 def _universal_rejections(g: Graph, config: TesterConfig, rng: Stream,
@@ -378,18 +384,26 @@ def _universal_rejections(g: Graph, config: TesterConfig, rng: Stream,
     return rejections
 
 
-def _lemire_values(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The values `Generator.integers(0, n)` makes of raw 64-bit words, for
-    2 <= n <= 2**32, and which of them it rejects.
+def _halves(words: np.ndarray) -> np.ndarray:
+    """Raw 64-bit words as the 32-bit halves `next_uint32` reads of them,
+    in order: each word's low half, then its high one (a last axis twice
+    as long)."""
+    return np.asarray(words, "<u8").view("<u4")
 
-    It reads each word's low 32-bit half, then its high half. A half h gives
-    (h * n) >> 32 and is rejected, and the next half read instead, when
-    (h * n) mod 2**32 < 2**32 mod n (Lemire's method). So the values not
-    rejected, in order, are the draws `integers` makes of the same words.
+
+def _lemire_values(halves: np.ndarray, ranges) -> tuple[np.ndarray, np.ndarray]:
+    """The values numpy's bounded 32-bit draws in 0..r-1 make of 32-bit
+    halves (`_halves`), for 2 <= r <= 2**32, and which of them they reject;
+    `ranges`, an int or a uint64 array, broadcasts against `halves`, so
+    each column may have its own r.
+
+    A half h gives (h * r) >> 32 and is rejected, and the next half read
+    instead, when (h * r) mod 2**32 < 2**32 mod r (Lemire's method). So the
+    values not rejected, in order, are the draws `integers(0, r)` makes of
+    the same halves.
     """
-    # little-endian words viewed as 32-bit halves: each low half, then its high one
-    scaled = np.asarray(words, "<u8").view("<u4").astype(np.uint64) * n
-    return scaled >> 32, (scaled & 0xFFFFFFFF) < (1 << 32) % n
+    scaled = halves.astype(np.uint64) * ranges
+    return scaled >> 32, (scaled & 0xFFFFFFFF) < (1 << 32) % ranges
 
 
 def _verdict_table(k: int) -> np.ndarray:
@@ -443,7 +457,7 @@ def _density_rejections(g: Graph, config: TesterConfig, rng: Stream,
     rejections = 0
     step = _CHUNK_BYTES // (8 * width)
     for start, words in zip(range(lo, hi, step), _trial_words(rng, lo, hi, width, step)):
-        values, rejected = _lemire_values(words, n)
+        values, rejected = _lemire_values(_halves(words), n)
         # vertex at position i of each trial's tuples, as one (trials, tuples) array per i
         at = (values[:, :k * tuples].reshape(-1, tuples, k).transpose(2, 0, 1)
               .astype(np.intp, order="C"))
@@ -496,6 +510,8 @@ def estimate_detection(g: Graph, config: TesterConfig, trials: int,
     if threads <= 1 or trials < 4 * threads:
         rejections = _count_rejections(g, config, rng, 0, trials)
     else:
+        if config.kind == "universal":  # refuse a bad config before any process starts
+            _universal_core(g, config.d, config.property_name)
         bounds = [trials * i // threads for i in range(threads + 1)]
         jobs = [(g, config, rng.seed, rng.path, bounds[i], bounds[i + 1])
                 for i in range(threads)]

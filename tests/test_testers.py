@@ -222,7 +222,7 @@ def test_lemire_values_are_the_integers_draws(n):
     gen = Stream(167, (n,)).gen
     expected = np.concatenate([gen.integers(0, n, size=c) for c in sizes])
     words = Stream(167, (n,)).gen.bit_generator.random_raw(2 * len(expected))
-    values, rejected = T._lemire_values(words.reshape(4, -1), n)
+    values, rejected = T._lemire_values(T._halves(words).reshape(4, -1), n)
     assert values.shape == rejected.shape == (4, len(expected))
     kept = values.ravel()[~rejected.ravel()]
     assert kept[:len(expected)].tolist() == expected.tolist()
@@ -235,8 +235,7 @@ def test_lemire_values_are_the_integers_draws(n):
 def test_fault_injection_lemire_without_rejection_is_caught(monkeypatch):
     real = T._lemire_values
     monkeypatch.setattr(T, "_lemire_values",
-                        lambda words, n: (real(words, n)[0], np.zeros(2 * np.size(words), bool)
-                                          .reshape(*np.shape(words)[:-1], -1)))
+                        lambda halves, n: (real(halves, n)[0], np.zeros(np.shape(halves), bool)))
     with pytest.raises(AssertionError):
         test_lemire_values_are_the_integers_draws(3 << 30)
 
@@ -761,4 +760,19 @@ def test_perfect_bound_refused_before_any_bipartite_sample():
     with pytest.raises(ValueError, match="exact perfectness limited"):
         estimate_detection(path_graph(363), config, 10, Stream(283))
     with pytest.raises(ValueError, match="exact perfectness limited"):
+        estimate_detection(cycle_graph(20), config, 40, Stream(293), threads=2)
+
+
+@pytest.mark.parametrize("d, prop, message", [
+    (R.PERFECT_EXACT_BOUND + 1, "perfect", "exact perfectness limited"),
+    (21, "comparability", "cannot sample d=21 from n=20"),
+    (5, "no-such-property", "unknown property"),
+])
+def test_bad_universal_config_refused_before_any_process_starts(monkeypatch, d, prop, message):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("worker pool started before the config was checked")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    config = TesterConfig("universal", d=d, property_name=prop)
+    with pytest.raises(ValueError, match=message):
         estimate_detection(cycle_graph(20), config, 40, Stream(293), threads=2)
