@@ -181,6 +181,7 @@ class Digraph:
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
+        n = _vertex_count(n)
         rows = [0] * n
         for u, v in _checked_pairs(n, arcs, "arc", "self-arc"):
             rows[u] |= 1 << v

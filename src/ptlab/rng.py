@@ -17,10 +17,10 @@ disjoint from each other and from the stream's own range; `_MAX_TRIALS` is
 the largest batch size this allows. Trial i's draws depend only on
 (seed, path, i), whichever process runs it and in whatever order.
 
-Batches read their trials' first words from `_trial_words`, Philox4x64-10
-computed in numpy for a chunk of trials at a time, with exactly the words a
-trial's generator draws; `_trial_streams` gives the trial's own generator,
-for trials that draw further.
+Every trial draws from numpy's own Philox: `_trial_streams` gives a trial
+its generator, and `_trial_words` reads a chunk of trials' first raw words
+from it at once, one trial's `random_raw` per row. Each builds one
+generator, however many trials or chunks it reads.
 """
 
 from __future__ import annotations
@@ -72,86 +72,24 @@ class Stream:
         return f"Stream(seed={self.seed}, path={self.path})"
 
 
-def _trial_counter(i):
-    """Philox counter words, low word first, at which trial i starts; i is an
-    int, or a uint64 array of trial indices for `_trial_words`."""
+def _trial_counter(i: int) -> list[int]:
+    """Philox counter words, low word first, at which trial i starts."""
     return [0, 0, i + 1, 0]
-
-
-# Philox4x64-10's round multipliers and key (Weyl) increments
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_WORD_MASK = (1 << 64) - 1
-
-
-def _batch_key(rng: Stream) -> list[int]:
-    """The Philox key of the batch generator on (rng.seed, rng.path)."""
-    return Stream(rng.seed, rng.path).gen.bit_generator.state["state"]["key"].tolist()
 
 
 def _trial_words(rng: Stream, lo: int, hi: int, width: int,
                  step: int) -> Iterator[np.ndarray]:
     """The first `width` raw words of each of trials lo..hi-1 of the batch on
     `rng`, in chunks of at most `step` trials: row j of the chunk that starts
-    at trial s is a uint64 row of what `random_raw(width)` returns on trial
-    s + j's stream (`_trial_streams`).
-
-    Philox4x64-10 in numpy. numpy steps the counter before each block of
-    four words, so trial i's block b is the block function at its start
-    (`_trial_counter`) plus b + 1, that is at counter (b + 1, 0, i + 1, 0),
-    low word first, under the batch key, which is read once per batch. The
-    low start word is 0, so the step never carries. The key schedule is
-    computed in Python ints masked to 64 bits, and every operation pairs
-    uint64 arrays with uint64 arrays or scalars: numpy 1.x reads a uint64
-    scalar combined with a Python int as float64.
-    """
-    blocks = -(-width // 4)
-    half, low32 = np.uint64(32), np.uint64(0xFFFFFFFF)
-    mult = np.array(_PHILOX_M, np.uint64).reshape(2, 1, 1)
-    m_lo, m_hi = mult & low32, mult >> half
-    # A round maps counter words (w0, w1, w2, w3) under key (k0, k1) to
-    # (hi(M1 w2) ^ w1 ^ k0, lo(M1 w2), hi(M0 w0) ^ w3 ^ k1, lo(M0 w0)). So
-    # `mul` holds (w0, w2) and `xor` (w3, w1): lane j of the high products,
-    # XORed with lane j of `xor` and of the key (k1, k0), is the next
-    # round's lane 1 - j of `mul`, and the low products are its `xor`.
-    key, keys = _batch_key(rng), []
-    for _ in range(_PHILOX_ROUNDS):
-        keys.append(key[::-1])
-        key = [(k + w) & _WORD_MASK for k, w in zip(key, _PHILOX_W)]
-    keys = np.array(keys, np.uint64).reshape(_PHILOX_ROUNDS, 2, 1, 1)
+    at trial s is the uint64 row `random_raw(width)` returns on trial s + j's
+    stream (`_trial_streams`), read from the batch's one generator."""
+    bitgen = Stream(rng.seed, rng.path).gen.bit_generator
+    trials = _trial_starts(bitgen, lo, hi)
     for first in range(lo, hi, step):
-        trials = min(step, hi - first)
-        shape = (2, trials, blocks)
-        start = [np.asarray(word, np.uint64).reshape(-1, 1) for word in
-                 _trial_counter(np.arange(trials, dtype=np.uint64) + np.uint64(first))]
-        mul, xor = np.empty(shape, np.uint64), np.empty(shape, np.uint64)
-        mul[0] = start[0] + np.arange(1, blocks + 1, dtype=np.uint64)
-        mul[1], xor[0], xor[1] = start[2], start[3], start[1]
-        a_lo, a_hi, t, u = (np.empty(shape, np.uint64) for _ in range(4))
-        for key in keys:
-            # the high words of mul * mult, from 32-bit halves (numpy has no
-            # 128-bit product): a_hi * m_hi plus the carries of the cross terms
-            np.bitwise_and(mul, low32, out=a_lo)
-            np.right_shift(mul, half, out=a_hi)
-            np.multiply(a_lo, m_lo, out=t)
-            t >>= half
-            np.multiply(a_hi, m_lo, out=u)
-            u += t
-            np.bitwise_and(u, low32, out=t)
-            a_lo *= m_hi
-            a_lo += t
-            a_lo >>= half
-            u >>= half
-            a_hi *= m_hi
-            a_hi += u
-            a_hi += a_lo
-            a_hi ^= xor
-            a_hi ^= key
-            np.multiply(mul, mult, out=t)  # the low words
-            mul, xor, a_hi, t = a_hi[::-1], t, mul, xor
-        out = np.stack((mul[0], xor[1], mul[1], xor[0]), axis=2)
-        yield out.reshape(trials, 4 * blocks)[:, :width]
+        chunk = np.empty((min(step, hi - first), width), np.uint64)
+        for row, trial in zip(chunk, trials):
+            row[:] = trial.random_raw(width)
+        yield chunk
 
 
 def _trial_streams(rng: Stream, lo: int, hi: int) -> Iterator[Stream]:
@@ -162,7 +100,14 @@ def _trial_streams(rng: Stream, lo: int, hi: int) -> Iterator[Stream]:
     next trial is taken. `rng` itself is not touched.
     """
     batch = Stream(rng.seed, rng.path)
-    bitgen = batch.gen.bit_generator
+    for _ in _trial_starts(batch.gen.bit_generator, lo, hi):
+        yield batch
+
+
+def _trial_starts(bitgen: np.random.Philox, lo: int,
+                  hi: int) -> Iterator[np.random.Philox]:
+    """`bitgen`, a batch's Philox, moved to the start of trial lo's counter
+    block, then of trial lo + 1's, and so on up to trial hi - 1's."""
     counter = [0, 0, 0, 0]
     # an empty output buffer, so the first draw starts the block
     state = {"bit_generator": "Philox",
@@ -172,4 +117,4 @@ def _trial_streams(rng: Stream, lo: int, hi: int) -> Iterator[Stream]:
     for i in range(lo, hi):
         counter[:] = _trial_counter(i)
         bitgen.state = state
-        yield batch
+        yield bitgen

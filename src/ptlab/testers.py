@@ -24,20 +24,20 @@ tuple is tested on the adjacency rows directly, with no induced subgraph
 built.
 
 `estimate_detection` decides batches without those loops, with the same
-counts. The trials' raw words come from one numpy Philox kernel
-(`rng._trial_words`). A universal batch turns them into every trial's
-sample at once, as `sample_vertices` draws it, and decides each sample
-on compact rows: its induced block of the host's adjacency matrix, one
-int per sample vertex, under the full mask (the decision,
-`_universal_core`, is resolved once per batch). A density batch turns
-them into the values the trials' `integers` draws would give (Lemire's
-method on 32-bit halves) and decides all the trials' tuples at once on
-the host's pair codes. A trial the words cannot settle (too few distinct
-vertices for a sample; a rejected half, or too few distinct tuples and
-no hit, for a density trial) runs on its own trial stream; `run_tester`
-stays the single-trial API. Hosts whose adjacency matrix would not fit
-the chunk budget (`_batched`) run every trial that way, in the memory of
-their rows.
+counts. The trials' raw words come from the batch's numpy Philox, one
+`random_raw` a trial (`rng._trial_words`). A universal batch turns them
+into every trial's sample at once, as `sample_vertices` draws it, and
+decides each sample on compact rows: its induced block of the host's
+adjacency matrix, one int per sample vertex, under the full mask (the
+decision, `_universal_core`, is resolved once per batch). A density
+batch turns them into the values the trials' `integers` draws would give
+(Lemire's method on 32-bit halves) and decides all the trials' tuples at
+once on the host's pair codes. A trial the words cannot settle (too few
+distinct vertices for a sample; a rejected half, or too few distinct
+tuples and no hit, for a density trial) runs on its own trial stream;
+`run_tester` stays the single-trial API. Hosts whose adjacency matrix
+would not fit the chunk budget (`_batched`) run every trial that way, in
+the memory of their rows.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ odd cycle in g or its complement, and an `induced-c5-free` hit a 5-cycle.
 
 import functools
 import hashlib
-import inspect
 import random
 from itertools import combinations
 
@@ -186,16 +185,11 @@ def test_fault_injection_core_ignoring_top_vertex_is_caught(monkeypatch, name):
     assert any(m[0] == name for m in core_mismatches([name]))
 
 
-def test_fault_injection_hole_dfs_keeping_interior_closers_is_caught(monkeypatch):
+def test_fault_injection_hole_dfs_keeping_interior_closers_is_caught(patch_source):
     """A hole DFS that stops removing the interior's neighborhoods from its
     live closers closes paths through chords; the witness check catches
     such a cycle even where the decision is right."""
-    source = inspect.getsource(R._find_odd_hole)
-    prune = "alive ^= closers"
-    assert source.count(prune) == 1
-    namespace = dict(vars(R))
-    exec(source.replace(prune, "pass"), namespace)
-    monkeypatch.setattr(R, "_find_odd_hole", namespace["_find_odd_hole"])
+    patch_source(R, "_find_odd_hole", "alive ^= closers", "pass")
     reasons = [m[3] for m in core_mismatches(["perfect"])]
     assert any("not a chordless odd cycle" in why for why in reasons)
 
@@ -311,14 +305,13 @@ def _odd_cycle_cases():
                 yield rows, sorted(rnd.sample(range(len(rows)), size))
 
 
-def odd_cycle_mismatch(scan=None):
-    """The first case where the odd-cycle scan (default `R._find_odd_cycle`)
-    disagrees with the two-colouring oracle, or returns a hit that is not an
-    edge inside the mask, as (rows, mask vertices, why); None if there is none."""
-    scan = scan or R._find_odd_cycle
+def odd_cycle_mismatch():
+    """The first case where the odd-cycle scan `R._find_odd_cycle` disagrees
+    with the two-colouring oracle, or returns a hit that is not an edge
+    inside the mask, as (rows, mask vertices, why); None if there is none."""
     for rows, vs in _odd_cycle_cases():
         mask = sum(1 << v for v in vs)
-        hit = scan(rows, mask)
+        hit = R._find_odd_cycle(rows, mask)
         if (hit is None) != O.two_colourable(rows, vs):
             return rows, list(vs), "decision"
         if hit is not None and not (set(hit) <= set(vs) and rows[hit[0]] >> hit[1] & 1):
@@ -336,15 +329,11 @@ def test_odd_cycle_scan_matches_two_colouring():
     assert any(hit is None for hit in hits) and any(hit is not None for hit in hits)
 
 
-def test_fault_injection_scan_of_the_lowest_component_only_is_caught():
+def test_fault_injection_scan_of_the_lowest_component_only_is_caught(patch_source):
     """A scan that colours only the component of the mask's lowest vertex
     misses a triangle beside an isolated vertex."""
-    source = inspect.getsource(R._find_odd_cycle)
-    assert source.count("rest ^= seen") == 1
-    namespace = dict(vars(R))
-    exec(source.replace("rest ^= seen", "rest = 0"), namespace)
-    lowest_only = namespace["_find_odd_cycle"]
     isolated_and_triangle = [0, 0b1100, 0b1010, 0b0110]
     assert R._find_odd_cycle(isolated_and_triangle, 0b1111) is not None
-    assert lowest_only(isolated_and_triangle, 0b1111) is None
-    assert odd_cycle_mismatch(lowest_only) is not None
+    patch_source(R, "_find_odd_cycle", "rest ^= seen", "rest = 0")
+    assert R._find_odd_cycle(isolated_and_triangle, 0b1111) is None
+    assert odd_cycle_mismatch() is not None

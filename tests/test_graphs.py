@@ -162,6 +162,11 @@ def test_from_edges_reads_its_vertex_count():
             Graph.from_edges(n, [])
     g = Graph.from_edges(np.int64(3), [(0, 1), (1, 0), (0, 1)])
     assert type(g.n) is int and g == Graph(3, [2, 1, 0])
+    # and so does `Digraph.from_arcs`, before it reads any arc
+    with pytest.raises(ValueError, match="vertex count must be >= 0"):
+        Digraph.from_arcs(-1, [(0, 1)])
+    with pytest.raises(TypeError, match="integer"):
+        Digraph.from_arcs(2.5, [])
 
 
 def test_toggle_takes_numpy_integers():

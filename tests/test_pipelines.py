@@ -1,4 +1,3 @@
-import inspect
 import re
 
 import numpy as np
@@ -114,26 +113,17 @@ def test_choice5_chunks_are_the_live_choice_draws(n, half):
         assert ends[-1] > 9 * calls + calls // 10
 
 
-def _patch_source(monkeypatch, fn, old, new):
-    """Replace `old`, which must occur once, in the source of pipelines.`fn`."""
-    source = inspect.getsource(getattr(ptlab.pipelines, fn))
-    assert source.count(old) == 1
-    namespace = dict(vars(ptlab.pipelines))
-    exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(ptlab.pipelines, fn, namespace[fn])
-
-
-def test_fault_injection_decoder_without_the_repeat_rule_is_caught(monkeypatch):
+def test_fault_injection_decoder_without_the_repeat_rule_is_caught(patch_source):
     # Floyd's draws repeat often on few vertices: the subsets come out wrong
-    _patch_source(monkeypatch, "_choice5_chunks", "sets[repeat, c] = n - 5 + c", "pass")
+    patch_source(ptlab.pipelines, "_choice5_chunks", "sets[repeat, c] = n - 5 + c", "pass")
     with pytest.raises(AssertionError):
         test_choice5_chunks_are_the_live_choice_draws(6, 0)
 
 
-def test_fault_injection_decoder_without_the_shuffle_draws_is_caught(monkeypatch):
+def test_fault_injection_decoder_without_the_shuffle_draws_is_caught(patch_source):
     # the next call would start 4 halves early
-    _patch_source(monkeypatch, "_choice5_chunks", "range(n - 4, n + 1), 5, 4, 3, 2)",
-                  "range(n - 4, n + 1),)")
+    patch_source(ptlab.pipelines, "_choice5_chunks", "range(n - 4, n + 1), 5, 4, 3, 2)",
+                 "range(n - 4, n + 1),)")
     with pytest.raises(AssertionError):
         test_choice5_chunks_are_the_live_choice_draws(120, 0)
 

@@ -1,8 +1,7 @@
 """The trial-batch layout of `rng`: one generator per batch, trial i at its
-own Philox counter block, and the numpy word kernel `_trial_words` against
-numpy's own Philox through `_trial_streams`."""
+own Philox counter block, and the chunks of raw words `_trial_words` reads
+against each trial's own `random_raw` through `_trial_streams`."""
 
-import inspect
 import random
 
 import numpy as np
@@ -114,7 +113,7 @@ def test_numpy_integer_seeds_and_paths_draw_as_plain_ints():
     assert Stream(1).gen.integers(0, 10**9) == 420910729
 
 
-def _kernel_mismatches():
+def _word_mismatches():
     """(seed, path, lo, width, step) where `_trial_words` differs from
     `random_raw` on the trial streams: random seeds and paths, odd widths,
     trial indices at the start, in the middle and at the end of the layout,
@@ -140,7 +139,7 @@ def _kernel_mismatches():
 
 
 def test_trial_words_are_the_trial_streams_raw_words():
-    assert _kernel_mismatches() == []
+    assert _word_mismatches() == []
 
 
 def test_trial_words_of_an_empty_range_or_width():
@@ -153,34 +152,16 @@ def test_trial_words_raise_no_numpy_warning():
         list(_trial_words(Stream(11, (2,)), _MAX_TRIALS - 3, _MAX_TRIALS, 9, 2))
 
 
-def test_trial_words_read_the_batch_key_once(monkeypatch):
-    # the key takes a Philox build to read: once a batch, not once a chunk
-    calls = []
-    real = rng_mod._batch_key
-    monkeypatch.setattr(rng_mod, "_batch_key", lambda rng: calls.append(1) or real(rng))
+def test_trial_words_read_the_batch_generator_once(monkeypatch):
+    # a batch builds one Philox, and reads it once, however many chunks it yields
+    reads = []
+    real = Stream.gen
+    monkeypatch.setattr(Stream, "gen", property(lambda s: reads.append(s._gen) or real.fget(s)))
     assert len(list(_trial_words(Stream(3), 0, 50, 8, 4))) == 13
-    assert len(calls) == 1
+    assert reads == [None]
 
 
-def _patched_kernel(monkeypatch, old, new):
-    source = inspect.getsource(rng_mod._trial_words)
-    assert source.count(old) == 1
-    namespace = dict(vars(rng_mod))
-    exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(rng_mod, "_trial_words", namespace["_trial_words"])
-
-
-def test_fault_injection_nine_rounds_is_caught(monkeypatch):
-    monkeypatch.setattr(rng_mod, "_PHILOX_ROUNDS", 9)
-    assert len(_kernel_mismatches()) == 30
-
-
-def test_fault_injection_flipped_weyl_bit_is_caught(monkeypatch):
-    w0, w1 = rng_mod._PHILOX_W
-    monkeypatch.setattr(rng_mod, "_PHILOX_W", (w0, w1 ^ (1 << 17)))
-    assert len(_kernel_mismatches()) == 30
-
-
-def test_fault_injection_block_b_instead_of_b_plus_one_is_caught(monkeypatch):
-    _patched_kernel(monkeypatch, "np.arange(1, blocks + 1,", "np.arange(0, blocks,")
-    assert len(_kernel_mismatches()) == 30
+def test_fault_injection_chunk_rows_reading_on_from_one_trial_is_caught(patch_source):
+    patch_source(rng_mod, "_trial_words", "zip(chunk, trials)",
+                 "zip(chunk, [next(trials)] * len(chunk))")
+    assert _word_mismatches()

@@ -1,6 +1,5 @@
 import concurrent.futures
 import dataclasses
-import inspect
 import math
 import os
 from collections import Counter
@@ -508,6 +507,34 @@ def test_universal_reports_pinned():
                 assert rep.rejections == expected[j], (host, d, prop)
 
 
+# rejections of 1000 density trials on Stream(1709, (j, t)), j = 0 for the
+# triple tester and 1 for the quadruple tester, at t = 1, 10 and 100 (trials
+# of 8 to 1344 raw words); computed when `rng._trial_words` was an in-house
+# Philox4x64-10 kernel, before it read numpy's own generator
+PINNED_DENSITY_BUDGETS = (1, 10, 100)
+PINNED_DENSITY_HOSTS = {
+    "rs5": lambda: rs_graph(5, ap3_free_set(5, "exact")).graph,
+    "C5": lambda: cycle_graph(5),
+    "gnp30": lambda: gnp(30, 0.15, Stream(1707)),
+}
+PINNED_DENSITY_REJECTIONS = {
+    "rs5": {"triple-density": [3, 45, 417], "quadruple-density": [18, 171, 884]},
+    "C5": {"triple-density": [0, 0, 0], "quadruple-density": [1000, 1000, 1000]},
+    "gnp30": {"triple-density": [2, 13, 238], "quadruple-density": [19, 139, 809]},
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("host", sorted(PINNED_DENSITY_HOSTS))
+def test_density_reports_pinned(host, threads):
+    g = PINNED_DENSITY_HOSTS[host]()
+    for j, kind in enumerate(("triple-density", "quadruple-density")):
+        got = [estimate_detection(g, TesterConfig(kind, t=t), 1000, Stream(1709, (j, t)),
+                                  threads=threads).rejections
+               for t in PINNED_DENSITY_BUDGETS]
+        assert got == PINNED_DENSITY_REJECTIONS[host][kind], (host, kind, threads)
+
+
 def test_universal_batch_resolves_its_property_once(monkeypatch):
     tokens = []
     real = R.named_graph
@@ -615,17 +642,8 @@ def test_sampler_skips_words_above_the_last_multiple_of_n(monkeypatch):
         assert list(T._sample_masks(n, d, Stream(1), 0, 2)) == want[d]
 
 
-def _patch_source(monkeypatch, fn, old, new):
-    """Replace `old`, which must occur once, in the source of testers.`fn`."""
-    source = inspect.getsource(getattr(T, fn))
-    assert source.count(old) == 1
-    namespace = dict(vars(T))
-    exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(T, fn, namespace[fn])
-
-
-def test_fault_injection_sampler_without_complement_is_caught(monkeypatch):
-    _patch_source(monkeypatch, "_sample_chunks", "member = ~member", "pass")
+def test_fault_injection_sampler_without_complement_is_caught(patch_source):
+    patch_source(T, "_sample_chunks", "member = ~member", "pass")
     with pytest.raises(AssertionError):
         test_sample_masks_are_the_trial_samples(9, 8)
     # samples of d > n/2 then hold n - d vertices: the batch cannot run
@@ -633,16 +651,16 @@ def test_fault_injection_sampler_without_complement_is_caught(monkeypatch):
         _universal_mismatches(("gnp20",))
 
 
-def test_fault_injection_transposed_compact_rows_is_caught(monkeypatch):
+def test_fault_injection_transposed_compact_rows_is_caught(patch_source):
     # rows taken vertex-major: a trial's d rows come from d different samples
-    _patch_source(monkeypatch, "_universal_rejections", "block.reshape(len(member) * d, d)",
-                  "block.transpose(1, 0, 2).reshape(len(member) * d, d)")
+    patch_source(T, "_universal_rejections", "block.reshape(len(member) * d, d)",
+                 "block.transpose(1, 0, 2).reshape(len(member) * d, d)")
     assert _universal_mismatches(("gnp20",))
 
 
-def test_fault_injection_big_endian_long_rows_is_caught(monkeypatch):
+def test_fault_injection_big_endian_long_rows_is_caught(patch_source):
     # rows over 64 bits: the d = 70 samples of gnp128 and masks of n > 64
-    _patch_source(monkeypatch, "_row_ints", '"little") for i in', '"big") for i in')
+    patch_source(T, "_row_ints", '"little") for i in', '"big") for i in')
     assert {bad[:2] for bad in _universal_mismatches(("gnp128",))} == {("gnp128", 70)}
     with pytest.raises(AssertionError):
         test_sample_masks_are_the_trial_samples(180, 15)

@@ -1,5 +1,4 @@
 import argparse
-import inspect
 from dataclasses import replace
 from itertools import combinations
 
@@ -222,14 +221,9 @@ def test_fault_injection_orientation_oracle_always_true(monkeypatch):
     assert detail and detail.startswith("rows=") and detail.count(",") == 4, detail
 
 
-def test_fault_injection_cograph_oracle_without_complement_test(monkeypatch):
+def test_fault_injection_cograph_oracle_without_complement_test(patch_source):
     # without the complement split only edgeless graphs are cographs
-    source = inspect.getsource(oracles.cograph)
-    splits = "(rows, complement(rows, vs))"
-    assert source.count(splits) == 1
-    namespace = dict(vars(oracles))
-    exec(source.replace(splits, "(rows,)"), namespace)
-    monkeypatch.setattr(oracles, "cograph", namespace["cograph"])
+    patch_source(oracles, "cograph", "(rows, complement(rows, vs))", "(rows,)")
     detail = verify.seinsche_equivalence(5)
     assert detail and detail.startswith("rows="), detail
 
