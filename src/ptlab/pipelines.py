@@ -10,27 +10,15 @@ farness lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import combinations
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .decomposition import DISTANCE_CAP_BOUND, DISTANCE_N_BOUND, distance_to_property
 from .gadgets import AP_EXACT_BOUND, GadgetBundle, ap3_free_set, build_c5_gadget, rs_graph
 from .graphs import Graph, flip_pairs, gnp, random_cograph
 from .packing import PackingError, WitnessPacking, farness_lower_bound, random_tripartite_extract
-from .recognizers import _find_triangle, _later_masks, _order_hit, is_cograph
+from .recognizers import _find_induced_c5, _find_triangle, _later_masks, _order_hit, is_cograph
 from .rng import Stream
-from .testers import (
-    _CHUNK_BYTES,
-    TesterConfig,
-    _halves,
-    _lemire_values,
-    _packed_rows,
-    _sample_masks,
-    estimate_detection,
-    wilson95,
-)
+from .testers import TesterConfig, _sample_masks, estimate_detection, wilson95
 
 __all__ = [
     "HardnessRow",
@@ -71,134 +59,48 @@ class HardnessRow:
 HARDNESS_HEADER = [f.name for f in fields(HardnessRow)]
 
 
-# a 5-subset's ten vertex pairs, and which two of its five vertices each pair holds
-_C5_PAIRS = np.array(list(combinations(range(5), 2))).T
-_C5_INCIDENCE = (_C5_PAIRS[:, :, None] == np.arange(5)).sum(axis=0)
-
-
-def _choice5_chunks(gen: np.random.Generator, n: int, budget: int
-                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The 5-subsets the next `budget` calls of `gen.choice(n, 5,
-    replace=False)` draw, in chunks: (sets, ends), where row i of sets is a
-    call's subset, sorted, and ends[i] counts the 32-bit halves that the
-    calls up to and including it read. `gen` is not moved (`_skip_halves`).
-
-    For 5 of n, `choice` runs Floyd's algorithm (its tail shuffle is for
-    samples above n / 50 with n over 10,000): for j = n-5..n-1 it draws in
-    0..j and takes that value, or j itself if an earlier draw took the
-    value. It then shuffles, drawing in 0..i for i = 4..1. Each draw is a
-    bounded 32-bit draw on `next_uint32` (`_lemire_values`), so n is at most
-    2**32; one in 0..0 reads nothing. The halves are the generator's pending
-    half, if it holds one, then the low and high halves of a copy's raw
-    words. Chunks grow from 64 calls; a chunk's calls read their halves in
-    turn, decoded at once, up to the first call with a rejected half, which
-    is decoded half by half.
-    """
-    if budget <= 0:
-        return
-    if n < 5:
-        gen.choice(n, 5, replace=False)  # refused as choice refuses it, before any draw
-    ranges = [r for r in (*range(n - 4, n + 1), 5, 4, 3, 2) if r > 1]
-    width, floyd = len(ranges), 5 - (n == 5)  # at n = 5 the first draw reads nothing
-    columns = np.array(ranges, np.uint64)
-    source = np.random.Philox()
-    source.state = state = gen.bit_generator.state
-    halves = np.array([state["uinteger"]] if state["has_uint32"] else [], np.uint32)
-    base = pos = 0  # halves[pos] is the next half, after base + pos read ones
-
-    def window(count: int) -> np.ndarray:
-        nonlocal halves, base, pos
-        if len(halves) - pos < count:
-            more = _halves(source.random_raw(-(-(count - len(halves) + pos) // 2)))
-            halves, base, pos = np.concatenate((halves[pos:], more)), base + pos, 0
-        return halves[pos:pos + count]
-
-    def subsets(values: np.ndarray) -> np.ndarray:
-        sets = np.zeros((len(values), 5), np.int64)
-        sets[:, 5 - floyd:] = values[:, :floyd]
-        for c in range(1, 5):
-            repeat = (sets[:, :c] == sets[:, c:c + 1]).any(axis=1)
-            sets[repeat, c] = n - 5 + c
-        sets.sort(axis=1)
-        return sets
-
-    step, cap = 64, max(64, _CHUNK_BYTES // (48 * width))  # six uint64 temporaries a column
-    while budget > 0:
-        calls = min(step, budget)
-        values, rejected = _lemire_values(window(calls * width).reshape(calls, width), columns)
-        clean = int(np.argmax(rejected.any(axis=1))) if rejected.any() else calls
-        if clean:
-            yield subsets(values[:clean]), base + pos + width * np.arange(1, clean + 1)
-        pos += width * clean
-        budget -= clean
-        if clean < calls:
-            drawn = []
-            for r in ranges:
-                while True:
-                    value, rejected = _lemire_values(window(1), r)
-                    pos += 1
-                    if not rejected[0]:
-                        break
-                drawn.append(value[0])
-            yield subsets(np.array([drawn], np.uint64)), np.array([base + pos])
-            budget -= 1
-        step = min(2 * step, cap)
-
-
-def _skip_halves(gen: np.random.Generator, halves: int) -> None:
-    """Move `gen` on as `halves` reads of `next_uint32` would: its pending
-    half first, then whole raw words, the last word's high half left
-    pending when an odd number of its halves is read."""
-    if not halves:
-        return
-    bitgen = gen.bit_generator
-    fresh = halves - bitgen.state["has_uint32"]
-    left = {"has_uint32": 0}
-    if fresh:
-        bitgen.random_raw((fresh - 1) // 2, output=False)
-        left = {"has_uint32": fresh % 2, "uinteger": int(bitgen.random_raw()) >> 32}
-    bitgen.state = {**bitgen.state, **left}
+# vertices per control sample: a 10-vertex sample of a G(n, p) control
+# nearly always holds an induced 5-cycle, so a trial gives about one witness
+_CONTROL_D = 10
 
 
 def sampled_c5_packing(g: Graph, target: int, budget: int, rng: Stream) -> WitnessPacking:
-    """Greedy induced-5-cycle witness packing collected from random 5-subsets
-    (pairwise overlap at most one vertex); certifies farness for graphs too
-    large to enumerate.
+    """Greedy induced-5-cycle witness packing collected from random vertex
+    samples (pairwise overlap at most one vertex); certifies farness for
+    graphs too large to enumerate.
 
-    The subsets are the ones `rng.gen.choice(g.n, 5, replace=False)` draws,
-    one call at a time, until `target` witnesses are packed or `budget`
-    calls are made, and `rng` is left where those calls leave it
-    (`_choice5_chunks`, `_skip_halves`). Five distinct vertices induce a
-    5-cycle iff each has exactly two neighbours among them; that is decided
-    for a chunk of subsets at once on g's packed rows, and the greedy
-    overlap check runs on the hits, in draw order.
+    Trial i of the batch on `rng`, for i < `budget`, is the d-vertex sample
+    the universal tester draws (`_sample_masks`), d = min(_CONTROL_D, g.n),
+    and offers its first induced 5-cycle (`_find_induced_c5`); the offers
+    are packed in trial order until `target` witnesses are packed. Trials
+    are drawn in windows of 16, 32, 64, ... so that an early stop reads few
+    words; `rng` itself is not moved. Hosts under about 2d vertices see few
+    distinct samples (below d + 1 vertices, one: the whole host); every
+    `pipeline_hardness` host has at least 30.
     """
-    packed = _packed_rows(g)
+    d = min(_CONTROL_D, g.n)
     chosen: list[tuple[int, ...]] = []
     masks: list[int] = []
-    used = 0
-    for sets, ends in _choice5_chunks(rng.gen, g.n, budget if target > 0 else 0):
-        used = int(ends[-1])
-        first, second = sets[:, _C5_PAIRS[0]], sets[:, _C5_PAIRS[1]]
-        bits = (packed[first, second >> 3] >> (second & 7)) & 1
-        for i in np.flatnonzero(((bits @ _C5_INCIDENCE) == 2).all(axis=1)).tolist():
-            pick = tuple(sets[i].tolist())
-            mask = sum(1 << v for v in pick)
+    lo, width = 0, 16
+    while len(chosen) < target and lo < budget:
+        hi = min(budget, lo + width)
+        for sample in _sample_masks(g.n, d, rng, lo, hi):
+            hit = _find_induced_c5(g.rows, sample)
+            if hit is None:
+                continue
+            mask = sum(1 << v for v in hit)
             if all((mask & m).bit_count() <= 1 for m in masks):
-                chosen.append(pick)
+                chosen.append(hit)
                 masks.append(mask)
                 if len(chosen) >= target:
-                    used = int(ends[i])
                     break
-        if len(chosen) >= target:
-            break
-    _skip_halves(rng.gen, used)
+        lo, width = hi, 2 * width
     return WitnessPacking("inducedC5", tuple(sorted(chosen)), g.n).verified_in(g)
 
 
-# the control's edge densities, in the order tried, and its 5-subset draws per density
+# the control's edge densities, in the order tried, and its samples per density
 _CONTROL_PS = (0.5, 0.4, 0.6, 0.3, 0.7)
-_CONTROL_BUDGET = 60_000
+_CONTROL_BUDGET = 4_000
 
 
 def match_gnp_control(n: int, target: int, rng: Stream) -> tuple[Graph, WitnessPacking]:

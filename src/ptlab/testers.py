@@ -341,17 +341,12 @@ def _row_ints(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes)]
 
 
-def _packed_rows(g: Graph) -> np.ndarray:
-    """g's rows as an (n, ceil(n / 8)) uint8 array: bit v & 7 of byte
-    [u, v >> 3] is set iff uv is an edge."""
+def _adjacency(g: Graph) -> np.ndarray:
+    """g's adjacency matrix, as an (n, n) uint8 array of 0s and 1s, unpacked
+    from its rows' little-endian bytes."""
     n, nbytes = g.n, (g.n + 7) // 8
     packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in g.rows), np.uint8)
-    return packed.reshape(n, nbytes)
-
-
-def _adjacency(g: Graph) -> np.ndarray:
-    """g's adjacency matrix, as an (n, n) uint8 array of 0s and 1s."""
-    return np.unpackbits(_packed_rows(g), axis=1, count=g.n, bitorder="little")
+    return np.unpackbits(packed.reshape(n, nbytes), axis=1, count=n, bitorder="little")
 
 
 def _universal_rejections(g: Graph, config: TesterConfig, rng: Stream,
@@ -391,19 +386,17 @@ def _halves(words: np.ndarray) -> np.ndarray:
     return np.asarray(words, "<u8").view("<u4")
 
 
-def _lemire_values(halves: np.ndarray, ranges) -> tuple[np.ndarray, np.ndarray]:
-    """The values numpy's bounded 32-bit draws in 0..r-1 make of 32-bit
-    halves (`_halves`), for 2 <= r <= 2**32, and which of them they reject;
-    `ranges`, an int or a uint64 array, broadcasts against `halves`, so
-    each column may have its own r.
+def _lemire_values(halves: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values numpy's bounded 32-bit draws in 0..n-1 make of 32-bit
+    halves (`_halves`), for 2 <= n <= 2**32, and which of them they reject.
 
-    A half h gives (h * r) >> 32 and is rejected, and the next half read
-    instead, when (h * r) mod 2**32 < 2**32 mod r (Lemire's method). So the
-    values not rejected, in order, are the draws `integers(0, r)` makes of
+    A half h gives (h * n) >> 32 and is rejected, and the next half read
+    instead, when (h * n) mod 2**32 < 2**32 mod n (Lemire's method). So the
+    values not rejected, in order, are the draws `integers(0, n)` makes of
     the same halves.
     """
-    scaled = halves.astype(np.uint64) * ranges
-    return scaled >> 32, (scaled & 0xFFFFFFFF) < (1 << 32) % ranges
+    scaled = halves.astype(np.uint64) * n
+    return scaled >> 32, (scaled & 0xFFFFFFFF) < (1 << 32) % n
 
 
 def _verdict_table(k: int) -> np.ndarray:

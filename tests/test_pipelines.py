@@ -1,21 +1,19 @@
-import re
-
-import numpy as np
 import pytest
 
 import ptlab.pipelines
-from ptlab.graphs import _induces_c5, complete_graph, cycle_graph, empty_graph, gnp
-from ptlab.packing import WitnessPacking
+from ptlab.graphs import complete_graph, cycle_graph, empty_graph, gnp, sample_vertices
+from ptlab.packing import PackingError, WitnessPacking
 from ptlab.pipelines import (
+    _CONTROL_BUDGET,
     EASY_HEADER,
     HARDNESS_HEADER,
-    _skip_halves,
     match_gnp_control,
     pipeline_easy,
     pipeline_hardness,
     sampled_c5_packing,
 )
-from ptlab.rng import Stream
+from ptlab.recognizers import _find_induced_c5
+from ptlab.rng import Stream, _trial_streams
 
 
 def test_sampled_c5_packing():
@@ -29,34 +27,22 @@ def test_sampled_c5_packing():
 
 
 def _reference_packing(g, target, budget, rng):
-    """`sampled_c5_packing` as one `choice` call per 5-subset, each tested
-    with `_induces_c5`."""
-    gen = rng.gen
+    """`sampled_c5_packing` drawn trial by trial: each trial's sample as
+    `sample_vertices` draws it on the trial's own stream, and its first
+    induced 5-cycle as `_find_induced_c5` finds it."""
     chosen, masks = [], []
-    for _ in range(budget):
+    for trial in _trial_streams(rng, 0, budget):
         if len(chosen) >= target:
             break
-        pick = tuple(sorted(int(v) for v in gen.choice(g.n, size=5, replace=False)))
-        mask = sum(1 << v for v in pick)
-        if _induces_c5(g.rows, mask) and all((mask & m).bit_count() <= 1 for m in masks):
-            chosen.append(pick)
+        sample = sum(1 << v for v in sample_vertices(g.n, min(10, g.n), trial))
+        hit = _find_induced_c5(g.rows, sample)
+        if hit is None:
+            continue
+        mask = sum(1 << v for v in hit)
+        if all((mask & m).bit_count() <= 1 for m in masks):
+            chosen.append(hit)
             masks.append(mask)
     return WitnessPacking("inducedC5", tuple(sorted(chosen)), g.n).verified_in(g)
-
-
-def _state(gen):
-    """The whole state of a Philox generator, as plain values."""
-    s = gen.bit_generator.state
-    return ([s["state"][w].tolist() for w in ("counter", "key")], s["buffer"].tolist(),
-            s["buffer_pos"], s["has_uint32"], s["uinteger"])
-
-
-def _pending(seed, path, half):
-    """A fresh stream, or one whose generator holds a pending 32-bit half."""
-    rng = Stream(seed, path)
-    if half:
-        rng.gen.integers(0, 1000, dtype=np.uint32)
-    return rng
 
 
 _HOSTS = {"gnp5": gnp(5, 0.5, Stream(1)), "C5": cycle_graph(5), "K6": complete_graph(6),
@@ -67,73 +53,37 @@ _HOSTS = {"gnp5": gnp(5, 0.5, Stream(1)), "C5": cycle_graph(5), "K6": complete_g
 @pytest.mark.parametrize("host", list(_HOSTS))
 def test_sampled_c5_packing_matches_the_draw_by_draw_loop(host):
     # budgets of 0 and 1, one too small to reach the target, and one that is
-    # not; every packing and the whole generator state left behind must agree
+    # not; a target no host reaches reads every window. The caller's own
+    # stream is never moved
     g = _HOSTS[host]
-    for target in (0, 1, 3, 9):
+    for target in (0, 1, 3, 9, 10_000):
         for budget in (0, 1, 25, 1500):
-            for half in (0, 1):
-                want, got = (_pending(59, (target, budget), half) for _ in range(2))
-                packing = sampled_c5_packing(g, target, budget, got)
-                assert packing == _reference_packing(g, target, budget, want), \
-                    (host, target, budget, half)
-                assert _state(got.gen) == _state(want.gen), (host, target, budget, half)
+            rng = Stream(59, (target, budget))
+            packing = ptlab.pipelines.sampled_c5_packing(g, target, budget, rng)
+            assert packing == _reference_packing(g, target, budget, rng), (host, target, budget)
+            assert rng._gen is None, (host, target, budget)
 
 
-def test_sampled_c5_packing_refuses_small_hosts_as_choice_does():
+def test_fault_injection_packing_with_a_looser_overlap_rule_is_caught(patch_source):
+    # the packing's own verification refuses it, or the loop's packing differs
+    patch_source(ptlab.pipelines, "sampled_c5_packing", "<= 1", "<= 2")
+    with pytest.raises((AssertionError, PackingError)):
+        test_sampled_c5_packing_matches_the_draw_by_draw_loop("gnp40")
+
+
+def test_fault_injection_packing_window_starting_one_trial_late_is_caught(patch_source):
+    patch_source(ptlab.pipelines, "sampled_c5_packing", "lo, width = hi,", "lo, width = hi + 1,")
+    with pytest.raises(AssertionError):
+        test_sampled_c5_packing_matches_the_draw_by_draw_loop("gnp40")
+
+
+def test_sampled_c5_packing_on_hosts_without_five_vertices_is_empty():
     for n in range(5):
-        with pytest.raises(ValueError) as live:
-            Stream(61).gen.choice(n, 5, replace=False)
-        with pytest.raises(ValueError, match=re.escape(str(live.value))):
-            sampled_c5_packing(empty_graph(n), 1, 1, Stream(61))
-        # no draw is made without a target or a budget, so nothing is refused
-        assert len(sampled_c5_packing(empty_graph(n), 0, 5, Stream(61))) == 0
-        assert len(sampled_c5_packing(empty_graph(n), 2, 0, Stream(61))) == 0
-
-
-@pytest.mark.parametrize("n", [5, 6, 7, 120, (1 << 31) - 1, (1 << 31) + 5, 3 << 30, (1 << 32) - 7])
-@pytest.mark.parametrize("half", [0, 1])
-def test_choice5_chunks_are_the_live_choice_draws(n, half):
-    # checked against this numpy's own `choice`, not a pinned table
-    calls = 400
-    live, decoded = (_pending(67, (n % 1000,), half).gen for _ in range(2))
-    before = _state(decoded)
-    chunks = list(ptlab.pipelines._choice5_chunks(decoded, n, calls))
-    assert _state(decoded) == before  # the decoder reads a copy
-    sets = np.concatenate([sets for sets, _ in chunks])
-    ends = np.concatenate([ends for _, ends in chunks])
-    made = 0
-    for stop in (calls // 3, calls // 3 + 1, calls):  # an odd and an even count of halves
-        want = [sorted(live.choice(n, 5, replace=False).tolist()) for _ in range(stop - made)]
-        assert sets[made:stop].tolist() == want, stop
-        made = stop
-        moved = _pending(67, (n % 1000,), half).gen
-        _skip_halves(moved, int(ends[stop - 1]))
-        assert _state(moved) == _state(live), stop
-    if n in ((1 << 31) + 5, 3 << 30):  # about half and a quarter of those halves are rejected
-        assert ends[-1] > 9 * calls + calls // 10
-
-
-def test_fault_injection_decoder_without_the_repeat_rule_is_caught(patch_source):
-    # Floyd's draws repeat often on few vertices: the subsets come out wrong
-    patch_source(ptlab.pipelines, "_choice5_chunks", "sets[repeat, c] = n - 5 + c", "pass")
-    with pytest.raises(AssertionError):
-        test_choice5_chunks_are_the_live_choice_draws(6, 0)
-
-
-def test_fault_injection_decoder_without_the_shuffle_draws_is_caught(patch_source):
-    # the next call would start 4 halves early
-    patch_source(ptlab.pipelines, "_choice5_chunks", "range(n - 4, n + 1), 5, 4, 3, 2)",
-                 "range(n - 4, n + 1),)")
-    with pytest.raises(AssertionError):
-        test_choice5_chunks_are_the_live_choice_draws(120, 0)
-
-
-def test_fault_injection_decoder_without_rejection_is_caught(monkeypatch):
-    real = ptlab.pipelines._lemire_values
-    monkeypatch.setattr(ptlab.pipelines, "_lemire_values", lambda halves, ranges: (
-        real(halves, ranges)[0], np.zeros(np.shape(halves), bool)))
-    with pytest.raises(AssertionError):
-        test_choice5_chunks_are_the_live_choice_draws(3 << 30, 0)
+        for target, budget in ((0, 5), (1, 1), (2, 30), (2, 0)):
+            packing = sampled_c5_packing(empty_graph(n), target, budget, Stream(61))
+            assert packing.tuples == () and packing.verified, (n, target, budget)
+    with pytest.raises(PackingError):
+        match_gnp_control(4, 1, Stream(61))
 
 
 def test_match_gnp_control():
@@ -141,15 +91,32 @@ def test_match_gnp_control():
     assert len(packing) >= 4 and packing.verified
 
 
-@pytest.mark.parametrize("n, target, seed, pinned", [
-    (45, 4, 37, "d8c4a14ab395194d"),
-    (60, 6, 5, "1cb16ab88e56613b"),
-    (90, 12, 11, "61bef3ad88ced322"),
+# the control rows as the 5-subset sampler found them: only the packings moved
+@pytest.mark.parametrize("n, target, seed, rows_pinned, pinned", [
+    (45, 4, 37, "7fe088d9f5ddb2ad", "abb3f9ee58a9d88c"),
+    (60, 6, 5, "5dc04a8331af7749", "59b3e7205315ccf3"),
+    (90, 12, 11, "680e9c20281033c7", "383b9eb2f2b3beb2"),
 ])
-def test_match_gnp_control_pinned(digest, n, target, seed, pinned):
-    # the control's rows and packing as the draw-by-draw sampler gave them
+def test_match_gnp_control_pinned(digest, n, target, seed, rows_pinned, pinned):
     g, packing = match_gnp_control(n, target, Stream(seed))
+    assert digest(list(g.rows)) == rows_pinned
+    # the first density tried, p = 0.5, is the one kept on these hosts
+    assert packing == _reference_packing(g, target, _CONTROL_BUDGET, Stream(seed).child(0, 1))
     assert digest((list(g.rows), packing.tuples)) == pinned
+
+
+# packing sizes the 5-subset sampler reached at 60,000 draws from Stream(2),
+# at a target no host reaches: the samples must certify at least as many
+_FLOORS = {15: (2, 4, 1), 20: (4, 6, 4), 30: (12, 16, 12), 45: (25, 35, 24), 60: (35, 57, 40)}
+_FLOOR_HOSTS = [(n, p, (n, (i,)), floor) for n, floors in _FLOORS.items()
+                for i, (p, floor) in enumerate(zip((0.3, 0.5, 0.7), floors))]
+_FLOOR_HOSTS += [(120, 0.5, (1, ()), 167), (240, 0.3, (1, ()), 190)]
+
+
+@pytest.mark.parametrize("n, p, graph_stream, floor", _FLOOR_HOSTS)
+def test_sampled_c5_packing_covers_the_subset_samplers_floor(n, p, graph_stream, floor):
+    g = gnp(n, p, Stream(*graph_stream))
+    assert len(sampled_c5_packing(g, 10_000, _CONTROL_BUDGET, Stream(2))) >= floor
 
 
 def test_pipeline_hardness_small():
