@@ -10,6 +10,7 @@ farness lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .decomposition import DISTANCE_CAP_BOUND, DISTANCE_N_BOUND, distance_to_property
@@ -80,7 +81,9 @@ def sampled_c5_packing(g: Graph, target: int, budget: int, rng: Stream) -> Witne
     """
     d = min(_CONTROL_D, g.n)
     chosen: list[tuple[int, ...]] = []
-    masks: list[int] = []
+    # the vertex pairs inside packed witnesses, (low, high) since hits are
+    # sorted: two 5-sets share at least two vertices iff they share a pair
+    used: set[tuple[int, int]] = set()
     lo, width = 0, 16
     while len(chosen) < target and lo < budget:
         hi = min(budget, lo + width)
@@ -88,10 +91,10 @@ def sampled_c5_packing(g: Graph, target: int, budget: int, rng: Stream) -> Witne
             hit = _find_induced_c5(g.rows, sample)
             if hit is None:
                 continue
-            mask = sum(1 << v for v in hit)
-            if all((mask & m).bit_count() <= 1 for m in masks):
+            pairs = list(combinations(hit, 2))
+            if used.isdisjoint(pairs):
                 chosen.append(hit)
-                masks.append(mask)
+                used.update(pairs)
                 if len(chosen) >= target:
                     break
         lo, width = hi, 2 * width

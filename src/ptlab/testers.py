@@ -27,17 +27,17 @@ built.
 counts. The trials' raw words come from the batch's numpy Philox, one
 `random_raw` a trial (`rng._trial_words`). A universal batch turns them
 into every trial's sample at once, as `sample_vertices` draws it, and
-decides each sample on compact rows: its induced block of the host's
-adjacency matrix, one int per sample vertex, under the full mask (the
-decision, `_universal_core`, is resolved once per batch). A density
-batch turns them into the values the trials' `integers` draws would give
-(Lemire's method on 32-bit halves) and decides all the trials' tuples at
-once on the host's pair codes. A trial the words cannot settle (too few
-distinct vertices for a sample; a rejected half, or too few distinct
-tuples and no hit, for a density trial) runs on its own trial stream;
-`run_tester` stays the single-trial API. Hosts whose adjacency matrix
-would not fit the chunk budget (`_batched`) run every trial that way, in
-the memory of their rows.
+decides each sample on the host's rows under the sample's mask, as a
+single trial does (the decision, `_universal_core`, is resolved once per
+batch). A density batch turns them into the values the trials' `integers`
+draws would give (Lemire's method on 32-bit halves) and decides all the
+trials' tuples at once on the host's pair codes. A trial the words cannot
+settle (too few distinct vertices for a sample; a rejected half, or too
+few distinct tuples and no hit, for a density trial) runs on its own trial
+stream; `run_tester` stays the single-trial API. Every batch is split into
+chunks whose temporaries fit `_CHUNK_BYTES`; a density batch whose
+pair-code table (one byte a vertex pair) or one trial's words would not
+fit runs every trial that way, in the memory of the host's rows.
 """
 
 from __future__ import annotations
@@ -263,17 +263,9 @@ def run_tester(g: Graph, config: TesterConfig, rng: Stream) -> Verdict:
     return induced_p3_tester(g, config.t, rng)
 
 
-def _batched(n: int) -> bool:
-    """Whether a batch on an n-vertex host runs in numpy: the host's
-    adjacency matrix, one byte a pair, fits `_CHUNK_BYTES`. Batches on
-    larger hosts run trial by trial, in the memory of the host's rows."""
-    return n * n <= _CHUNK_BYTES
-
-
-def _sample_chunks(n: int, d: int, rng: Stream, lo: int, hi: int) -> Iterator[np.ndarray]:
+def _sample_masks(n: int, d: int, rng: Stream, lo: int, hi: int) -> Iterator[int]:
     """Trial i's uniform d-subset of 0..n-1, the sample the universal tester
-    decides, for trials lo..hi-1 of the batch on `rng`, in chunks: row j of
-    a chunk's bool matrix marks the sample of the chunk's j-th trial.
+    decides, as a bitmask, for trials lo..hi-1 of the batch on `rng`.
 
     It is the subset `sample_vertices` draws on the trial's stream. Its first
     block of words is the trial's first 2k raw words (`_trial_words`), k =
@@ -282,15 +274,14 @@ def _sample_chunks(n: int, d: int, rng: Stream, lo: int, hi: int) -> Iterator[np
     their complement when k < d. A vertex's first occurrence in a trial's
     words is found by sorting (`np.unique`), in O(k log k) a trial. A trial
     whose 2k words hold fewer than k distinct vertices is drawn by
-    `sample_vertices` on its own trial stream. Chunks keep the (trials, n),
-    (trials, 2k) and (trials, d, d) temporaries within `_CHUNK_BYTES`; the
-    callers run only hosts that are `_batched`.
+    `sample_vertices` on its own trial stream. Chunks keep the (trials, n)
+    and (trials, 2k) temporaries within `_CHUNK_BYTES`, down to one trial.
     """
     k = min(d, n - d)
     width = 2 * k
     # no word is rejected when n is a power of two (or 0, with no words)
     limit = (1 << 64) - (1 << 64) % n if n else 1 << 64
-    step = max(1, _CHUNK_BYTES // max(n, 8 * width, d * d, 1))
+    step = max(1, _CHUNK_BYTES // max(n, 8 * width, 1))
     for start, words in zip(range(lo, hi, step), _trial_words(rng, lo, hi, width, step)):
         trials = len(words)
         vertex = (words % np.uint64(n)).astype(np.intp)
@@ -312,18 +303,6 @@ def _sample_chunks(n: int, d: int, rng: Stream, lo: int, hi: int) -> Iterator[np
             member[j] = False
             member[j, list(sample_vertices(n, d, next(_trial_streams(
                 rng, start + j, start + j + 1))))] = True
-        yield member
-
-
-def _sample_masks(n: int, d: int, rng: Stream, lo: int, hi: int) -> Iterator[int]:
-    """Trial i's sample (`_sample_chunks`) as a bitmask, for trials lo..hi-1
-    of the batch on `rng`; a host that is not `_batched` draws each sample
-    by `sample_vertices` on the trial's own stream."""
-    if not _batched(n):
-        for trial in _trial_streams(rng, lo, hi):
-            yield sum(1 << v for v in sample_vertices(n, d, trial))
-        return
-    for member in _sample_chunks(n, d, rng, lo, hi):
         yield from _row_ints(member)
 
 
@@ -353,30 +332,11 @@ def _universal_rejections(g: Graph, config: TesterConfig, rng: Stream,
                           lo: int, hi: int) -> int:
     """Rejections of universal trials lo..hi-1 of the batch on `rng`, with the
     verdicts `universal_tester` gives: each trial's sample (`_sample_masks`)
-    is decided by `_universal_core`, resolved once for the batch.
-
-    On a `_batched` host a sample is decided on compact rows: its induced
-    d x d block of the adjacency matrix, one int per sample vertex
-    (`_row_ints`), under the mask (1 << d) - 1. Samples are sorted, so the
-    relabelling keeps vertex order; membership is a property of the induced
-    subgraph, so the verdict is the one on the host's rows. Other hosts
-    decide each trial's sample on the host's rows.
-    """
-    n, d = g.n, config.d
-    decide = _universal_core(g, d, config.property_name)
-    if not _batched(n):
-        return sum(decide(g.rows, mask) is not None
-                   for mask in _sample_masks(n, d, rng, lo, hi))
-    adjacency = _adjacency(g).view(bool)
-    full = (1 << d) - 1
-    rejections = 0
-    for member in _sample_chunks(n, d, rng, lo, hi):
-        sample = np.nonzero(member)[1].reshape(len(member), d)
-        block = adjacency[sample[:, :, None], sample[:, None, :]]
-        rows = _row_ints(block.reshape(len(member) * d, d))
-        rejections += sum(decide(rows[j * d:(j + 1) * d], full) is not None
-                          for j in range(len(member)))
-    return rejections
+    is decided on the host's rows under its mask by `_universal_core`,
+    resolved once for the batch."""
+    decide = _universal_core(g, config.d, config.property_name)
+    return sum(decide(g.rows, mask) is not None
+               for mask in _sample_masks(g.n, config.d, rng, lo, hi))
 
 
 def _halves(words: np.ndarray) -> np.ndarray:
@@ -430,8 +390,8 @@ def _density_rejections(g: Graph, config: TesterConfig, rng: Stream,
     t distinct tuples hits (`_verdict_table`). A trial whose used words hold
     a rejected half, or whose tuples hold fewer than t distinct ones and no
     hit, is run by `run_tester` on its own trial stream. Hosts the tester
-    refuses, and batches whose words or pair codes (8 and 1 bytes each)
-    would not fit `_CHUNK_BYTES`, run trial by trial.
+    refuses, and batches whose words (8 bytes each) or pair-code table (one
+    byte a vertex pair) would not fit `_CHUNK_BYTES`, run trial by trial.
     """
     n, t = g.n, config.t
     k = 3 if config.kind == "triple-density" else 4
@@ -440,7 +400,7 @@ def _density_rejections(g: Graph, config: TesterConfig, rng: Stream,
     share = math.perm(n, k) / n ** k
     tuples = math.ceil((t + 3 * math.sqrt(t * (1 - share)) + 2) / share)
     width = -(-k * tuples // 8) * 4
-    if 8 * width > _CHUNK_BYTES or not _batched(n):
+    if 8 * width > _CHUNK_BYTES or n * n > _CHUNK_BYTES:
         return _trial_rejections(g, config, rng, lo, hi)
     tuples = 2 * width // k  # every whole tuple the words hold
     pair_codes = _adjacency(g)

@@ -643,39 +643,37 @@ def test_sampler_skips_words_above_the_last_multiple_of_n(monkeypatch):
 
 
 def test_fault_injection_sampler_without_complement_is_caught(patch_source):
-    patch_source(T, "_sample_chunks", "member = ~member", "pass")
+    patch_source(T, "_sample_masks", "member = ~member", "pass")
     with pytest.raises(AssertionError):
         test_sample_masks_are_the_trial_samples(9, 8)
-    # samples of d > n/2 then hold n - d vertices: the batch cannot run
-    with pytest.raises(ValueError, match="cannot reshape"):
-        _universal_mismatches(("gnp20",))
-
-
-def test_fault_injection_transposed_compact_rows_is_caught(patch_source):
-    # rows taken vertex-major: a trial's d rows come from d different samples
-    patch_source(T, "_universal_rejections", "block.reshape(len(member) * d, d)",
-                 "block.transpose(1, 0, 2).reshape(len(member) * d, d)")
+    # samples of d > n/2 then hold n - d vertices
     assert _universal_mismatches(("gnp20",))
 
 
 def test_fault_injection_big_endian_long_rows_is_caught(patch_source):
-    # rows over 64 bits: the d = 70 samples of gnp128 and masks of n > 64
+    # masks of n > 64 vertices span more than one word: every gnp128 sample
     patch_source(T, "_row_ints", '"little") for i in', '"big") for i in')
-    assert {bad[:2] for bad in _universal_mismatches(("gnp128",))} == {("gnp128", 70)}
+    assert {bad[:2] for bad in _universal_mismatches(("gnp128",))} == {("gnp128", 13),
+                                                                       ("gnp128", 70)}
     with pytest.raises(AssertionError):
         test_sample_masks_are_the_trial_samples(180, 15)
 
 
-def test_large_sparse_host_runs_trial_by_trial_without_a_matrix(monkeypatch):
+def test_large_sparse_host_runs_without_a_matrix(monkeypatch):
     # 4000 vertices: an adjacency matrix would take 16 MB, the rows about 1 MB
+    import tracemalloc
     g = path_graph(4000)
-    assert not T._batched(g.n)
     monkeypatch.setattr(T, "_adjacency", lambda g: pytest.fail("dense matrix built"))
-    monkeypatch.setattr(T, "_trial_words", lambda *a: pytest.fail("batch sampler used"))
     rejections = {}
     for d, prop in ((10, "cograph"), (10, "triangle-free"), (3000, "cograph")):
         config = TesterConfig("universal", d=d, property_name=prop)
-        rejections[d, prop] = estimate_detection(g, config, 6, Stream(233)).rejections
+        tracemalloc.start()
+        try:
+            rejections[d, prop] = estimate_detection(g, config, 6, Stream(233)).rejections
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, (d, prop, peak)
         assert rejections[d, prop] == _per_trial_rejections(g, config, 6, Stream(233))
     # 3000 of 4000 path vertices always hold an induced 4-path
     assert rejections[3000, "cograph"] == 6
@@ -695,13 +693,13 @@ def test_sampler_temporaries_grow_with_k_not_k_squared():
     n, d, rng = 20_000, 10_000, Stream(241)
     tracemalloc.start()
     try:
-        chunks = list(T._sample_chunks(n, d, rng, 0, 2))
+        masks = list(T._sample_masks(n, d, rng, 0, 2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
-    got = [tuple(np.flatnonzero(row).tolist()) for chunk in chunks for row in chunk]
-    assert got == [sample_vertices(n, d, t) for t in _trial_streams(rng, 0, 2)]
+    assert masks == [sum(1 << v for v in sample_vertices(n, d, t))
+                     for t in _trial_streams(rng, 0, 2)]
 
 
 # --- the odd-cycle scan before the property's core --------------------------------
@@ -717,7 +715,7 @@ def _bare_core_rejections(g, config, trials, rng):
 # host -> (graph, (property, d) pairs, trials): the gadget the `detect`
 # benchmark samples, where nearly every sample is bipartite; its G(180, 1/2)
 # control, where none is; a host with no odd cycle; a mixed one; and a
-# 363-vertex host, which runs trial by trial
+# 363-vertex host, above the size whose adjacency matrix fits a chunk
 BIPARTITE_ACCEPT_HOSTS = {
     "gadget": (_c5_gadget_180, [("comparability", 14), ("comparability", 15), ("perfect", 14),
                                 ("induced-c5-free", 14), ("induced-c5-free", 15)], 400),
@@ -737,7 +735,6 @@ BIPARTITE_ACCEPT_HOSTS = {
 def test_bipartite_accept_keeps_the_bare_core_counts(host):
     build, cases, trials = BIPARTITE_ACCEPT_HOSTS[host]
     g = build()
-    assert T._batched(g.n) == (host != "gnp363")
     for j, (prop, d) in enumerate(cases):
         config = TesterConfig("universal", d=d, property_name=prop)
         rng = Stream(271, (j, d))
@@ -761,12 +758,11 @@ def test_core_runs_only_on_samples_with_an_odd_cycle(monkeypatch):
         estimate_detection(g, config, trials, rng)
     finally:
         R._resolve.cache_clear()
-    # once on d isolated vertices, then on the samples with an odd cycle;
-    # batched samples are decided on compact rows, so compare by count
+    # once on d isolated vertices, then on the samples with an odd cycle
     odd = [mask for mask in T._sample_masks(g.n, d, rng, 0, trials)
            if not two_colourable(g.rows, list(iter_bits(mask)))]
     assert 0 < len(odd) < trials // 10
-    assert len(seen) == 1 + len(odd)
+    assert seen == [(1 << d) - 1] + odd
 
 
 def test_perfect_bound_refused_before_any_bipartite_sample():
