@@ -2,14 +2,16 @@
 
 Each check is a module-level function that takes its stream, sizes and draw
 count and returns None on pass or a detail string naming the falsifying
-instance. `SUITES` is the one table of checks: per suite, its stream index
+instance. Two tables run them. `SUITES` holds, per suite, its stream index
 and its ordered (label, check) entries at the spec-level sizes, each entry a
-function of the suite's stream Stream(seed, (index,)). `run_suite(name,
-seed)` runs one suite's entries and returns one timed CheckResult each. The
-acceptance criteria and unit tests call the check functions directly, at
-their own pinned streams and sizes. Checks look up recognizers, counters
-and packings through this module's globals, so a test can monkeypatch one
-(say `ptlab.verify.is_comparability`) to show that a check can fail.
+function of the suite's stream Stream(seed, (index,)); `run_suite(name,
+seed)` runs one suite's entries and returns one timed CheckResult each.
+`ACCEPTANCE` holds the eleven acceptance criteria, each with its number,
+wall-clock budget, label and a check at its pinned stream Stream(1300 + number)
+and sizes, run through the same `_check`. Unit tests call the check functions
+directly, at small sizes. Checks look up recognizers, counters, searches and
+packings through this module's globals, so a test can monkeypatch one (say
+`ptlab.verify.is_comparability`) to show that a check can fail.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 from . import oracles
-from .decomposition import (AboveCap, DISTANCE_CAP_BOUND, distance_to_property, find_cut,
-                            refine_along_cuts)
+from .decomposition import (AboveCap, DISTANCE_CAP_BOUND, distance_to_property, find_beta_cut,
+                            find_cut, refine_along_cuts)
+from .extremal import ExtremalRecord, estimate_f, search_min_p3_density
 from .gadgets import AP_EXACT_BOUND, ap3_free_set, build_c5_gadget, build_poset_gadget, rs_graph
 from .graphs import (
     Graph,
@@ -56,9 +59,9 @@ from .recognizers import (
     is_triangle_free,
 )
 from .rng import Stream
-from .testers import TesterConfig, _sample_masks, estimate_detection
+from .testers import TesterConfig, _sample_masks, estimate_detection, min_budget_for_detection
 
-__all__ = ["CheckResult", "SUITES", "SUITE_NAMES", "all_graphs", "run_suite"]
+__all__ = ["ACCEPTANCE", "CheckResult", "SUITES", "SUITE_NAMES", "all_graphs", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -381,11 +384,17 @@ def retention_mean(stream: Stream, samples: int) -> str | None:
 
 # --- gadgets ------------------------------------------------------------------
 
-def rs_exact_triangles(max_k: int) -> str | None:
+def rs_exact_triangles(max_k: int, naive_k: int) -> str | None:
+    """For k = 1..max_k, rs(k) holds exactly k|S| triangles (the constructor's
+    audit) and its certificate re-verifies with k|S| of them; up to k =
+    naive_k a brute-force scan of every vertex triple also finds k|S|."""
     for k in range(1, max_k + 1):
         s = ap3_free_set(k, "exact" if k <= AP_EXACT_BOUND else "behrend")
         rb = rs_graph(k, s)  # constructor audits count == k|S| and disjointness
-        if k <= 6:
+        rb.certificate.verified_in(rb.graph)  # raises on failure
+        if len(rb.certificate) != k * len(s):
+            return f"k={k}: certificate holds {len(rb.certificate)} != {k * len(s)}"
+        if k <= naive_k:
             naive = len(oracles.induced_sets(rb.graph.rows, range(rb.graph.n), 3))
             if naive != k * len(s):
                 return f"k={k}: naive {naive} != {k * len(s)}"
@@ -393,13 +402,16 @@ def rs_exact_triangles(max_k: int) -> str | None:
 
 
 def c5_gadget_rules_and_samples(stream: Stream, k: int, d: int, trials: int) -> str | None:
-    """d-vertex samples of the five-part gadget over rs(k) with a triangle-free
-    inner part are comparability graphs; some sample must be triangle-free.
-    Trial i samples from counter block i of the batch on `stream`."""
+    """The planted 5-cycles of the five-part gadget over rs(k) re-verify
+    (induced, pairwise sharing at most one vertex), and its d-vertex samples
+    with a triangle-free inner part are comparability graphs; some sample
+    must be triangle-free. Trial i samples from counter block i of the batch
+    on `stream`."""
     rb = rs_graph(k, ap3_free_set(k, "exact"))
     f = rb.graph
     gb = build_c5_gadget(f, rb.labeling.relabel(("V2", "V3", "V5")),
                          rb.certificate)  # construction re-audits the 9 rules
+    gb.certificate.verified_in(gb.graph)  # raises on failure
     trifree = 0
     for i, (mask, inner_free, ordered) in enumerate(_gadget_samples(f, gb, d, trials, stream)):
         trifree += inner_free
@@ -412,18 +424,50 @@ def c5_gadget_rules_and_samples(stream: Stream, k: int, d: int, trials: int) -> 
     return None
 
 
-def poset_gadget_samples(stream: Stream, k: int, d: int, trials: int) -> str | None:
-    """d-vertex samples of the poset gadget over rs(k) are posets iff
-    triangle-free; trial i samples from counter block i of the batch on `stream`."""
-    rb = rs_graph(k, ap3_free_set(k, "exact"))
-    t = rb.graph
-    pb = build_poset_gadget(t, rb.labeling.relabel(("V1", "V2", "V3")), rb.certificate)
+def poset_gadget_samples(t: Graph, labeling: PartLabeling, stream: Stream, d: int,
+                         trials: int) -> str | None:
+    """d-vertex samples of the poset gadget over the tripartite t (parts V1,
+    V2, V3) are posets iff they span no triangle of t; trial i samples from
+    counter block i of the batch on `stream`."""
+    pb = build_poset_gadget(t, labeling)
     for i, mask in enumerate(_sample_masks(t.n, d, stream, 0, trials)):
         tri_free = _find_triangle(t.rows, mask) is None
         ok = _poset_hit(pb.graph.rows, mask) is None
         if ok != tri_free:
             return f"trial {i}: poset={ok} but triangle-free={tri_free}"
     return None
+
+
+def _rs_tripartite(k: int) -> tuple[Graph, PartLabeling]:
+    rb = rs_graph(k, ap3_free_set(k, "exact"))
+    return rb.graph, rb.labeling.relabel(("V1", "V2", "V3"))
+
+
+def _triangle_free_tripartite(part: int, stream: Stream) -> tuple[Graph, PartLabeling]:
+    """Random tripartite graph with parts V1, V2, V3 of `part` vertices: each
+    V1-V2 pair, then each V2-V3 pair, in row order, is an edge with
+    probability 1/2, and no V1-V3 pair is, so no triangle forms."""
+    parts = [range(i * part, (i + 1) * part) for i in range(3)]
+    gen = stream.gen
+    edges = [(u, v) for a, b in ((0, 1), (1, 2)) for u in parts[a] for v in parts[b]
+             if gen.random() < 0.5]
+    return (Graph.from_edges(3 * part, edges),
+            PartLabeling(3 * part, list(zip(("V1", "V2", "V3"), parts))))
+
+
+def poset_gadget_both_sides(stream: Stream, k: int, part: int, d: int,
+                            trials: int) -> str | None:
+    """`poset_gadget_samples` over rs(k) on child 0, then over a triangle-free
+    tripartite host with `part` vertices a part, drawn from child 1 and
+    sampled on child 2, where every sample must be a poset."""
+    detail = poset_gadget_samples(*_rs_tripartite(k), stream.child(0), d, trials)
+    if detail:
+        return f"rs({k}): {detail}"
+    t, labeling = _triangle_free_tripartite(part, stream.child(1))
+    if count_triangles(t):
+        return f"triangle-free host has {count_triangles(t)} triangles"
+    detail = poset_gadget_samples(t, labeling, stream.child(2), d, trials)
+    return detail and f"triangle-free host: {detail}"
 
 
 def farness_below_distance() -> str | None:
@@ -449,8 +493,11 @@ def incidental_c5_census() -> str | None:
 # --- testers ------------------------------------------------------------------
 
 def one_sided(stream: Stream, trials: int) -> str | None:
-    """No tester rejects a member: the 9-cycle or a cograph drawn from child 0."""
+    """No tester rejects a member: the 9-cycle or a cograph drawn from child 0,
+    which the cograph recognizer must accept."""
     cg = random_cograph(16, stream.child(0))
+    if not is_cograph(cg).member:
+        return "the cograph host fails the cograph recognizer"
     tri_free = cycle_graph(9)
     runs = [
         (tri_free, TesterConfig("triple-density", t=4),
@@ -493,6 +540,18 @@ def binomial_consistency(g: Graph, kind: str, trials: int, stream: Stream) -> st
     return None
 
 
+def density_testers_binomial(stream: Stream, k: int, trials: int) -> str | None:
+    """`binomial_consistency` of the triple tester on rs(k) from child 0 and of
+    the quadruple tester on the 5-cycle from child 1, every one of whose five
+    quadruples induces a 4-path (p = 1)."""
+    c5 = cycle_graph(5)
+    if count_induced_p3(c5) != math.comb(5, 4):
+        return f"5-cycle: {count_induced_p3(c5)} induced 4-paths, not one per quadruple"
+    return (binomial_consistency(rs_graph(k, ap3_free_set(k, "exact")).graph,
+                                 "triple-density", trials, stream.child(0))
+            or binomial_consistency(c5, "quadruple-density", trials, stream.child(1)))
+
+
 def monotone_in_budget(stream: Stream) -> str | None:
     g = gnp(40, 0.25, stream.child(7))
     prev_lo = 0.0
@@ -515,7 +574,84 @@ def deterministic_reports(stream: Stream) -> str | None:
     return None
 
 
-# --- the table ----------------------------------------------------------------
+def hardness_gap(stream: Stream, k: int, seeds: int, trials: int) -> str | None:
+    """Triangle-freeness is hard to test: on each of `seeds` seeds the
+    universal tester, at `trials` trials a probe, needs a strictly larger
+    budget to reject the planted-sparse rs(k) (child 1, seed, 0) than a G(n, p)
+    control (child 1, seed, 1), the first of p = .12, .15, .2, .25, .3 (child
+    0, j) whose greedy packing reaches rs(k)'s planted count; each budget is
+    at least its analytic floor."""
+    rb = rs_graph(k, ap3_free_set(k, "exact"))  # constructor audits count == k|S|
+    rs, target = rb.graph, len(rb.certificate)
+    for j, p in enumerate((0.12, 0.15, 0.2, 0.25, 0.3)):
+        control = gnp(rs.n, p, stream.child(0, j))
+        packing = triangle_packing(control, "greedy")
+        if len(packing) >= target:
+            break
+    else:
+        return "no control reached the target farness"
+    if farness_lower_bound(packing) < farness_lower_bound(rb.certificate):
+        return f"control farness {farness_lower_bound(packing)} below rs({k})'s"
+    for seed in range(seeds):
+        res_rs, res_ctrl = (
+            min_budget_for_detection(g, "universal", stream.child(1, seed, side), trials=trials,
+                                     property_name="triangle-free", cap=rs.n)
+            for side, g in enumerate((rs, control)))
+        if res_rs.budget is None or res_ctrl.budget is None:
+            return f"seed {seed}: no budget (rs {res_rs.budget}, control {res_ctrl.budget})"
+        if res_rs.budget <= res_ctrl.budget:
+            return f"seed {seed}: rs budget {res_rs.budget} not above the control's {res_ctrl.budget}"
+        for name, res in (("rs", res_rs), ("control", res_ctrl)):
+            if res.analytic_floor > res.budget:
+                return (f"seed {seed}: {name} budget {res.budget} below its analytic "
+                        f"floor {res.analytic_floor:.2f}")
+    return None
+
+
+# --- extremal -----------------------------------------------------------------
+
+def _fewest_p3_without_beta_cut(n: int, beta: Fraction) -> int | None:
+    """Brute force over every labeled n-vertex graph: the fewest induced
+    4-paths in one whose every bipartition has crossing density strictly
+    between beta and 1 - beta, or None if no graph qualifies."""
+    return min((len(oracles.induced_sets(rows, range(n), 4))
+                for rows in oracles.labeled_graphs(n)
+                if all(beta < Fraction(cross, prod) < 1 - beta
+                       for _, cross, prod in oracles.bipartitions(rows))), default=None)
+
+
+def search_floors(stream: Stream) -> str | None:
+    """The certified searches respect the density floors. At beta = 1/5 the
+    climbs at n = 5 (child 0, effort 200), 8 and 10 (children 1 and 2, effort
+    400) stay at or above (beta/100)^12, and the n = 5 one meets the
+    exhaustive optimum, one induced 4-path (the bull); the 5-cycle has no
+    1/5-cut and its record reports density 0.008; `estimate_f` at n = 8 and
+    eps = 1/32 (child 3, effort 30) stays at or above (eps/100)^16."""
+    beta = Fraction(1, 5)
+    floor12 = (beta / 100) ** 12
+    best = _fewest_p3_without_beta_cut(5, beta)
+    if best != 1:
+        return f"exhaustive n=5 optimum {best}, not the bull's 1"
+    for j, (n, effort) in enumerate(((5, 200), (8, 400), (10, 400))):
+        rec = search_min_p3_density(n, beta, effort, stream.child(j))
+        if n == 5 and rec.p3_density != Fraction(best, 5 ** 4):
+            return f"n=5 record density {rec.p3_density} misses the optimum {best}/625"
+        if rec.p3_density < floor12:
+            return f"n={n} record density {rec.p3_density} below (beta/100)^12"
+    c5 = cycle_graph(5)
+    if find_beta_cut(c5, beta, "exact") is not None:
+        return "the 5-cycle has a 1/5-cut"
+    rec_c5 = ExtremalRecord(n=5, graph=c5, p3_count=count_induced_p3(c5), beta=beta)
+    if float(rec_c5.p3_density) != 0.008:
+        return f"the 5-cycle record reports density {float(rec_c5.p3_density)}"
+    eps = Fraction(1, 32)
+    rec_f = estimate_f(8, eps, 30, stream.child(3))
+    if rec_f.p3_density < (eps / 100) ** 16:
+        return f"estimate_f record density {rec_f.p3_density} below (eps/100)^16"
+    return None
+
+
+# --- the tables ---------------------------------------------------------------
 
 # suite name -> (stream index, ordered (label, check) entries); each entry
 # takes the suite's stream and runs its check at the spec-level sizes, looked
@@ -577,11 +713,11 @@ SUITES: dict[str, tuple[int, list[tuple[str, Callable[[Stream], str | None]]]]] 
     ]),
     "gadgets": (5, [
         ("rs triangle count exactly k|S| for k <= 30 (naive-checked to k=6)",
-         lambda rng: rs_exact_triangles(30)),
+         lambda rng: rs_exact_triangles(30, 6)),
         ("five-part gadget: triangle-free samples are comparability graphs",
          lambda rng: c5_gadget_rules_and_samples(rng.child(1), 5, 12, 1000)),
         ("poset gadget samples are posets exactly when triangle-free",
-         lambda rng: poset_gadget_samples(rng.child(2), 4, 8, 1000)),
+         lambda rng: poset_gadget_samples(*_rs_tripartite(4), rng.child(2), 8, 1000)),
         ("bundle farness below exact edit distance at oracle scale",
          lambda rng: farness_below_distance()),
         ("induced 5-cycle census at small n covers the certificate",
@@ -610,3 +746,41 @@ def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
     index, checks = SUITES[name]
     rng = Stream(seed, (index,))
     return _check(name, [(label, partial(check, rng)) for label, check in checks])
+
+
+# (number, wall-clock budget in seconds, label, check) per acceptance
+# criterion; each check runs one check function at the criterion's pinned
+# stream Stream(1300 + number), sizes and trial counts, looked up in this
+# module's globals at call time so that a test can stub it
+ACCEPTANCE: list[tuple[int, float, str, Callable[[], str | None]]] = [
+    (1, 120, "tau <= nu <= 3*tau and maximal packings over 200 seeded G(12,p), "
+             "zero violations",
+     lambda: tau_nu_chain(Stream(1301), 200, ns=(12,))),
+    (2, 60, "rs triangle count k|S| exactly for k <= 20, packing edge-disjoint, "
+            "brute-force verified",
+     lambda: rs_exact_triangles(20, 20)),
+    (3, 180, "five-part gadget: triangle-free samples are comparability; "
+             "planted 5-cycles re-verify with overlap <= 1",
+     lambda: c5_gadget_rules_and_samples(Stream(1303), 6, 15, 1000)),
+    (4, 60, "poset gadget: sample is a poset exactly when its triangle side is "
+            "triangle-free",
+     lambda: poset_gadget_both_sides(Stream(1304), 4, 6, 8, 1000)),
+    (5, 60, "cograph recognizer matches the cograph definition on all 32768 graphs "
+            "on 6 vertices",
+     lambda: seinsche_equivalence(6)),
+    (6, 60, "one-sidedness: zero rejections over 10^4 member trials",
+     lambda: one_sided(Stream(1306), 2500)),
+    (7, 120, "density-tester rates within Wilson 95% of 1-(1-p)^t for t in {1,10,100}",
+     lambda: density_testers_binomial(Stream(1307), 20, 10_000)),
+    (8, 60, "mean packing retention over 10^5 tripartitions within 3 SE of 2/9",
+     lambda: retention_mean(Stream(1308), 100_000)),
+    (9, 300, "10^3 search restarts at n <= 10 never violate the density floors; "
+             "the 5-cycle record reports 0.008",
+     lambda: search_floors(Stream(1309))),
+    (10, 600, "planted-sparse graph needs a strictly larger universal budget than a "
+              "farness-matched random control, 5 seeds; analytic floors respected",
+     lambda: hardness_gap(Stream(1310), 40, 5, 300)),
+    (11, 300, "edit distance to triangle-freeness equals nu on 10^3 draws; packing "
+              "farness never exceeds true distance",
+     lambda: distance_equals_nu(Stream(1311), 1000)),
+]

@@ -171,7 +171,9 @@ def test_poset_gadget_examples():
 
 
 def test_poset_gadget_samples():
-    detail = poset_gadget_samples(Stream(89), 3, 7, 300)
+    rb = rs_graph(3, ap3_free_set(3, "exact"))
+    detail = poset_gadget_samples(rb.graph, rb.labeling.relabel(("V1", "V2", "V3")),
+                                  Stream(89), 7, 300)
     assert detail is None, detail
 
 

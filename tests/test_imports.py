@@ -115,3 +115,15 @@ def test_rng_importing_ptlab_is_caught():
     source = ("import operator\nimport numpy as np\n"
               "def f(x):\n    from .graphs import _as_int\n    return _as_int(x)\n")
     assert ptlab_imports(source) == ["ptlab.graphs", "ptlab.graphs._as_int"]
+
+
+def test_acceptance_tests_import_only_ptlab_verify():
+    # the criteria live in `ptlab.verify.ACCEPTANCE`; the test module only runs them
+    source = (Path(__file__).parent / "test_acceptance.py").read_text()
+    assert ptlab_imports(source) == ["ptlab.verify"]
+
+
+def test_second_ptlab_import_in_acceptance_tests_is_caught():
+    source = ("import ptlab.verify as verify\n"
+              "def test_x():\n    from ptlab.graphs import cycle_graph\n")
+    assert ptlab_imports(source) == ["ptlab.verify", "ptlab.graphs", "ptlab.graphs.cycle_graph"]

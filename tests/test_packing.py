@@ -7,6 +7,7 @@ import pytest
 import ptlab.packing as packing
 from ptlab.gadgets import ap3_free_set, rs_graph
 from ptlab.graphs import (
+    Graph,
     PartLabeling,
     complete_graph,
     count_triangles,
@@ -122,6 +123,28 @@ def test_packing_verification_catches_lies():
         WitnessPacking("triangle", ((0, 1, 2), (2, 1, 3)), 4).verified_in(complete_graph(4))
     with pytest.raises(PackingError):
         WitnessPacking("inducedC5", ((0, 1, 2, 3, 4),), 6).verified_in(k6)
+
+
+def _overlap_refusal():
+    """verified_in's complaint about two induced 5-cycles, 0-1-2-3-4 and
+    0-1-5-6-7, that share the edge 0-1 and so two vertices; None if it accepts."""
+    g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 5), (5, 6), (6, 7),
+                             (7, 0)])
+    try:
+        packing.WitnessPacking("inducedC5", ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7)), 8).verified_in(g)
+    except PackingError as exc:
+        return str(exc)
+    return None
+
+
+def test_c5_packing_refuses_two_cycles_sharing_two_vertices():
+    assert _overlap_refusal() == "tuples 0 and 1 share two vertices"
+
+
+def test_fault_injection_c5_overlap_limit_of_two_is_caught(patch_source):
+    patch_source(packing, "WitnessPacking", 'limit, shared = 1, "two vertices"',
+                 'limit, shared = 2, "two vertices"')
+    assert _overlap_refusal() is None
 
 
 def test_farness_lower_bound():

@@ -1,6 +1,8 @@
 import argparse
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +15,7 @@ from ptlab.packing import WitnessPacking, triangle_packing
 from ptlab.recognizers import RecognitionResult, is_comparability, is_perfect
 from ptlab.rng import Stream
 from ptlab.testers import _sample_masks
-from ptlab.verify import SUITE_NAMES, SUITES, run_suite
+from ptlab.verify import ACCEPTANCE, SUITE_NAMES, SUITES, run_suite
 
 # direct calls at small sizes, on the suites' own streams, of the checks no
 # other test module calls; `ptlab verify-suite` runs them at full size
@@ -30,19 +32,21 @@ SMALL = {
     "packings_reverify": lambda: verify.packings_reverify(Stream(0, (4,))),
     "c5_packing_size": lambda: verify.c5_packing_size(),
     "tripartite_tau_bound": lambda: verify.tripartite_tau_bound(),
-    "rs_exact_triangles": lambda: verify.rs_exact_triangles(8),
+    "rs_exact_triangles": lambda: verify.rs_exact_triangles(8, 6),
     "incidental_c5_census": lambda: verify.incidental_c5_census(),
     "monotone_in_budget": lambda: verify.monotone_in_budget(Stream(0, (6,))),
     "deterministic_reports": lambda: verify.deterministic_reports(Stream(0, (6,))),
 }
 
-# the checks the acceptance criteria and the other unit tests call directly
+# the checks that `ACCEPTANCE`, run by tests/test_acceptance.py, and the
+# other unit tests call
 CALLED_ELSEWHERE = {
     "cograph_generator", "sampling_uniform", "seinsche_equivalence",
     "forcing_vs_exhaustive", "no_cut_implies_p4", "refinement_parts",
     "distance_equals_nu", "tau_nu_chain", "distance_dominates_tau", "retention_mean",
-    "c5_gadget_rules_and_samples", "poset_gadget_samples", "farness_below_distance",
-    "one_sided", "budget_accounting", "binomial_consistency",
+    "c5_gadget_rules_and_samples", "poset_gadget_samples", "poset_gadget_both_sides",
+    "farness_below_distance", "one_sided", "budget_accounting", "binomial_consistency",
+    "density_testers_binomial", "hardness_gap", "search_floors",
 }
 
 
@@ -70,13 +74,26 @@ def test_cli_suite_choices_follow_the_table():
     assert tuple(suite.choices) == ("all",) + SUITE_NAMES
 
 
+def test_acceptance_table_holds_11_uniquely_labelled_criteria_at_their_budgets():
+    assert [number for number, _, _, _ in ACCEPTANCE] == list(range(1, 12))
+    assert len({label for _, _, label, _ in ACCEPTANCE}) == 11
+    assert [budget for _, budget, _, _ in ACCEPTANCE] == [120, 60, 180, 60, 60, 60, 120, 60,
+                                                          300, 600, 300]
+
+
 def test_every_table_entry_calls_a_directly_tested_check(monkeypatch):
+    stubbed = SMALL.keys() | CALLED_ELSEWHERE
     called = []
-    for name in SMALL.keys() | CALLED_ELSEWHERE:
+    for name in stubbed:
         monkeypatch.setattr(verify, name, lambda *a, _name=name, **kw: called.append(_name))
     results = [res for name in SUITE_NAMES for res in run_suite(name)]
     assert len(results) == 32 and all(res.passed for res in results)
-    assert len(called) == 32 and set(called) == SMALL.keys() | CALLED_ELSEWHERE
+    assert len(called) == 32
+    for number, _, _, check in ACCEPTANCE:
+        # a row names only stubbed checks and Stream, so it keeps no logic of its own
+        assert set(check.__code__.co_names) <= stubbed | {"Stream"}, number
+        assert check() is None and len(called) == 32 + number, number
+    assert set(called) == stubbed
 
 
 def test_fault_injection_breaks_containment_chain(monkeypatch):
@@ -178,6 +195,41 @@ def test_fault_injection_gadget_samples_reading_the_v4_block(monkeypatch):
     monkeypatch.setattr(verify, "_gadget_samples", v4_block)
     detail = verify.c5_gadget_rules_and_samples(stream, 5, 12, 1000)
     assert detail and detail.startswith("trial "), detail
+
+
+def test_fault_injection_poset_gadget_triangle_free_side(monkeypatch):
+    # a poset check that is honest on the rs(4) gadget's 24 vertices but
+    # reports a non-poset on the 18-vertex triangle-free host's gadget
+    monkeypatch.setattr(verify, "_poset_hit",
+                        lambda rows, mask: (0, 1, 2) if len(rows) == 18 else R._poset_hit(rows, mask))
+    detail = verify.poset_gadget_both_sides(Stream(1304), 4, 6, 8, 100)
+    assert detail == "triangle-free host: trial 0: poset=False but triangle-free=True", detail
+
+
+def test_fault_injection_search_floors_climb_missing_the_optimum(monkeypatch):
+    # a climb whose record is the 5-cycle, five induced 4-paths where the bull has one
+    def climb(n, beta, effort, rng):
+        return verify.ExtremalRecord(n=5, graph=verify.cycle_graph(5), p3_count=5, beta=beta)
+
+    monkeypatch.setattr(verify, "search_min_p3_density", climb)
+    detail = verify.search_floors(Stream(1309))
+    assert detail == "n=5 record density 1/125 misses the optimum 1/625", detail
+
+
+def test_fault_injection_hardness_gap_without_a_gap(monkeypatch):
+    # every host, planted or control, gets the same budget
+    monkeypatch.setattr(verify, "min_budget_for_detection",
+                        lambda g, *a, **kw: SimpleNamespace(budget=19, analytic_floor=10.5))
+    detail = verify.hardness_gap(Stream(1310), 40, 5, 300)
+    assert detail == "seed 0: rs budget 19 not above the control's 19", detail
+
+
+@pytest.mark.parametrize("beta, fewest", [(Fraction(1, 5), 1), (Fraction(1, 4), 5),
+                                          (Fraction(1, 3), None)])
+def test_fewest_p3_without_beta_cut_at_n5(beta, fewest):
+    # among 5-vertex graphs with no beta-cut the bull has the fewest induced
+    # 4-paths at beta = 1/5; none qualifies at beta = 1/3
+    assert verify._fewest_p3_without_beta_cut(5, beta) == fewest
 
 
 @pytest.mark.parametrize("n", range(6))
