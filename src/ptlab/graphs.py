@@ -555,9 +555,3 @@ def cycle_graph(n: int) -> Graph:
     edges = [(i, (i + 1) % n) for i in range(n)]
     return Graph.from_edges(n, edges)
 
-
-def _induces_c5(rows: Sequence[int], mask: int) -> bool:
-    """Do the vertices of `mask` induce a 5-cycle? Five vertices each with two
-    neighbors among them are one 5-cycle (no C3 + C2 split exists)."""
-    return mask.bit_count() == 5 and all((rows[v] & mask).bit_count() == 2
-                                         for v in iter_bits(mask))

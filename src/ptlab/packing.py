@@ -1,9 +1,10 @@
 """Edge-disjoint triangle packings, triangle edge covers, and witness packings.
 
 A witness packing certifies a farness lower bound: its tuples induce the
-forbidden structure and overlap so little (edge-disjoint triangles, or
-5-tuples sharing at most one vertex) that one pair edit destroys at most
-one tuple.
+forbidden structure (triangles, or induced 5-cycles), and one rule limits
+their overlap for both kinds: no vertex pair lies in two tuples, so two
+tuples share at most one vertex and one pair edit destroys at most one
+tuple. For triangles that is edge-disjointness.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from itertools import combinations
+from math import inf
+from typing import ClassVar, Iterable, Sequence
 
-from .graphs import Graph, PartLabeling, _induces_c5, _trusted_graph, _triangle_fans, iter_bits
+from .graphs import Graph, PartLabeling, _trusted_graph, _triangle_fans, iter_bits
 from .rng import Stream, _as_int
 
 __all__ = [
@@ -43,13 +46,20 @@ class PackingError(ValueError):
 class WitnessPacking:
     """A list of vertex tuples certifying a farness lower bound.
 
-    kind "triangle": 3-tuples, pairwise edge-disjoint.
-    kind "inducedC5": 5-tuples, pairwise sharing at most one vertex.
-    Vertices and host_n must be integers (numpy ints included, bools
+    kind "triangle": 3-tuples, each a triangle; kind "inducedC5": 5-tuples,
+    each an induced 5-cycle. Under either kind two tuples share at most one
+    vertex. Vertices and host_n must be integers (numpy ints included, bools
     refused). `verified` is no constructor argument: only `verified_in` sets
     it, on the copy it returns, so a packing that says it is verified was
     checked in a host.
     """
+
+    # kind -> (tuple size, the shape each tuple must have, what two tuples
+    # sharing two vertices share)
+    _KINDS: ClassVar[dict[str, tuple[int, str, str]]] = {
+        "triangle": (3, "a triangle", "an edge"),
+        "inducedC5": (5, "an induced 5-cycle", "two vertices"),
+    }
 
     kind: str
     tuples: tuple[tuple[int, ...], ...]
@@ -57,11 +67,11 @@ class WitnessPacking:
     verified: bool = field(default=False, init=False)
 
     def __post_init__(self):
-        if self.kind not in ("triangle", "inducedC5"):
+        if self.kind not in self._KINDS:
             raise ValueError(f"unknown packing kind {self.kind!r}")
         object.__setattr__(self, "host_n", _as_int(self.host_n))
         object.__setattr__(self, "tuples", tuple(tuple(map(_as_int, t)) for t in self.tuples))
-        size = 3 if self.kind == "triangle" else 5
+        size = self._KINDS[self.kind][0]
         for t in self.tuples:
             if len(t) != size or len(set(t)) != size:
                 raise ValueError(f"{self.kind} tuple {t} must have {size} distinct vertices")
@@ -72,26 +82,22 @@ class WitnessPacking:
         return len(self.tuples)
 
     def verified_in(self, g: Graph) -> "WitnessPacking":
-        """Re-verify every tuple and the pairwise overlap rule in `g`: two
-        triangles' edge masks may share no bit, two 5-cycles' vertex masks
-        at most one."""
+        """Re-verify every tuple's shape and the pairwise overlap rule in `g`.
+
+        Every vertex of a tuple has exactly two neighbours inside it: on 3
+        or 5 distinct vertices that is one triangle or one induced 5-cycle.
+        Any two tuples' vertex masks share at most one bit.
+        """
         if g.n != self.host_n:
             raise PackingError(f"host has {g.n} vertices, packing says {self.host_n}")
-        if self.kind == "triangle":
-            for a, b, c in self.tuples:
-                if not (g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)):
-                    raise PackingError(f"tuple {(a, b, c)} is not a triangle")
-            masks, _ = _edge_masks(self.tuples)
-            limit, shared = 0, "an edge"
-        else:
-            masks = [sum(1 << v for v in t) for t in self.tuples]
-            for t, mask in zip(self.tuples, masks):
-                if not _induces_c5(g.rows, mask):
-                    raise PackingError(f"tuple {t} does not induce a 5-cycle")
-            limit, shared = 1, "two vertices"
+        _, shape, shared = self._KINDS[self.kind]
+        masks = [sum(1 << v for v in t) for t in self.tuples]
+        for t, mask in zip(self.tuples, masks):
+            if any((g.rows[v] & mask).bit_count() != 2 for v in t):
+                raise PackingError(f"tuple {t} is not {shape}")
         for i, mask in enumerate(masks):
             for j in range(i + 1, len(masks)):
-                if (mask & masks[j]).bit_count() > limit:
+                if (mask & masks[j]).bit_count() > 1:
                     raise PackingError(f"tuples {i} and {j} share {shared}")
         checked = copy(self)
         object.__setattr__(checked, "verified", True)
@@ -114,20 +120,21 @@ def triangles_of(g: Graph) -> list[tuple[int, int, int]]:
             for w in iter_bits(ws)]
 
 
-def _edge_masks(tris: Sequence[tuple[int, int, int]]
-                ) -> tuple[list[int], dict[tuple[int, int], int]]:
-    """Per-triangle edge bitmasks and the edge index, in a deterministic order.
-
-    Edges are keyed as (low, high) pairs, so the triangles need not be sorted.
-    """
-    index: dict[tuple[int, int], int] = {}
-    masks = []
-    for a, b, c in tris:
-        mask = 0
-        for u, v in ((a, b), (b, c), (a, c)):
-            mask |= 1 << index.setdefault((u, v) if u < v else (v, u), len(index))
-        masks.append(mask)
-    return masks, index
+def _pack_greedily(hits: Iterable[Sequence[int]], target: float = inf
+                   ) -> list[tuple[int, ...]]:
+    """The greedy witness packing: each hit, sorted, in the order offered,
+    kept when none of its vertex pairs lies in a hit already kept, until
+    `target` are kept (no hit is read after that)."""
+    chosen: list[tuple[int, ...]] = []
+    used: set[tuple[int, int]] = set()
+    hits = iter(hits)
+    while len(chosen) < target and (hit := next(hits, None)) is not None:
+        hit = tuple(sorted(hit))
+        pairs = list(combinations(hit, 2))
+        if used.isdisjoint(pairs):
+            used.update(pairs)
+            chosen.append(hit)
+    return chosen
 
 
 def exact_affordable(g: Graph, tris: Sequence) -> bool:
@@ -150,7 +157,14 @@ def _exact_index(g: Graph, tris: Sequence[tuple[int, int, int]]
             f"exact mode limited to n <= {TRIANGLE_EXACT_MAX_N} and "
             f"{TRIANGLE_EXACT_MAX_TRIANGLES} triangles, got n={g.n} with "
             f"{len(tris)} triangles")
-    masks, index = _edge_masks(tris)
+    # the triangles are sorted, so each edge is keyed as a (low, high) pair
+    index: dict[tuple[int, int], int] = {}
+    masks = []
+    for a, b, c in tris:
+        mask = 0
+        for e in ((a, b), (b, c), (a, c)):
+            mask |= 1 << index.setdefault(e, len(index))
+        masks.append(mask)
     hit = [0] * len(index)
     for i, m in enumerate(masks):
         for b in iter_bits(m):
@@ -185,18 +199,9 @@ def triangle_packing(g: Graph, mode: str = "exact",
     """
     tris = triangles_of(g)
     if mode == "greedy":
-        emasks, _ = _edge_masks(tris)
-        order = list(range(len(tris)))
         if rng is not None:
-            rng.gen.shuffle(order)
-        used = 0
-        chosen = []
-        for i in order:
-            if not emasks[i] & used:
-                used |= emasks[i]
-                chosen.append(tris[i])
-        chosen.sort()
-        return WitnessPacking("triangle", tuple(chosen), g.n).verified_in(g)
+            rng.gen.shuffle(tris)
+        return WitnessPacking("triangle", tuple(sorted(_pack_greedily(tris))), g.n).verified_in(g)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     emasks, _, hit, disjoint = _exact_index(g, tris)
@@ -279,13 +284,13 @@ def _require_verified_triangles(packing: WitnessPacking) -> None:
 def greedy_c5_packing(gadget: Graph, labeling: PartLabeling,
                       planted: WitnessPacking) -> WitnessPacking:
     """Extend each planted triangle (a verified triangle packing of the inner
-    tripartite graph) to an induced 5-cycle using one fresh vertex from each
-    of the two outer parts.
+    tripartite graph) to an induced 5-cycle using one vertex from each of
+    the two outer parts.
 
-    For triangle i, vertices of the outer parts already used by an earlier
-    5-tuple whose triangle meets triangle i are banned, and the chosen
-    (outer1, outer2) pair must be unused; the lexicographically least
-    eligible pair is taken. Fails loudly if the pool runs dry, which signals
+    Triangle by triangle, the lexicographically least (outer1, outer2) pair
+    is taken whose new vertex pairs lie in no 5-tuple taken before (the
+    triangle's own pairs lie in none: the planted triangles are
+    edge-disjoint). Fails loudly if the pool runs dry, which signals
     inconsistent inputs (e.g. a packing of another inner graph).
     """
     _require_verified_triangles(planted)
@@ -298,18 +303,18 @@ def greedy_c5_packing(gadget: Graph, labeling: PartLabeling,
     offset = 4 * n
     pool1 = labeling.part("V1")
     pool4 = labeling.part("V4")
-    chosen: list[tuple[tuple[int, int, int], int, int]] = []
+    # every V1 vertex precedes every V4 vertex, which precede the inner ones,
+    # so each new pair below is already a (low, high) pair
+    used: set[tuple[int, int]] = set()
+    tuples = []
     for tri in planted.tuples:
-        tri_set = set(tri)
-        banned1 = {v1 for t, v1, _ in chosen if tri_set & set(t)}
-        banned4 = {v4 for t, _, v4 in chosen if tri_set & set(t)}
-        used_pairs = {(v1, v4) for _, v1, v4 in chosen}
+        inner = [offset + a for a in tri]
         pick = None
         for v1 in pool1:
-            if v1 in banned1:
+            if any((v1, a) in used for a in inner):
                 continue
             for v4 in pool4:
-                if v4 not in banned4 and (v1, v4) not in used_pairs:
+                if (v1, v4) not in used and not any((v4, a) in used for a in inner):
                     pick = (v1, v4)
                     break
             if pick:
@@ -317,10 +322,10 @@ def greedy_c5_packing(gadget: Graph, labeling: PartLabeling,
         if pick is None:
             raise PackingError(
                 f"vertex pool exhausted at triangle {tri}; planted packing inconsistent")
-        chosen.append((tri, pick[0], pick[1]))
-    tuples = tuple(tuple(sorted((offset + a, offset + b, offset + c, v1, v4)))
-                   for (a, b, c), v1, v4 in chosen)
-    return WitnessPacking("inducedC5", tuples, gadget.n).verified_in(gadget)
+        t = tuple(sorted((*inner, *pick)))
+        used.update(combinations(t, 2))
+        tuples.append(t)
+    return WitnessPacking("inducedC5", tuple(tuples), gadget.n).verified_in(gadget)
 
 
 def farness_lower_bound(packing: WitnessPacking) -> Fraction:
@@ -363,8 +368,8 @@ def random_tripartite_extract(g: Graph, packing: WitnessPacking, rng: Stream,
     assigns = ([int(a) for a in rng.child(r).gen.integers(0, 3, size=g.n)]
                for r in range(retries))
     # the first assignment keeping the most packing triangles wins
-    best_assign, f_graph, retained = max(
-        ((a, *_apply_tripartition(g, a, packing)) for a in assigns), key=lambda c: len(c[2]))
+    best_assign = max(assigns, key=lambda a: sum(_retained(a, t) for t in packing.tuples))
+    f_graph, retained = _apply_tripartition(g, best_assign, packing)
     labeling = PartLabeling(g.n, [(name, [v for v in range(g.n) if best_assign[v] == i])
                                   for i, name in enumerate("XYZ")])
     kept = WitnessPacking("triangle", tuple(retained), g.n).verified_in(f_graph)

@@ -10,13 +10,13 @@ farness lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import combinations
 from typing import Iterator, Sequence
 
 from .decomposition import DISTANCE_CAP_BOUND, DISTANCE_N_BOUND, distance_to_property
 from .gadgets import AP_EXACT_BOUND, GadgetBundle, ap3_free_set, build_c5_gadget, rs_graph
 from .graphs import Graph, flip_pairs, gnp, random_cograph
-from .packing import PackingError, WitnessPacking, farness_lower_bound, random_tripartite_extract
+from .packing import (PackingError, WitnessPacking, _pack_greedily, farness_lower_bound,
+                      random_tripartite_extract)
 from .recognizers import _find_induced_c5, _find_triangle, _later_masks, _order_hit, is_cograph
 from .rng import Stream
 from .testers import TesterConfig, _sample_masks, estimate_detection, wilson95
@@ -67,8 +67,8 @@ _CONTROL_D = 10
 
 def sampled_c5_packing(g: Graph, target: int, budget: int, rng: Stream) -> WitnessPacking:
     """Greedy induced-5-cycle witness packing collected from random vertex
-    samples (pairwise overlap at most one vertex); certifies farness for
-    graphs too large to enumerate.
+    samples (`packing._pack_greedily`); certifies farness for graphs too
+    large to enumerate.
 
     Trial i of the batch on `rng`, for i < `budget`, is the d-vertex sample
     the universal tester draws (`_sample_masks`), d = min(_CONTROL_D, g.n),
@@ -80,24 +80,18 @@ def sampled_c5_packing(g: Graph, target: int, budget: int, rng: Stream) -> Witne
     `pipeline_hardness` host has at least 30.
     """
     d = min(_CONTROL_D, g.n)
-    chosen: list[tuple[int, ...]] = []
-    # the vertex pairs inside packed witnesses, (low, high) since hits are
-    # sorted: two 5-sets share at least two vertices iff they share a pair
-    used: set[tuple[int, int]] = set()
-    lo, width = 0, 16
-    while len(chosen) < target and lo < budget:
-        hi = min(budget, lo + width)
-        for sample in _sample_masks(g.n, d, rng, lo, hi):
-            hit = _find_induced_c5(g.rows, sample)
-            if hit is None:
-                continue
-            pairs = list(combinations(hit, 2))
-            if used.isdisjoint(pairs):
-                chosen.append(hit)
-                used.update(pairs)
-                if len(chosen) >= target:
-                    break
-        lo, width = hi, 2 * width
+
+    def hits() -> Iterator[tuple[int, ...]]:
+        lo, width = 0, 16
+        while lo < budget:
+            hi = min(budget, lo + width)
+            for sample in _sample_masks(g.n, d, rng, lo, hi):
+                hit = _find_induced_c5(g.rows, sample)
+                if hit is not None:
+                    yield hit
+            lo, width = hi, 2 * width
+
+    chosen = _pack_greedily(hits(), target)
     return WitnessPacking("inducedC5", tuple(sorted(chosen)), g.n).verified_in(g)
 
 

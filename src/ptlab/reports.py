@@ -84,7 +84,8 @@ class ExperimentSpec:
 
 def make_report(command: str, spec: ExperimentSpec, graphs: Sequence[dict],
                 results: dict, timings: dict | None = None) -> dict:
-    report = {
+    """The report dict; `write_report`, the output boundary, validates it."""
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "spec": spec.to_json(),
@@ -92,8 +93,6 @@ def make_report(command: str, spec: ExperimentSpec, graphs: Sequence[dict],
         "results": results,
         "timings": timings or {},
     }
-    validate_report(report)
-    return report
 
 
 def validate_report(report: dict) -> None:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ptlab.packing as packing
-from ptlab.gadgets import ap3_free_set, rs_graph
+from ptlab.gadgets import ap3_free_set, build_c5_gadget, rs_graph
 from ptlab.graphs import (
     Graph,
     PartLabeling,
@@ -142,8 +142,8 @@ def test_c5_packing_refuses_two_cycles_sharing_two_vertices():
 
 
 def test_fault_injection_c5_overlap_limit_of_two_is_caught(patch_source):
-    patch_source(packing, "WitnessPacking", 'limit, shared = 1, "two vertices"',
-                 'limit, shared = 2, "two vertices"')
+    patch_source(packing, "WitnessPacking", "if (mask & masks[j]).bit_count() > 1:",
+                 "if (mask & masks[j]).bit_count() > 2:")
     assert _overlap_refusal() is None
 
 
@@ -211,6 +211,16 @@ def test_greedy_c5_packing_from_planted():
                 assert len(vsets[i] & vsets[j]) <= 1
 
 
+def test_fault_injection_c5_packing_forgetting_the_outer_pair_is_caught(patch_source):
+    # without the (v1, v4) check, two vertex-disjoint planted triangles take
+    # the same outer pair
+    rb = rs_graph(2, ap3_free_set(2, "exact"))
+    gb = build_c5_gadget(rb.graph, rb.labeling.relabel(("V2", "V3", "V5")), rb.certificate)
+    patch_source(packing, "greedy_c5_packing", "(v1, v4) not in used and ", "")
+    with pytest.raises(PackingError, match="share two vertices"):
+        packing.greedy_c5_packing(gb.graph, gb.labeling, rb.certificate)
+
+
 def test_greedy_c5_packing_empty():
     from ptlab.gadgets import build_c5_gadget
     lab = PartLabeling(3, [("V2", [0]), ("V3", [1]), ("V5", [2])])
@@ -240,6 +250,31 @@ def test_tripartite_extract_pinned(digest):
     assert [len(kept) for _, _, kept in runs] == [4, 8, 6, 1, 1, 2]
     assert digest([(f.rows, lab.parts, kept.tuples) for f, lab, kept in runs]) \
         == "b46096489a715e5c"
+
+
+def test_c5_gadget_certificates_pinned(digest):
+    # each planted host's gadget certificate, then the gadget over its
+    # tripartite extraction, whose retained triangles need not be sorted
+    certs = []
+    for k in range(1, 13):
+        rb = rs_graph(k, ap3_free_set(k, "exact"))
+        f, labeling, kept = random_tripartite_extract(rb.graph, rb.certificate,
+                                                      Stream(71, (k,)), retries=4)
+        for inner, lab, pk in ((rb.graph, rb.labeling, rb.certificate), (f, labeling, kept)):
+            certs.append(build_c5_gadget(inner, lab.relabel(("V2", "V3", "V5")), pk)
+                         .certificate.tuples)
+    assert sum(map(len, certs)) == 460
+    assert digest(certs) == "780bf92a5f290889"
+
+
+def test_greedy_triangle_packing_pinned(digest):
+    packings = []
+    for i, (n, p) in enumerate(((8, .5), (10, .6), (12, .7), (20, .5), (30, .4))):
+        g = gnp(n, p, Stream(73, (i,)))
+        for rng in (None, Stream(79, (i,))):
+            packings.append(triangle_packing(g, "greedy", rng).tuples)
+    assert sum(map(len, packings)) == 160
+    assert digest(packings) == "5c4f037d1f166653"
 
 
 def test_tripartite_extract_empty_packing():

@@ -64,11 +64,13 @@ def test_sampled_c5_packing_matches_the_draw_by_draw_loop(host):
             assert rng._gen is None, (host, target, budget)
 
 
-def test_fault_injection_packing_with_a_looser_overlap_rule_is_caught(patch_source):
+def test_fault_injection_packing_with_a_looser_overlap_rule_is_caught(patch_source,
+                                                                      monkeypatch):
     # the packing's own verification refuses it, or the loop's packing differs
     # a witness may share one vertex pair (two vertices) with those packed
-    patch_source(ptlab.pipelines, "sampled_c5_packing", "used.isdisjoint(pairs)",
+    patch_source(ptlab.packing, "_pack_greedily", "used.isdisjoint(pairs)",
                  "len(used.intersection(pairs)) <= 1")
+    monkeypatch.setattr(ptlab.pipelines, "_pack_greedily", ptlab.packing._pack_greedily)
     with pytest.raises((AssertionError, PackingError)):
         test_sampled_c5_packing_matches_the_draw_by_draw_loop("gnp40")
 

@@ -34,6 +34,16 @@ def test_bad_report_rejected():
         validate_report({"schema_version": "1"})
 
 
+def test_write_report_validates(tmp_path):
+    # make_report builds; the write is where a report is checked, once
+    report = make_report("test", ExperimentSpec("demo", {}, 7), [{"name": "g", "n": -1, "m": 0}],
+                         {})
+    path = tmp_path / "r.json"
+    with pytest.raises(jsonschema.ValidationError):
+        write_report(report, path)
+    assert not path.exists()
+
+
 def test_write_report_and_csv(tmp_path):
     spec = ExperimentSpec("demo", {}, 7)
     report = make_report("test", spec, [], {"rows": [1, 2]})
