@@ -7,6 +7,7 @@ are compared in exact rational arithmetic.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -143,6 +144,43 @@ def find_beta_cut(g: Graph, beta, mode: str = "exact",
     return _beta_cut_heuristic(g, b, rng)
 
 
+# the cache of `_scan_constants`, bounded as `_crossings` states
+_tables = (np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int16))
+_gathers: OrderedDict[tuple[int, Fraction], np.ndarray] = OrderedDict()
+_GATHER_KEYS = 64
+_GATHER_CELLS = 1 << (BETA_EXACT_BOUND - 1)
+
+
+def _scan_constants(n: int, beta: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index and -2*popcount tables of the first 2^(n-1) indices, and
+    the (sparse_max, dense_min, prod) rows gathered by each bipartition's
+    side1 size; all read-only and cached (see `_crossings`)."""
+    global _tables
+    half = 1 << (n - 1)
+    index, minus2pop = _tables
+    if len(index) < half:
+        index = np.arange(half, dtype=np.int32)
+        minus2pop = np.zeros(half, dtype=np.int16)  # -2 * popcount(r)
+        for h in (1 << k for k in range(n - 1)):
+            np.subtract(minus2pop[:h], 2, out=minus2pop[h:2 * h])
+        index.flags.writeable = minus2pop.flags.writeable = False
+        _tables = index, minus2pop
+    key = (n, beta)
+    gather = _gathers.get(key)
+    if gather is None:
+        # the last index puts every vertex in side1: not a bipartition
+        size = minus2pop[:half - 1] // -2 + 1
+        gather = np.array(_cut_thresholds(n, beta), dtype=np.int16)[:, size]
+        gather.flags.writeable = False
+        _gathers[key] = gather
+        while (len(_gathers) > _GATHER_KEYS
+               or sum(a.shape[1] for a in _gathers.values()) > _GATHER_CELLS):
+            _gathers.popitem(last=False)
+    else:
+        _gathers.move_to_end(key)
+    return index[:half], minus2pop[:half], gather
+
+
 def _crossings(g: Graph, beta: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Crossing counts of all 2^(n-1) - 1 bipartitions, and per bipartition
     the thresholds of its side1 size: (cross, sparse_max, dense_min, prod).
@@ -156,25 +194,27 @@ def _crossings(g: Graph, beta: Fraction) -> tuple[np.ndarray, np.ndarray, np.nda
     has exact integer thresholds (the largest sparse count and the smallest
     dense count), so any rational beta classifies every bipartition without
     overflow; all counts stay below n*n <= 484 and fit int16.
+
+    Only the doubling depends on g. What depends on n and beta alone comes
+    read-only from the cache of `_scan_constants`: the index and popcount
+    tables, built at the largest n seen (n reads their first 2^(n-1)
+    entries), and the three threshold rows per (n, beta), the least
+    recently used dropped first so that at most 64 keys and 2^21 entries a
+    row stay. Its worst case is one n = 22 scan's constants: 2^21 * (4 + 2)
+    bytes of tables and 2^21 * 3 * 2 bytes of rows, about 24 MB.
     """
     n = g.n
-    half = 1 << (n - 1)
     rows = g.rows
-    index = np.arange(half, dtype=np.int32)
-    minus2pop = np.zeros(half, dtype=np.int16)  # -2 * popcount(r)
-    cross = np.empty(half, dtype=np.int16)
+    index, minus2pop, (sparse_max, dense_min, prod) = _scan_constants(n, beta)
+    cross = np.empty(len(index), dtype=np.int16)
     cross[0] = rows[0].bit_count()
     for v in range(1, n):
         h = 1 << (v - 1)
-        np.subtract(minus2pop[:h], 2, out=minus2pop[h:2 * h])
         # neighbours of v among 1..v-1, in the bit positions of r
         low = (rows[v] >> 1) & (h - 1)
         np.add(cross[:h], minus2pop[index[:h] & low], out=cross[h:2 * h])
         cross[h:2 * h] += rows[v].bit_count() - 2 * (rows[v] & 1)
-    # the last index puts every vertex in side1: not a bipartition
-    cross, size = cross[:-1], minus2pop[:-1] // -2 + 1
-    sparse_max, dense_min, prod = np.array(_cut_thresholds(n, beta), dtype=np.int16)[:, size]
-    return cross, sparse_max, dense_min, prod
+    return cross[:-1], sparse_max, dense_min, prod
 
 
 def _beta_cut_exact(g: Graph, beta: Fraction) -> Cut | None:

@@ -193,9 +193,18 @@ def triangle_packing(g: Graph, mode: str = "exact",
                      rng: Stream | None = None) -> WitnessPacking:
     """Maximum (exact) or maximal (greedy) family of edge-disjoint triangles.
 
-    Exact mode is branch-and-bound over the lexicographic triangle list with
-    a compatible-remainder bound; greedy scans lexicographically, or in a
-    random order when a stream is supplied, and lower-bounds the maximum.
+    Exact mode is branch-and-bound seeded with the greedy packing. It
+    branches on the lowest edge still usable (an edge of a triangle still
+    available): one of that edge's triangles is picked, or none is. Three
+    bounds cap the picks left: the available triangles, the usable edges
+    over 3, and the vertex bound, floor(sum over v of floor(d_v / 2) / 3)
+    with d_v the usable edges at v (a picked triangle takes two of them at
+    each of its vertices). A node is cut only when a bound says it cannot
+    beat the incumbent strictly, and the incumbent changes only on a strict
+    improvement, so the search meets the same incumbents in the same order
+    as an unbounded one: the bounds change its speed, never its answer.
+    Greedy scans lexicographically, or in a random order when a stream is
+    supplied, and lower-bounds the maximum.
     """
     tris = triangles_of(g)
     if mode == "greedy":
@@ -204,14 +213,16 @@ def triangle_packing(g: Graph, mode: str = "exact",
         return WitnessPacking("triangle", tuple(sorted(_pack_greedily(tris))), g.n).verified_in(g)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    emasks, _, hit, disjoint = _exact_index(g, tris)
+    emasks, index, hit, disjoint = _exact_index(g, tris)
+    incident = [0] * g.n  # per vertex, the bits of its triangle edges
+    for (a, b), e in index.items():
+        incident[a] |= 1 << e
+        incident[b] |= 1 << e
+    incident = [m for m in incident if m]
     full = (1 << len(tris)) - 1
     best_set = list(iter_bits(_greedy(full, disjoint)))  # seed for early pruning
     chosen: list[int] = []
 
-    # branch on the lowest edge still usable: either one of its triangles is
-    # in the packing, or none is; bound remaining picks by available
-    # triangles and by spanned edges / 3
     def dfs(avail: int) -> None:
         nonlocal best_set
         if not avail:
@@ -226,7 +237,10 @@ def triangle_packing(g: Graph, mode: str = "exact",
             count += 1
             edges |= emasks[low.bit_length() - 1]
             a ^= low
-        if len(chosen) + min(count, edges.bit_count() // 3) <= len(best_set):
+        room = len(best_set) - len(chosen)  # picks left that only tie the incumbent
+        if min(count, edges.bit_count() // 3) <= room:
+            return
+        if sum((edges & m).bit_count() // 2 for m in incident) // 3 <= room:
             return
         e = (edges & -edges).bit_length() - 1
         through = hit[e] & avail
@@ -242,9 +256,19 @@ def triangle_packing(g: Graph, mode: str = "exact",
 
 
 def triangle_cover(g: Graph, mode: str = "exact") -> tuple[tuple[int, int], ...]:
-    """A minimum set of edges covering every triangle ("exact", the only mode):
-    branch-and-bound over an uncovered triangle's three edges, lower-bounded
-    by a greedy edge-disjoint packing of the uncovered triangles."""
+    """A minimum set of edges covering every triangle ("exact", the only mode).
+
+    Branch-and-bound seeded with the edges of the greedy packing. It
+    branches on the lowest uncovered triangle's three edges in turn, and
+    the branch for an edge bans the edges tried before it: a cover holding
+    a banned edge was already searched in that edge's branch. The lower
+    bound is a greedy edge-disjoint packing of the uncovered triangles (each
+    needs its own edge). A node is cut only when it cannot beat the
+    incumbent strictly, the incumbent changes only on a strict improvement,
+    and no banned cover can be one (its branch already bounded the
+    incumbent by it), so the search meets the same incumbents in the same
+    order as an unbounded, unbanned one and returns the same cover.
+    """
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     tris = triangles_of(g)
@@ -258,7 +282,7 @@ def triangle_cover(g: Graph, mode: str = "exact") -> tuple[tuple[int, int], ...]
     best = [e for i in iter_bits(_greedy(full, disjoint)) for e in tri_edges[i]]
     chosen: list[int] = []
 
-    def dfs(uncovered: int) -> None:
+    def dfs(uncovered: int, banned: int) -> None:
         nonlocal best
         if not uncovered:
             if len(chosen) < len(best):
@@ -268,11 +292,13 @@ def triangle_cover(g: Graph, mode: str = "exact") -> tuple[tuple[int, int], ...]
             return
         target = (uncovered & -uncovered).bit_length() - 1
         for e in tri_edges[target]:
-            chosen.append(e)
-            dfs(uncovered & ~hit[e])
-            chosen.pop()
+            if not banned >> e & 1:
+                chosen.append(e)
+                dfs(uncovered & ~hit[e], banned)
+                chosen.pop()
+                banned |= 1 << e
 
-    dfs(full)
+    dfs(full, 0)
     return tuple(sorted(edge_of_bit[e] for e in best))
 
 

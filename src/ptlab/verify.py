@@ -301,10 +301,11 @@ def far_graphs_have_p3(stream: Stream, draws: int) -> str | None:
             continue
         if count_induced_p3(g) == 0:
             return f"draw {i}: far graph with zero induced 4-paths"
-        # weak largest-part reading: some refinement part has >= eps*n vertices
-        ref = refine_along_cuts(g, eps)
-        if max(len(p) for p in ref.parts) < eps * n:
-            return f"draw {i}: largest part below eps*n"
+        # every final part is eps-cut-free, by the oracle's bipartitions
+        for part in refine_along_cuts(g, eps).parts:
+            for side1, cross, prod in oracles.bipartitions(induced_subgraph(g, part).rows):
+                if not eps < Fraction(cross, prod) < 1 - eps:
+                    return f"draw {i}: refinement part {part} has an eps-cut {side1}"
     return None
 
 
@@ -694,8 +695,8 @@ SUITES: dict[str, tuple[int, list[tuple[str, Callable[[Stream], str | None]]]]] 
         ("edit distance to triangle-freeness equals the exact cover number and bounds "
          "packing farness (1000 draws, n=7)",
          lambda rng: distance_equals_nu(rng.child(3), 1000)),
-        ("far-from-cograph graphs have induced 4-paths and a refinement part of at "
-         "least eps*n vertices", lambda rng: far_graphs_have_p3(rng.child(4), 300)),
+        ("far-from-cograph graphs have induced 4-paths, and their eps-refinement parts "
+         "have no eps-cut", lambda rng: far_graphs_have_p3(rng.child(4), 300)),
     ]),
     "packing": (4, [
         ("tau <= nu <= 3*tau and a maximum packing is maximal over 200 draws (n <= 12)",

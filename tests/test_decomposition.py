@@ -1,9 +1,11 @@
+from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 import pytest
 
+import ptlab.decomposition as decomposition
 from ptlab.decomposition import (
     AboveCap,
     Cut,
@@ -113,6 +115,29 @@ def test_find_beta_cut_against_naive():
             assert find_beta_cut(g, beta) == naive_best_cut(g, beta), (g.rows, beta)
 
 
+def test_fault_injection_scan_constants_keyed_on_n_alone_is_caught(monkeypatch, patch_source):
+    # a fresh cache, so that the faulty keys neither meet nor outlive the real ones
+    monkeypatch.setattr(decomposition, "_gathers", OrderedDict())
+    patch_source(decomposition, "_scan_constants", "key = (n, beta)", "key = n")
+    with pytest.raises(AssertionError):
+        test_find_beta_cut_against_naive()
+
+
+def test_scan_constants_are_read_only_and_bounded(monkeypatch):
+    monkeypatch.setattr(decomposition, "_gathers", OrderedDict())
+    for k in range(3, 80):
+        decomposition._scan_constants(6, Fraction(1, k))
+    assert len(decomposition._gathers) == 64  # the least recently used went first
+    assert next(iter(decomposition._gathers)) == (6, Fraction(1, 16))
+    # one n = 22 scan's rows fill the entry budget alone
+    index, minus2pop, gather = decomposition._scan_constants(22, Fraction(1, 5))
+    assert list(decomposition._gathers) == [(22, Fraction(1, 5))]
+    assert gather.shape == (3, (1 << 21) - 1) and len(index) == len(minus2pop) == 1 << 21
+    for table in (index, minus2pop, gather):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+
+
 def naive_zero_cut(g):
     """Vertex 0's component (`oracles.reach`) as a sparse cut, else its
     component in the complement as a dense one, else None."""
@@ -196,6 +221,22 @@ def test_heuristic_results_pinned(digest):
         refs.append((ref.parts, ref.edited_pairs, ref.modified_graph.rows))
     assert [r[1] for r in refs] == [8, 23, 27, 35, 0, 64]
     assert digest(refs) == "f1793376a0ce91ad"
+
+
+def test_exact_cuts_and_refinements_pinned(digest):
+    # sparse, middling and dense G(n, p) at every n = 8..14 and three betas
+    cuts, refs = [], []
+    for n in range(8, 15):
+        for i, p in enumerate((.2, .5, .8)):
+            g = gnp(n, p, Stream(89, (n, i)))
+            for beta in (Fraction(1, 20), Fraction(1, 5), Fraction(1, 3)):
+                cuts.append(find_beta_cut(g, beta))
+                ref = refine_along_cuts(g, beta)
+                refs.append((ref.parts, ref.edited_pairs, ref.modified_graph.rows))
+    assert sum(cut is not None for cut in cuts) == 48
+    assert digest(cuts) == "fe62c481cbc916a0"
+    assert sum(edited for _, edited, _ in refs) == 243
+    assert digest(refs) == "4f4635faf35b983e"
 
 
 def test_refine_cograph_to_singletons():

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 import pytest
@@ -32,23 +32,30 @@ from ptlab.verify import distance_dominates_tau, retention_mean
 # each one's pairs are the (u, v), u < v, of `combinations` and `g.edges()`
 
 def naive_tau(g):
+    """The most triangles of an edge-disjoint family, over every family: each
+    triangle in or out in turn, a family dropped once two share an edge."""
     tris = induced_sets(g.rows, range(g.n), 3)
-    for r in range(len(tris), 0, -1):
-        for combo in combinations(tris, r):
-            edges = [p for t in combo for p in combinations(t, 2)]
-            if len(edges) == len(set(edges)):
-                return r
-    return 0
+
+    def most(i, used):
+        if i == len(tris):
+            return 0
+        pairs = set(combinations(tris[i], 2))
+        without = most(i + 1, used)
+        return max(without, 1 + most(i + 1, used | pairs)) if used.isdisjoint(pairs) else without
+
+    return most(0, frozenset())
 
 
 def naive_nu(g):
-    tris = induced_sets(g.rows, range(g.n), 3)
-    edges = list(g.edges())
-    for r in range(len(edges) + 1):
-        for chosen in map(set, combinations(edges, r)):
-            if all(chosen.intersection(combinations(t, 2)) for t in tris):
-                return r
-    raise AssertionError
+    """The fewest edges meeting every triangle, by iterative deepening: every
+    cover holds one of the three edges of the first triangle it must meet."""
+    tris = [set(combinations(t, 2)) for t in induced_sets(g.rows, range(g.n), 3)]
+
+    def covers(chosen, r):
+        left = [t for t in tris if not t & chosen]
+        return not left or r > 0 and any(covers(chosen | {e}, r - 1) for e in left[0])
+
+    return next(r for r in count() if covers(set(), r))
 
 
 def test_packing_examples():
@@ -66,15 +73,18 @@ def test_cover_examples():
 
 
 def test_exact_tau_nu_match_naive():
+    # looked up on the module, so that the fault tests below can patch them;
+    # the dense G(8, 0.7) draws are where the bounds and the bans cut most
     rng = Stream(3)
-    for i in range(25):
-        g = gnp(7, 0.5, rng.child(i))
-        tau = len(triangle_packing(g))
-        nu = len(triangle_cover(g))
+    graphs = [gnp(7, 0.5, rng.child(i)) for i in range(25)]
+    graphs += [gnp(8, 0.7, rng.child(8, i)) for i in range(15)]
+    for i, g in enumerate(graphs):
+        tau = len(packing.triangle_packing(g))
+        nu = len(packing.triangle_cover(g))
         assert tau == naive_tau(g), i
         assert nu == naive_nu(g), i
         assert tau <= nu <= 3 * tau
-        fp = {p for t in triangle_packing(g).tuples for p in combinations(t, 2)}
+        fp = {p for t in packing.triangle_packing(g).tuples for p in combinations(t, 2)}
         assert len(fp) <= 3 * tau
         assert count_triangles(g.with_toggled(fp)) == 0
 
@@ -87,6 +97,21 @@ def test_fault_injection_triangles_of_dropping_one_is_caught(monkeypatch):
         return tris[:-1] if g.n >= 7 and len(tris) >= 6 else tris
 
     monkeypatch.setattr(packing, "triangles_of", lossy)
+    with pytest.raises(AssertionError):
+        test_exact_tau_nu_match_naive()
+
+
+def test_fault_injection_vertex_bound_one_too_loose_is_caught(patch_source):
+    # a bound one too small cuts branches that beat the incumbent by one
+    patch_source(packing, "triangle_packing", "// 3 <= room:", "// 3 <= room + 1:")
+    with pytest.raises(AssertionError):
+        test_exact_tau_nu_match_naive()
+
+
+def test_fault_injection_cover_banning_an_edge_before_its_branch_is_caught(patch_source):
+    # each edge banned before its own branch is tried, so no branch runs
+    patch_source(packing, "triangle_cover", "if not banned >> e & 1:",
+                 "banned |= 1 << e\n            if not banned >> e & 1:")
     with pytest.raises(AssertionError):
         test_exact_tau_nu_match_naive()
 
@@ -275,6 +300,18 @@ def test_greedy_triangle_packing_pinned(digest):
             packings.append(triangle_packing(g, "greedy", rng).tuples)
     assert sum(map(len, packings)) == 160
     assert digest(packings) == "5c4f037d1f166653"
+
+
+def test_exact_packing_and_cover_pinned(digest):
+    # ten seeded draws on each dense host, where the searches branch most
+    found = []
+    for i, (n, p) in enumerate(((9, .7), (10, .7), (11, .5), (12, .5))):
+        for j in range(10):
+            g = gnp(n, p, Stream(83, (i, j)))
+            found.append((triangle_packing(g).tuples, triangle_cover(g)))
+    assert sum(len(pk) for pk, _ in found) == 314
+    assert sum(len(cover) for _, cover in found) == 340
+    assert digest(found) == "b87e60b3510df9d8"
 
 
 def test_tripartite_extract_empty_packing():

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import ptlab.decomposition as decomposition
 import ptlab.oracles as oracles
 import ptlab.pipelines as pipelines
 import ptlab.recognizers as R
@@ -170,6 +171,16 @@ def test_fault_injection_breaks_far_graphs_have_p3(monkeypatch):
     monkeypatch.setattr(verify, "count_induced_p3", lambda g: 0)
     detail = verify.far_graphs_have_p3(Stream(0, (3,)).child(4), 25)
     assert detail and "zero induced 4-paths" in detail
+
+
+def test_fault_injection_scan_counting_a_crossing_too_many_breaks_far_graphs_have_p3(
+        patch_source):
+    # every crossing count one too high hides the exact cuts from the
+    # refinement; the check finds them with the oracle's own bipartitions
+    patch_source(decomposition, "_crossings", "cross[0] = rows[0].bit_count()",
+                 "cross[0] = rows[0].bit_count() + 1")
+    detail = verify.far_graphs_have_p3(Stream(0, (3,)).child(4), 25)
+    assert detail and "has an eps-cut" in detail
 
 
 def test_fault_injection_breaks_gadget_mechanism(monkeypatch):
