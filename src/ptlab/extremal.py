@@ -78,7 +78,8 @@ def _hill_climb(n: int, qualifier, effort: int, rng: Stream,
 
     The qualifier answers three calls: `start(g)`, does the start graph g
     qualify; `toggled(g, u, v)`, g with the pair toggled if that qualifies,
-    else None (g always qualifies); and `moved(g)`, the climb now stands on g.
+    else None (g always qualifies); and `moved(g, u, v)`, the climb now
+    stands on g, the graph it stood on with the pair (u, v), u < v, toggled.
 
     Equal-count moves are accepted with probability 1/2 to drift across
     plateaus; ties in the final reduction go to the lexicographically least
@@ -116,7 +117,7 @@ def _hill_climb(n: int, qualifier, effort: int, rng: Stream,
                     continue
                 if c2 < count or int(gen.integers(0, 2)) == 0:
                     g, count = cand, c2
-                    qualifier.moved(g)
+                    qualifier.moved(g, u, v)
                     moved = True
                     break
             if not moved:
@@ -139,8 +140,15 @@ class _CutFree:
     the edge makes a cut iff a separating bipartition sits one below its
     dense threshold, and removing it iff one sits one above its sparse
     threshold. `near[e]` lists those side1 masks (vertex 0 in side1) for
-    e = 0 (adding) and e = 1 (removing), from one `_crossings` scan of the
-    graph the climb stands on (beta already validated).
+    e = 0 (adding) and e = 1 (removing), read from `cross`, the crossing
+    counts of the graph the climb stands on.
+
+    `start` takes `cross` from one `_crossings` scan (beta already
+    validated). `moved` adds the accepted toggle's +1 or -1 to it in place,
+    through `cube`, a (2,)*(n-1) view of the scan's whole 2^(n-1) array in
+    which axis n-1-v is vertex v's bit: the two quarters with u and v on
+    different sides, or for u = 0, which never leaves side1, the half with
+    v off side1. Neither touches the last entry, which is no bipartition.
     """
 
     def __init__(self, beta: Fraction):
@@ -151,12 +159,29 @@ class _CutFree:
         cross, sparse_max, dense_min, _ = _crossings(g, self.beta)
         if ((cross <= sparse_max) | (cross >= dense_min)).any():
             return False
-        # index r of the scan stands for side1 mask 2r + 1
-        self.near = tuple((2 * np.flatnonzero(cross == near) + 1).tolist()
-                          for near in (dense_min - 1, sparse_max + 1))
+        self.cross, self.sparse_max, self.dense_min = cross, sparse_max, dense_min
+        # `cross` is the scan's array but its last entry
+        self.cube = cross.base.reshape((2,) * (g.n - 1))
+        self._list_near()
         return True
 
-    moved = start
+    def moved(self, g: Graph, u: int, v: int) -> None:
+        step = 1 if g.rows[u] >> v & 1 else -1
+        axis = g.n - 1
+        for bit in (0, 1) if u else (0,):
+            # length-1 slices, so that even a single entry stays a view
+            at = [slice(None)] * axis
+            at[axis - v] = slice(bit, bit + 1)
+            if u:
+                at[axis - u] = slice(1 - bit, 2 - bit)
+            part = self.cube[tuple(at)]
+            part += step
+        self._list_near()
+
+    def _list_near(self) -> None:
+        # index r of the scan stands for side1 mask 2r + 1
+        self.near = tuple((2 * np.flatnonzero(self.cross == near) + 1).tolist()
+                          for near in (self.dense_min - 1, self.sparse_max + 1))
 
     def toggled(self, g: Graph, u: int, v: int) -> Graph | None:
         for m in self.near[g.rows[u] >> v & 1]:
@@ -181,7 +206,7 @@ class _FarFromCograph:
         cand = g.with_toggled([(u, v)])
         return cand if self.start(cand) else None
 
-    def moved(self, g: Graph) -> None:
+    def moved(self, g: Graph, u: int, v: int) -> None:
         pass
 
 
@@ -189,9 +214,10 @@ def search_min_p3_density(n: int, beta, effort: int, rng: Stream) -> ExtremalRec
     """Hill-climb for a graph with no beta-cut and few induced 4-paths.
 
     The no-cut constraint is exact at every step (certified for n <= 22,
-    where exact enumeration is allowed): the start graph and each accepted
-    one get a full crossing scan, and a toggle is decided from the
-    bipartitions one crossing away from a cut.
+    where exact enumeration is allowed): each start graph gets one full
+    crossing scan, each accepted toggle adds its +1 or -1 to the kept
+    counts of the bipartitions that separate its pair, and a toggle is
+    decided from the bipartitions one crossing away from a cut.
 
     Starts are drawn from G(n, 1/2). At beta = 1/3 none of the seeded starts
     tried at n <= 16 was free of 1/3-cuts, so such a call ends in the

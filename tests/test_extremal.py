@@ -243,9 +243,10 @@ def test_near_cut_lists_follow_the_climb(monkeypatch):
     assert len(seen) > 5  # the lists were checked on the start and after moves
 
 
-def test_climb_scans_crossings_once_per_start_and_per_accepted_move(monkeypatch):
+def test_climb_scans_crossings_once_per_start_attempt_and_never_after_a_move(monkeypatch):
     events = []
     real_crossings, real_gnp, real_toggled = extremal._crossings, extremal.gnp, Graph.with_toggled
+    real_moved = _CutFree.moved
 
     def crossings(g, beta):
         events.append(("scan", g.rows))
@@ -261,32 +262,106 @@ def test_climb_scans_crossings_once_per_start_and_per_accepted_move(monkeypatch)
         events.append(("toggle", g.rows, cand.rows))
         return cand
 
+    def moved(self, g, u, v):
+        events.append(("move", g.rows, (u, v)))
+        return real_moved(self, g, u, v)
+
     monkeypatch.setattr(extremal, "_crossings", crossings)
     monkeypatch.setattr(extremal, "gnp", start)
     monkeypatch.setattr(Graph, "with_toggled", with_toggled)
+    monkeypatch.setattr(_CutFree, "moved", moved)
     rec = search_min_p3_density(8, Fraction(1, 5), 3, Stream(1707))
 
     scans = starts = moves = rejected = 0
     at = None  # the graph the climb stands on
+    stood = set()  # every graph it stood on
     for i, event in enumerate(events):
         after = events[i + 1] if i + 1 < len(events) else None
         if event[0] == "start":
             starts += 1
             assert after == ("scan", event[1])  # every start attempt is scanned once
             at = event[1]
+            stood.add(at)
         elif event[0] == "toggle":
             assert event[1] == at  # candidates toggle the current graph
-            if after == ("scan", event[2]):
+            if after is not None and after[:2] == ("move", event[2]):
                 moves += 1
+                u, v = after[2]
+                assert real_toggled(Graph(len(at), at), [(u, v)]).rows == event[2]
                 at = event[2]
+                stood.add(at)
             else:
                 rejected += 1
+        elif event[0] == "move":
+            assert events[i - 1][0] == "toggle" and events[i - 1][2] == event[1]
         else:
             scans += 1
-            assert events[i - 1][-1] == event[1]  # scanned right after its start or move
-    assert scans == starts + moves
-    assert moves > 0 and rejected > 0  # the coin refused some candidates, unscanned
-    assert rec.graph.rows in {e[1] for e in events if e[0] == "scan"}
+            assert events[i - 1] == ("start", event[1])  # scanned only right after its start
+    assert scans == starts
+    assert moves > 0 and rejected > 0  # the coin refused some candidates
+    assert rec.graph.rows in stood
+
+
+def oracle_crossings(g, beta):
+    return [cross for _, cross, _ in O.bipartitions(g.rows)]
+
+
+def fresh_crossings(g, beta):
+    return extremal._crossings(g, beta)[0].tolist()
+
+
+# seeded climbs (n, beta, effort, stream), n = 3..10; no 3-vertex graph is
+# free of exact cuts (its degrees would all be 1), so n = 3 is refused
+SMALL_CLIMBS = [(n, beta, 2, Stream(1708, (n, k)))
+                for k, beta in enumerate((Fraction(0), Fraction(1, 7), Fraction(1, 5)))
+                for n in range(3, 11)]
+
+
+def climb_checking_crossings(monkeypatch, climbs, expected):
+    """Run `climbs`, asserting after every accepted move that the crossing
+    counts of the cut-free qualifier equal `expected(g, beta)`; the number
+    of moves checked. The qualifier is `extremal._CutFree` as it is at the
+    call, which a fault test may have patched."""
+    moves = 0
+    real = extremal._CutFree.moved
+
+    def checked(self, g, u, v):
+        nonlocal moves
+        real(self, g, u, v)
+        moves += 1
+        assert self.cross.tolist() == expected(g, self.beta), ("crossing counts", g.rows, u, v)
+
+    monkeypatch.setattr(extremal._CutFree, "moved", checked)
+    for n, beta, effort, rng in climbs:
+        if n == 3:
+            with pytest.raises(ValueError, match="no qualifying graph found"):
+                search_min_p3_density(n, beta, effort, rng)
+        else:
+            search_min_p3_density(n, beta, effort, rng)
+    return moves
+
+
+def test_crossing_array_matches_the_oracle_after_every_move(monkeypatch):
+    assert climb_checking_crossings(monkeypatch, SMALL_CLIMBS, oracle_crossings) > 100
+
+
+def test_crossing_array_matches_a_fresh_scan_at_n_16(monkeypatch):
+    climb = [(16, Fraction(1, 5), 1, Stream(1709))]
+    assert climb_checking_crossings(monkeypatch, climb, fresh_crossings) > 20
+
+
+@pytest.mark.parametrize("old, new", [
+    # the sign flipped: an added edge counted as a removed one
+    ("step = 1 if g.rows[u] >> v & 1 else -1", "step = -1 if g.rows[u] >> v & 1 else 1"),
+    # only one of the two separating quarters updated
+    ("for bit in (0, 1) if u else (0,):", "for bit in (0,) if u else (0,):"),
+    # pairs (0, v) updated as if vertex 0 could leave side1
+    ("for bit in (0, 1) if u else (0,):", "for bit in (0, 1) if u else (0, 1):"),
+])
+def test_fault_injection_crossing_array_update_is_caught(monkeypatch, patch_source, old, new):
+    patch_source(extremal, "_CutFree", old, new)
+    with pytest.raises(AssertionError, match="crossing counts"):
+        climb_checking_crossings(monkeypatch, SMALL_CLIMBS, oracle_crossings)
 
 
 def census_cograph_distances(n):

@@ -183,6 +183,16 @@ def test_fault_injection_scan_counting_a_crossing_too_many_breaks_far_graphs_hav
     assert detail and "has an eps-cut" in detail
 
 
+def test_fault_injection_scan_ignoring_sparse_cuts_breaks_far_graphs_have_p3(patch_source):
+    # a scan blind to sparse cuts passes the eps-refinements of these 25
+    # draws, where the only sparse cuts are disconnections, but leaves a
+    # sparse 1/5-cut in a 1/5-refinement part
+    patch_source(decomposition, "_beta_cut_exact", "np.where(cross <= sparse_max, cross,",
+                 "np.where(False, cross,")
+    detail = verify.far_graphs_have_p3(Stream(0, (3,)).child(4), 25)
+    assert detail and "has a 1/5-cut" in detail
+
+
 def test_fault_injection_breaks_gadget_mechanism(monkeypatch):
     # with every sample counted as holding a triangle, the mechanism check
     # has nothing to test and must say so instead of passing
